@@ -31,6 +31,29 @@ from .nncore import RngStream
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
 
+# (key as written in the config file, rule, check) for the single-value
+# ranges; the model ranges mirror ModelConfig, the strategy ones
+# SelectionContext.validate, so a bad value fails at load, not mid-run
+_RANGES = (
+    ("test_fraction", "must lie in (0, 1)", lambda v: 0 < v < 1),
+    ("al.step_fraction", "must be > 0", lambda v: v > 0),
+    ("model.shared_hidden", "must be >= 1", lambda v: v >= 1),
+    ("model.private_hidden", "must be >= 1", lambda v: v >= 1),
+    ("model.lam_adv", "must be >= 0", lambda v: v >= 0),
+    ("model.lam_diff", "must be >= 0", lambda v: v >= 0),
+    ("model.lr", "must be > 0", lambda v: v > 0),
+    ("model.batch_size", "must be >= 1", lambda v: v >= 1),
+    ("model.epochs_per_round", "must be >= 0", lambda v: v >= 0),
+    ("strategy_params.sigma", "must be > 0", lambda v: v > 0),
+    ("strategy_params.num_perturbations", "must be >= 1", lambda v: v >= 1),
+    (
+        "strategy_params.budget_counts",
+        "must be 'unlabeled' or 'pool'",
+        lambda v: v in ("unlabeled", "pool"),
+    ),
+)
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -81,10 +104,14 @@ class ExperimentConfig:
                 "init_fraction/budget_fraction: need "
                 "0 < init_fraction < budget_fraction <= 1"
             )
-        if self.step_fraction <= 0:
-            out.append("step_fraction: must be > 0")
-        if not 0 < self.test_fraction < 1:
-            out.append("test_fraction: must lie in (0, 1)")
+        for key, rule, check in _RANGES:
+            value = getattr(self, key.rpartition(".")[2])
+            try:
+                ok = check(value)
+            except TypeError:  # a string or null where a number belongs
+                ok = False
+            if not ok:
+                out.append(f"{key}: {rule}, got {value!r}")
         return out
 
     def to_dict(self):

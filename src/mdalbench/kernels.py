@@ -1,110 +1,17 @@
-"""Hot numeric kernels, in numba and pure-numpy variants.
+"""Hot numeric kernels in vectorized numpy.
 
 Everything here is called inside per-round selection loops (pairwise
 distances for clustering and coreset cover, row softmax and row KL for
 perturbation scoring), which is where profile time concentrates once the
-models themselves are tiny MLPs. The module-level names (``pairwise_sq_dists``
-etc.) are bound to one variant at import time per ``backend.ACTIVE_BACKEND``;
-the ``*_numpy`` / ``*_loops`` spellings remain available for the benchmark
-and for cross-checking the two paths against each other.
+models themselves are tiny MLPs.
 """
 
 import numpy as np
 
-from .backend import ACTIVE_BACKEND, FORCE_JIT, njit_compile
-
 PROB_FLOOR = 1e-12
 
 
-# ---------------------------------------------------------------- loop forms
-
-
-def _pairwise_sq_dists_loops(A, B):
-    n, d = A.shape
-    m = B.shape[0]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(d):
-                diff = A[i, t] - B[j, t]
-                s += diff * diff
-            out[i, j] = s
-    return out
-
-
-def _sq_dists_to_point_loops(A, p):
-    n, d = A.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for t in range(d):
-            diff = A[i, t] - p[t]
-            s += diff * diff
-        out[i] = s
-    return out
-
-
-def _assign_nearest_loops(points, centers):
-    n = points.shape[0]
-    k, d = centers.shape
-    labels = np.empty(n, np.int64)
-    best = np.empty(n)
-    for i in range(n):
-        best_j = 0
-        best_d = np.inf
-        for j in range(k):
-            s = 0.0
-            for t in range(d):
-                diff = points[i, t] - centers[j, t]
-                s += diff * diff
-            if s < best_d:
-                best_d = s
-                best_j = j
-        labels[i] = best_j
-        best[i] = best_d
-    return labels, best
-
-
-def _softmax_rows_loops(Z):
-    n, c = Z.shape
-    out = np.empty((n, c))
-    for i in range(n):
-        m = Z[i, 0]
-        for j in range(1, c):
-            if Z[i, j] > m:
-                m = Z[i, j]
-        s = 0.0
-        for j in range(c):
-            e = np.exp(Z[i, j] - m)
-            out[i, j] = e
-            s += e
-        for j in range(c):
-            out[i, j] /= s
-    return out
-
-
-def _kl_rows_loops(P, Q):
-    n, c = P.shape
-    out = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(c):
-            p = P[i, j]
-            if p > 0.0:
-                pc = p if p > PROB_FLOOR else PROB_FLOOR
-                qc = Q[i, j] if Q[i, j] > PROB_FLOOR else PROB_FLOOR
-                acc += p * np.log(pc / qc)
-        if acc < 0.0:
-            acc = 0.0
-        out[i] = acc
-    return out
-
-
-# --------------------------------------------------------------- numpy forms
-
-
-def _pairwise_sq_dists_numpy(A, B):
+def pairwise_sq_dists(A, B):
     # |a-b|^2 = |a|^2 + |b|^2 - 2ab; clip tiny cancellation negatives
     aa = np.einsum("ij,ij->i", A, A)
     bb = np.einsum("ij,ij->i", B, B)
@@ -113,60 +20,25 @@ def _pairwise_sq_dists_numpy(A, B):
     return out
 
 
-def _sq_dists_to_point_numpy(A, p):
+def sq_dists_to_point(A, p):
     diff = A - p[None, :]
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _assign_nearest_numpy(points, centers):
-    d2 = _pairwise_sq_dists_numpy(points, centers)
+def assign_nearest(points, centers):
+    d2 = pairwise_sq_dists(points, centers)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(points.shape[0]), labels]
 
 
-def _softmax_rows_numpy(Z):
+def softmax_rows(Z):
     shifted = Z - Z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _kl_rows_numpy(P, Q):
+def kl_rows(P, Q):
     pc = np.maximum(P, PROB_FLOOR)
     qc = np.maximum(Q, PROB_FLOOR)
     terms = np.where(P > 0.0, P * np.log(pc / qc), 0.0)
     return np.maximum(terms.sum(axis=1), 0.0)
-
-
-# ----------------------------------------------------------------- dispatch
-
-pairwise_sq_dists_numpy = _pairwise_sq_dists_numpy
-sq_dists_to_point_numpy = _sq_dists_to_point_numpy
-assign_nearest_numpy = _assign_nearest_numpy
-softmax_rows_numpy = _softmax_rows_numpy
-kl_rows_numpy = _kl_rows_numpy
-
-# jit decoration is cheap (compilation is deferred to the first call), so the
-# numba spellings exist whenever numba is importable, not only when active
-pairwise_sq_dists_numba = njit_compile(_pairwise_sq_dists_loops)
-sq_dists_to_point_numba = njit_compile(_sq_dists_to_point_loops)
-assign_nearest_numba = njit_compile(_assign_nearest_loops)
-softmax_rows_numba = njit_compile(_softmax_rows_loops)
-kl_rows_numba = njit_compile(_kl_rows_loops)
-
-if ACTIVE_BACKEND == "numba":
-    # benchmarks/bench_backends.py: the matmul-shaped kernels are faster as
-    # BLAS calls even here, so only the row-wise kernels take the jit path
-    # under auto; MDALBENCH_BACKEND=numba still forces jit everywhere
-    pairwise_sq_dists = (
-        pairwise_sq_dists_numba if FORCE_JIT else _pairwise_sq_dists_numpy
-    )
-    assign_nearest = assign_nearest_numba if FORCE_JIT else _assign_nearest_numpy
-    sq_dists_to_point = sq_dists_to_point_numba
-    softmax_rows = softmax_rows_numba
-    kl_rows = kl_rows_numba
-else:
-    pairwise_sq_dists = _pairwise_sq_dists_numpy
-    sq_dists_to_point = _sq_dists_to_point_numpy
-    assign_nearest = _assign_nearest_numpy
-    softmax_rows = _softmax_rows_numpy
-    kl_rows = _kl_rows_numpy

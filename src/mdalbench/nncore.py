@@ -12,9 +12,7 @@ import hashlib
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, UsageError, ValidationError
-from .kernels import kl_rows, softmax_rows
-
-PROB_FLOOR = 1e-12
+from .kernels import PROB_FLOOR, kl_rows, softmax_rows
 
 
 class RngStream:

@@ -6,6 +6,7 @@ multiplied by 100, table cells formatted mean(std).
 """
 
 import json
+import sys
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -22,8 +23,12 @@ def scan_runs(results_dir):
         raise ValidationError(f"results directory not found: {results_dir}")
     runs = []
     for meta_path in sorted(results_dir.glob("*.json")):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if "strategy" not in meta or "config" not in meta:
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            print(f"warning: skipping {meta_path}: {exc}", file=sys.stderr)
+            continue
+        if not isinstance(meta, dict) or "strategy" not in meta or "config" not in meta:
             continue
         csv_path = meta_path.with_suffix(".csv")
         if not csv_path.is_file():

@@ -11,7 +11,7 @@ Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
 every strategy is a deterministic function of the context snapshot and seed.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -477,16 +477,8 @@ def two_stage_variant_select(ctx, scorer, region_stage=True):
     return sorted(batch)
 
 
-def p2s_select(ctx, sigma=None, num_draws=None):
+def p2s_select(ctx):
     """Full two-stage pipeline with the perturbation scorer."""
-    if sigma is not None or num_draws is not None:
-        ctx = replace(
-            ctx,
-            sigma=ctx.sigma if sigma is None else sigma,
-            num_perturbations=(
-                ctx.num_perturbations if num_draws is None else num_draws
-            ),
-        )
     return two_stage_variant_select(ctx, "perturbation", region_stage=True)
 
 

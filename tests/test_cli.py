@@ -59,9 +59,14 @@ def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
 
-def test_run_invalid_config_exits_2(tmp_path):
+def test_run_invalid_config_exits_2(tmp_path, capsys):
     path = minimal_config(tmp_path, strategies=["not-a-strategy"])
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    # a bad strategy parameter fails at load, before any training
+    path = minimal_config(tmp_path, strategy_params={"sigma": -1})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "strategy_params.sigma" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_run_minimal_grid_writes_one_csv_and_json(tmp_path):
@@ -210,6 +215,18 @@ def test_report_flags_best_strategy(tmp_path, capsys):
 def test_report_empty_dir_exits_2(tmp_path):
     assert main(["report", str(tmp_path)]) == 2
     assert main(["report", str(tmp_path / "missing")]) == 2
+
+
+def test_report_skips_unparseable_json(tmp_path, capsys):
+    fake_run(tmp_path, "ds", "random", 0, [0.80, 0.80])
+    fake_run(tmp_path, "ds", "p2s", 0, [0.90, 0.90])
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    clean = capsys.readouterr().out
+    (tmp_path / "junk.json").write_text("{not json")
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert "junk.json" in captured.err
 
 
 def test_report_matches_recomputation(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdalbench import engine
 from mdalbench.data import DomainDataset
 from mdalbench.engine import (
     AulcSummary,
@@ -262,12 +263,16 @@ def test_csv_round_trip(tmp_path):
     ]
 
 
-def test_execute_run_persists_partial_records_on_failure(tmp_path):
-    config = quick_config(name="fails", sigma=-1.0)  # p2s will reject sigma
+def test_execute_run_persists_partial_records_on_failure(tmp_path, monkeypatch):
+    def broken_select(strategy, ctx):
+        raise ValidationError("selection broke")
+
+    monkeypatch.setattr(engine, "select", broken_select)
+    config = quick_config(name="fails")
     result = execute_run(config, "p2s", 0, tmp_path)
     assert result.status == "failed"
-    assert "sigma" in result.error
-    assert len(result.records) >= 1  # round 0 evaluated before selection died
+    assert "selection broke" in result.error
+    assert len(result.records) == 1  # round 0 evaluated before selection died
     cols = read_run_csv(tmp_path / "fails__p2s__seed0.csv")
     assert len(cols["round"]) == len(result.records)
     meta = (tmp_path / "fails__p2s__seed0.json").read_text()
@@ -283,8 +288,12 @@ def test_config_validation_collects_field_messages():
             seeds=[],
             init_fraction=0.9,
             budget_fraction=0.5,
+            sigma=-1.0,
+            batch_size=0,
         )
     msg = str(err.value)
+    assert "strategy_params.sigma" in msg
+    assert "model.batch_size" in msg
     assert "name" in msg
     assert "dataset.type" in msg
     assert "bogus" in msg

@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 
 from mdalbench import kernels
-from mdalbench.backend import ACTIVE_BACKEND
-
-
-def test_active_backend_is_known():
-    assert ACTIVE_BACKEND in ("numba", "numpy")
 
 
 def test_pairwise_sq_dists_matches_broadcast(rng):
@@ -14,7 +9,6 @@ def test_pairwise_sq_dists_matches_broadcast(rng):
     B = rng.normal(size=(9, 5))
     ref = ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
     np.testing.assert_allclose(kernels.pairwise_sq_dists(A, B), ref, atol=1e-10)
-    np.testing.assert_allclose(kernels.pairwise_sq_dists_numpy(A, B), ref, atol=1e-10)
 
 
 def test_sq_dists_to_point(rng):
@@ -32,13 +26,14 @@ def test_assign_nearest_breaks_ties_to_lowest_index():
     np.testing.assert_allclose(d2, [1.0, 1.0])
 
 
-def test_assign_nearest_matches_numpy_variant(rng):
+def test_assign_nearest_matches_brute_force_argmin(rng):
     points = rng.normal(size=(40, 6))
     centers = rng.normal(size=(7, 6))
-    labels_a, d2_a = kernels.assign_nearest(points, centers)
-    labels_b, d2_b = kernels.assign_nearest_numpy(points, centers)
-    assert np.array_equal(labels_a, labels_b)
-    np.testing.assert_allclose(d2_a, d2_b, atol=1e-10)
+    labels, d2 = kernels.assign_nearest(points, centers)
+    ref = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+    ref_labels = ref.argmin(axis=1)
+    assert np.array_equal(labels, ref_labels)
+    np.testing.assert_allclose(d2, ref[np.arange(len(points)), ref_labels], atol=1e-10)
 
 
 def test_softmax_rows_normalized_and_shift_invariant(rng):
@@ -48,7 +43,8 @@ def test_softmax_rows_normalized_and_shift_invariant(rng):
     np.testing.assert_allclose(
         kernels.softmax_rows(Z + 1000.0), P, atol=1e-12
     )
-    np.testing.assert_allclose(kernels.softmax_rows_numpy(Z), P, atol=1e-12)
+    e = np.exp(Z - Z.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(P, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_kl_rows_against_direct_formula(rng):
@@ -58,7 +54,6 @@ def test_kl_rows_against_direct_formula(rng):
     Q /= Q.sum(1, keepdims=True)
     ref = (P * np.log(P / Q)).sum(1)
     np.testing.assert_allclose(kernels.kl_rows(P, Q), np.maximum(ref, 0), atol=1e-10)
-    np.testing.assert_allclose(kernels.kl_rows_numpy(P, Q), np.maximum(ref, 0), atol=1e-10)
 
 
 def test_kl_rows_zero_entries_clamped():
@@ -69,32 +64,3 @@ def test_kl_rows_zero_entries_clamped():
     val = kernels.kl_rows(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))[0]
     assert np.isfinite(val) and val > 0
 
-
-def _numba_available():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-@pytest.mark.skipif(not _numba_available(), reason="numba not installed")
-def test_numba_and_numpy_paths_agree(rng):
-    A = rng.normal(size=(23, 8))
-    B = rng.normal(size=(13, 8))
-    np.testing.assert_allclose(
-        kernels.pairwise_sq_dists_numba(A, B),
-        kernels.pairwise_sq_dists_numpy(A, B),
-        atol=1e-10,
-    )
-    P = rng.random((12, 4)) + 1e-9
-    Q = rng.random((12, 4)) + 1e-9
-    P /= P.sum(1, keepdims=True)
-    Q /= Q.sum(1, keepdims=True)
-    np.testing.assert_allclose(
-        kernels.kl_rows_numba(P, Q), kernels.kl_rows_numpy(P, Q), atol=1e-12
-    )
-    Z = rng.normal(size=(12, 4))
-    np.testing.assert_allclose(
-        kernels.softmax_rows_numba(Z), kernels.softmax_rows_numpy(Z), atol=1e-12
-    )
