@@ -61,6 +61,8 @@ def _seed_fallback(seeds_arg, config_seeds):
 
 def cmd_run(args):
     raw = _load_json(args.config)
+    if not isinstance(raw, dict):
+        raise ValidationError("config: expected a JSON object")
     if args.seeds or not raw.get("seeds"):
         raw = dict(raw)
         seeds = _seed_fallback(args.seeds, raw.get("seeds"))

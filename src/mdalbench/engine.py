@@ -11,7 +11,7 @@ training, feeding the per-strategy timing comparison.
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,51 +31,72 @@ from .nncore import RngStream
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
 
-# (key as written in the config file, rule, check) for the single-value
-# ranges; the model ranges mirror ModelConfig, the strategy ones
-# SelectionContext.validate, so a bad value fails at load, not mid-run
-_RANGES = (
-    ("test_fraction", "must lie in (0, 1)", lambda v: 0 < v < 1),
-    ("al.step_fraction", "must be > 0", lambda v: v > 0),
-    ("model.shared_hidden", "must be >= 1", lambda v: v >= 1),
-    ("model.private_hidden", "must be >= 1", lambda v: v >= 1),
-    ("model.lam_adv", "must be >= 0", lambda v: v >= 0),
-    ("model.lam_diff", "must be >= 0", lambda v: v >= 0),
-    ("model.lr", "must be > 0", lambda v: v > 0),
-    ("model.batch_size", "must be >= 1", lambda v: v >= 1),
-    ("model.epochs_per_round", "must be >= 0", lambda v: v >= 0),
-    ("strategy_params.sigma", "must be > 0", lambda v: v > 0),
-    ("strategy_params.num_perturbations", "must be >= 1", lambda v: v >= 1),
-    (
-        "strategy_params.budget_counts",
-        "must be 'unlabeled' or 'pool'",
-        lambda v: v in ("unlabeled", "pool"),
-    ),
-)
+_SECTIONS = ("model", "al", "strategy_params")
+
+# the exact JSON value types each field annotation accepts, so true/false
+# never pass as integers
+_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    bool | None: ((bool, type(None)), "true, false or null"),
+    str: ((str,), "a string"),
+}
+
+_POSITIVE = ("must be > 0", lambda v: v > 0)
+_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
+_AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
+
+
+def _key(section, default, rule=None, check=None):
+    """An optional config key: its default, its config-file section ("" for
+    the top level) and the range its value must lie in, if any."""
+    return field(
+        default=default, metadata={"section": section, "rule": rule, "check": check}
+    )
+
+
+def _path(f):
+    section = f.metadata.get("section")
+    return f"{section}.{f.name}" if section else f.name
+
+
+def _synthetic_spec(dataset):
+    return SyntheticSpec(**{k: v for k, v in dataset.items() if k != "type"})
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment grid, declared key by key.
+
+    Each optional field is one config key: its annotation is the key's type,
+    and _key gives its default, section and range. from_dict, to_dict,
+    section and the checks in problems all derive from these fields.
+    """
+
     name: str
     dataset: dict
     strategies: list
     seeds: list
-    test_fraction: float = 0.25
-    standardize: bool | None = None
-    shared_hidden: int = 64
-    private_hidden: int = 64
-    lam_adv: float = 0.05
-    lam_diff: float = 0.0
-    lr: float = 0.01
-    batch_size: int = 8
-    epochs_per_round: int = 30
-    init_fraction: float = 0.10
-    step_fraction: float = 0.05
-    budget_fraction: float = 0.50
-    warm_start: bool = False
-    sigma: float = 0.01
-    num_perturbations: int = 20
-    budget_counts: str = "unlabeled"
+    test_fraction: float = _key("", 0.25, "must lie in (0, 1)", lambda v: 0 < v < 1)
+    standardize: bool | None = _key("", None)
+    shared_hidden: int = _key("model", 64, *_AT_LEAST_ONE)
+    private_hidden: int = _key("model", 64, *_AT_LEAST_ONE)
+    lam_adv: float = _key("model", 0.05, *_NON_NEGATIVE)
+    lam_diff: float = _key("model", 0.0, *_NON_NEGATIVE)
+    lr: float = _key("model", 0.01, *_POSITIVE)
+    batch_size: int = _key("model", 8, *_AT_LEAST_ONE)
+    epochs_per_round: int = _key("model", 30, *_NON_NEGATIVE)
+    init_fraction: float = _key("al", 0.10)
+    step_fraction: float = _key("al", 0.05, *_POSITIVE)
+    budget_fraction: float = _key("al", 0.50)
+    warm_start: bool = _key("al", False)
+    sigma: float = _key("strategy_params", 0.01, *_POSITIVE)
+    num_perturbations: int = _key("strategy_params", 20, *_AT_LEAST_ONE)
+    budget_counts: str = _key(
+        "strategy_params", "unlabeled", "must be 'unlabeled' or 'pool'",
+        lambda v: v in ("unlabeled", "pool"),
+    )
 
     def __post_init__(self):
         problems = self.problems()
@@ -86,99 +107,78 @@ class ExperimentConfig:
         out = []
         if not isinstance(self.name, str) or not self.name:
             out.append("name: expected a non-empty string")
-        if not isinstance(self.dataset, dict) or self.dataset.get("type") not in (
-            "synthetic",
-            "manifest",
-        ):
+        ds = self.dataset if isinstance(self.dataset, dict) else {}
+        if ds.get("type") == "synthetic":
+            try:
+                _synthetic_spec(ds)
+            except (TypeError, ValidationError) as exc:
+                out.append(f"dataset: {exc}")
+        elif ds.get("type") != "manifest":
             out.append("dataset.type: expected 'synthetic' or 'manifest'")
-        if not self.strategies:
-            out.append("strategies: expected a non-empty list")
+        elif not isinstance(ds.get("path"), str):
+            out.append(f"dataset.path: expected a string, got {ds.get('path')!r}")
+        if not isinstance(self.strategies, list) or not self.strategies:
+            out.append(f"strategies: expected a non-empty list, got {self.strategies!r}")
         else:
             for s in self.strategies:
                 if s not in STRATEGY_NAMES:
                     out.append(f"strategies: unknown strategy {s!r}")
-        if not self.seeds:
-            out.append("seeds: expected a non-empty list")
-        if not 0 < self.init_fraction < self.budget_fraction <= 1:
+        seeds = self.seeds if isinstance(self.seeds, list) else []
+        if not seeds or any(type(s) is not int for s in seeds):
+            out.append(f"seeds: expected a non-empty list of integers, got {self.seeds!r}")
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if "section" not in meta:
+                continue
+            accepted, kind = _KINDS[f.type]
+            if type(value) not in accepted:
+                out.append(f"{_path(f)}: expected {kind}, got {value!r}")
+            elif meta["check"] and not meta["check"](value):
+                out.append(f"{_path(f)}: {meta['rule']}, got {value!r}")
+        fractions = (self.init_fraction, self.budget_fraction)
+        numeric = all(type(v) in (int, float) for v in fractions)
+        if numeric and not 0 < fractions[0] < fractions[1] <= 1:
             out.append(
                 "init_fraction/budget_fraction: need "
                 "0 < init_fraction < budget_fraction <= 1"
             )
-        for key, rule, check in _RANGES:
-            value = getattr(self, key.rpartition(".")[2])
-            try:
-                ok = check(value)
-            except TypeError:  # a string or null where a number belongs
-                ok = False
-            if not ok:
-                out.append(f"{key}: {rule}, got {value!r}")
         return out
 
-    def to_dict(self):
+    def section(self, name):
+        """{key: value} for one config-file section; "" is the top level."""
         return {
-            "name": self.name,
-            "dataset": self.dataset,
-            "strategies": list(self.strategies),
-            "seeds": [int(s) for s in self.seeds],
-            "test_fraction": self.test_fraction,
-            "standardize": self.standardize,
-            "model": {
-                "shared_hidden": self.shared_hidden,
-                "private_hidden": self.private_hidden,
-                "lam_adv": self.lam_adv,
-                "lam_diff": self.lam_diff,
-                "lr": self.lr,
-                "batch_size": self.batch_size,
-                "epochs_per_round": self.epochs_per_round,
-            },
-            "al": {
-                "init_fraction": self.init_fraction,
-                "step_fraction": self.step_fraction,
-                "budget_fraction": self.budget_fraction,
-                "warm_start": self.warm_start,
-            },
-            "strategy_params": {
-                "sigma": self.sigma,
-                "num_perturbations": self.num_perturbations,
-                "budget_counts": self.budget_counts,
-            },
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("section", "") == name
         }
+
+    def to_dict(self):
+        out = {s: self.section(s) for s in _SECTIONS}
+        out.update(
+            self.section(""), strategies=list(self.strategies), seeds=list(self.seeds)
+        )
+        return out
 
     @classmethod
     def from_dict(cls, raw):
+        """Build from the config-file layout; every unknown key is an error."""
         if not isinstance(raw, dict):
             raise ValidationError("config: expected a JSON object")
-        flat = {
-            "name": raw.get("name"),
-            "dataset": raw.get("dataset"),
-            "strategies": raw.get("strategies"),
-            "seeds": raw.get("seeds"),
-        }
-        for key in ("test_fraction", "standardize"):
-            if key in raw:
-                flat[key] = raw[key]
-        for section, keys in (
-            (
-                "model",
-                (
-                    "shared_hidden",
-                    "private_hidden",
-                    "lam_adv",
-                    "lam_diff",
-                    "lr",
-                    "batch_size",
-                    "epochs_per_round",
-                ),
-            ),
-            ("al", ("init_fraction", "step_fraction", "budget_fraction", "warm_start")),
-            ("strategy_params", ("sigma", "num_perturbations", "budget_counts")),
-        ):
-            sub = raw.get(section, {})
-            if not isinstance(sub, dict):
-                raise ValidationError(f"config.{section}: expected an object")
-            for key in keys:
-                if key in sub:
-                    flat[key] = sub[key]
+        items, errors = [], []
+        for key, value in raw.items():
+            if key not in _SECTIONS:
+                items.append((key, value))
+            elif isinstance(value, dict):
+                items += [(f"{key}.{sub}", v) for sub, v in value.items()]
+            else:
+                errors.append(f"{key}: expected an object, got {value!r}")
+        names = {_path(f): f.name for f in fields(cls)}
+        errors += [f"{path}: unknown key" for path, _ in items if path not in names]
+        if errors:
+            raise ValidationError("; ".join(errors))
+        # a missing required key reaches problems() as None and is named there
+        flat = {f.name: None for f in fields(cls) if "section" not in f.metadata}
+        flat.update((names[path], value) for path, value in items)
         return cls(**flat)
 
 
@@ -189,10 +189,7 @@ def load_dataset(config):
     """Full per-domain datasets plus whether to standardize by default."""
     ds = config.dataset
     if ds["type"] == "synthetic":
-        try:
-            spec = SyntheticSpec(**{k: v for k, v in ds.items() if k != "type"})
-        except TypeError as exc:
-            raise ValidationError(f"dataset: {exc}") from exc
+        spec = _synthetic_spec(ds)
         full = generate_synthetic(spec)
         default_standardize = False
         split_seed = spec.seed
@@ -231,31 +228,31 @@ def prepare_pools(config):
 
 @dataclass
 class PoolState:
+    """Per-domain boolean masks over the training pools, True where labeled.
+
+    labeled/unlabeled are the sorted index arrays the masks imply.
+    """
+
     store: list
-    labeled: list
-    unlabeled: list
+    masks: list
+
+    def __post_init__(self):
+        self.check()
+        self.labeled = [np.flatnonzero(m) for m in self.masks]
+        self.unlabeled = [np.flatnonzero(~m) for m in self.masks]
 
     def check(self):
-        for k in range(len(self.store)):
-            lab = set(self.labeled[k].tolist())
-            unl = set(self.unlabeled[k].tolist())
-            n = len(self.store[k])
-            if lab & unl:
-                raise ValidationError(f"domain {k}: labeled and unlabeled overlap")
-            if lab | unl != set(range(n)):
-                raise ValidationError(f"domain {k}: pools do not cover the store")
-        return self
+        for k, (dom, mask) in enumerate(zip(self.store, self.masks, strict=True)):
+            if mask.dtype != bool or mask.shape != (len(dom),):
+                raise ValidationError(f"domain {k}: mask does not cover the store")
 
     def labeled_counts(self):
         return [int(a.size) for a in self.labeled]
 
-    def total(self):
-        return int(sum(len(s) for s in self.store))
-
 
 def init_split(store, init_fraction, rng):
     """Label ceil(init_fraction * n_k) uniform samples per domain."""
-    labeled, unlabeled = [], []
+    masks = []
     for k, dom in enumerate(store):
         n = len(dom)
         take = math.ceil(init_fraction * n)
@@ -263,36 +260,26 @@ def init_split(store, init_fraction, rng):
             raise ValidationError(
                 f"init_fraction {init_fraction} labels nothing in domain {k}"
             )
-        take = min(take, n)
         gen = rng.child(f"init/{k}").generator()
-        chosen = np.sort(gen.choice(n, size=take, replace=False))
         mask = np.zeros(n, dtype=bool)
-        mask[chosen] = True
-        labeled.append(chosen.astype(np.int64))
-        unlabeled.append(np.flatnonzero(~mask).astype(np.int64))
-    return PoolState(store=store, labeled=labeled, unlabeled=unlabeled).check()
+        mask[gen.choice(n, size=min(take, n), replace=False)] = True
+        masks.append(mask)
+    return PoolState(store=store, masks=masks)
 
 
 def annotate(pool, batch):
-    """Move the batch indices from unlabeled to labeled; returns a new state."""
-    per_domain = {}
+    """Move the batch items from unlabeled to labeled; returns a new state."""
+    masks = [m.copy() for m in pool.masks]
+    stray = []
     for k, i in batch:
-        per_domain.setdefault(k, set()).add(int(i))
-    labeled, unlabeled = [], []
-    for k in range(len(pool.store)):
-        move = per_domain.get(k, set())
-        if move - set(pool.unlabeled[k].tolist()):
-            raise ValidationError(
-                f"domain {k}: annotating items that are not unlabeled: "
-                f"{sorted(move - set(pool.unlabeled[k].tolist()))}"
-            )
-        labeled.append(
-            np.sort(np.concatenate([pool.labeled[k], np.fromiter(move, dtype=np.int64, count=len(move))]))
-        )
-        unlabeled.append(
-            np.asarray([i for i in pool.unlabeled[k] if int(i) not in move], dtype=np.int64)
-        )
-    return PoolState(store=pool.store, labeled=labeled, unlabeled=unlabeled)
+        # bounds first: a negative index would wrap to the end of the mask
+        if 0 <= k < len(masks) and 0 <= i < masks[k].size and not masks[k][i]:
+            masks[k][i] = True
+        else:
+            stray.append((int(k), int(i)))
+    if stray:
+        raise ValidationError(f"annotating items that are not unlabeled: {stray}")
+    return PoolState(store=pool.store, masks=masks)
 
 
 # ------------------------------------------------------------------- records
@@ -390,13 +377,7 @@ def run_experiment(config, strategy, seed, train_store=None, test_sets=None,
     mconfig = ModelConfig(
         input_dim=train_store[0].X.shape[1],
         num_classes=num_classes,
-        shared_hidden=config.shared_hidden,
-        private_hidden=config.private_hidden,
-        lam_adv=config.lam_adv,
-        lam_diff=config.lam_diff,
-        lr=config.lr,
-        batch_size=config.batch_size,
-        epochs_per_round=config.epochs_per_round,
+        **config.section("model"),
     )
 
     root = RngStream(int(seed))
@@ -446,9 +427,7 @@ def run_experiment(config, strategy, seed, train_store=None, test_sets=None,
             unlabeled=pool.unlabeled,
             budget=min(step_budget, remaining),
             rng=root.child(f"round{round_index}/select"),
-            sigma=config.sigma,
-            num_perturbations=config.num_perturbations,
-            budget_counts=config.budget_counts,
+            **config.section("strategy_params"),
         )
         t0 = time.perf_counter()
         batch = select(strategy, ctx)

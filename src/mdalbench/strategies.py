@@ -92,9 +92,12 @@ def _check_batch(ctx, batch):
         )
     if len(set(batch)) != len(batch):
         raise ValidationError("strategy returned duplicate items")
-    pools = [set(a.tolist()) for a in ctx.unlabeled]
+    free = [np.zeros(len(dom), dtype=bool) for dom in ctx.store]
+    for mask, idx in zip(free, ctx.unlabeled, strict=True):
+        mask[idx] = True
     for k, i in batch:
-        if i not in pools[k]:
+        # bounds first: a negative index would wrap to the end of the mask
+        if not (0 <= k < len(free) and 0 <= i < free[k].size and free[k][i]):
             raise ValidationError(f"selected item ({k}, {i}) is not unlabeled")
     return batch
 

@@ -59,14 +59,45 @@ def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
 
-def test_run_invalid_config_exits_2(tmp_path, capsys):
-    path = minimal_config(tmp_path, strategies=["not-a-strategy"])
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    # a bad strategy parameter fails at load, before any training
-    path = minimal_config(tmp_path, strategy_params={"sigma": -1})
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "strategy_params.sigma" in capsys.readouterr().err
-    assert not list((tmp_path / "o").glob("*.csv"))
+@pytest.mark.parametrize(
+    "edits, key",
+    [
+        pytest.param({"strategies": ["not-a-strategy"]}, "strategies", id="unknown-strategy"),
+        pytest.param({"strategy_params.sigma": -1}, "strategy_params.sigma", id="sigma-range"),
+        pytest.param({"model.epoch_per_round": 1}, "model.epoch_per_round", id="unknown-model-key"),
+        pytest.param({"test_fracton": 0.25}, "test_fracton", id="unknown-top-key"),
+        pytest.param({"al.warm_start": "no"}, "al.warm_start", id="bool-as-string"),
+        pytest.param({"model.epochs_per_round": 1.5}, "model.epochs_per_round", id="int-as-float"),
+        pytest.param({"model.batch_size": 2.5}, "model.batch_size", id="batch-size-float"),
+        pytest.param({"model": 3}, "model", id="section-not-object"),
+        pytest.param({"dataset.num_domain": 2}, "dataset", id="unknown-synthetic-key"),
+        pytest.param({"dataset.num_domains": 0}, "dataset", id="synthetic-range"),
+        pytest.param({"dataset": {"type": "manifest"}}, "dataset.path", id="manifest-no-path"),
+        pytest.param({"strategies": "random"}, "strategies", id="strategies-string"),
+        pytest.param({"seeds": ["a"]}, "seeds", id="seed-string"),
+        pytest.param({"seeds": [1.5]}, "seeds", id="seed-float"),
+        pytest.param([], "config", id="config-not-object"),
+    ],
+)
+def test_run_invalid_config_exits_2(tmp_path, capsys, edits, key):
+    """Each input fails at load, before any training, naming the bad key once."""
+    doc = json.loads(minimal_config(tmp_path).read_text())
+    if isinstance(edits, dict):
+        for dotted, value in edits.items():
+            *parents, last = dotted.split(".")
+            target = doc
+            for name in parents:
+                target = target.setdefault(name, {})
+            target[last] = value
+    else:
+        doc = edits
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--out", str(out), "--jobs", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.count(f"{key}:") == 1
+    assert not list(out.glob("*.csv"))
 
 
 def test_run_minimal_grid_writes_one_csv_and_json(tmp_path):

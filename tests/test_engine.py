@@ -119,10 +119,12 @@ def test_annotate_everything_empties_unlabeled():
     assert after.labeled_counts() == [6]
 
 
-def test_annotate_rejects_already_labeled():
+@pytest.mark.parametrize("item", ["labeled", 999, -1])
+def test_annotate_rejects_already_labeled(item):
     store = balanced_store([6])
     pool = init_split(store, 0.5, RngStream(4))
-    batch = [(0, int(pool.labeled[0][0]))]
+    # -1 must not wrap to the last item, which may be unlabeled
+    batch = [(0, int(pool.labeled[0][0]) if item == "labeled" else item)]
     with pytest.raises(ValidationError):
         annotate(pool, batch)
 
