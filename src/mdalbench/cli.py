@@ -48,14 +48,22 @@ def _load_json(path):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _seed_fallback(seeds_arg, config_seeds):
+def _seed(text, source):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(
+            f"{source}: expected an integer seed, got {text!r}"
+        ) from None
+
+
+def _seed_fallback(seeds_arg):
+    """Seeds from --seeds, else from MDALBENCH_SEED, else none."""
     if seeds_arg:
-        return [int(s) for s in seeds_arg.split(",") if s.strip()]
-    if config_seeds:
-        return [int(s) for s in config_seeds]
+        return [_seed(s, "--seeds") for s in seeds_arg.split(",") if s.strip()]
     env = os.environ.get("MDALBENCH_SEED")
     if env is not None:
-        return [int(env)]
+        return [_seed(env, "MDALBENCH_SEED")]
     return []
 
 
@@ -65,7 +73,7 @@ def cmd_run(args):
         raise ValidationError("config: expected a JSON object")
     if args.seeds or not raw.get("seeds"):
         raw = dict(raw)
-        seeds = _seed_fallback(args.seeds, raw.get("seeds"))
+        seeds = _seed_fallback(args.seeds)
         if not seeds:
             raise ValidationError(
                 "no seeds: provide config 'seeds', --seeds, or MDALBENCH_SEED"

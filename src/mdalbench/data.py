@@ -7,7 +7,7 @@ feature dimension, so loading can validate shapes up front.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +171,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # exact types, so 2.5 samples or true domains never reach the generator
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and type(value) is not int:
+                raise ValidationError(f"{f.name}: expected an integer, got {value!r}")
+            if f.type is float and type(value) not in (int, float):
+                raise ValidationError(f"{f.name}: expected a number, got {value!r}")
         if self.num_domains < 1 or self.samples_per_domain < 1:
             raise ValidationError("need >= 1 domain and >= 1 sample per domain")
         if self.input_dim < 1 or self.num_classes < 2:

@@ -15,17 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, ValidationError
-from .kernels import softmax_rows
-from .nncore import (
-    Linear,
-    RngStream,
-    grad_reversal,
-    grad_reversal_backward,
-    relu,
-    relu_backward,
-    sgd_step,
-    softmax_cross_entropy,
-)
+from .kernels import PROB_FLOOR, softmax_rows
+from .nncore import Linear, RngStream, relu, relu_backward
 
 
 @dataclass
@@ -260,30 +251,50 @@ class EpochLog:
     total: float
 
 
-def _gather_rows(store, pool_domain, pool_index, rows, input_dim):
-    X = np.empty((rows.shape[0], input_dim))
-    for j, r in enumerate(rows):
-        X[j] = store[pool_domain[r]].X[pool_index[r]]
-    return X
+def _xent(logits, labels):
+    """Mean softmax cross-entropy and its logit gradient (probs - onehot) / n.
+
+    softmax_cross_entropy's arithmetic without its input checks; the
+    gradient is built in the probability array itself.
+    """
+    n = logits.shape[0]
+    rows = np.arange(n)
+    probs = softmax_rows(logits)
+    loss = float(-np.log(np.maximum(probs[rows, labels], PROB_FLOOR)).mean())
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, probs
 
 
-def accumulate_training_gradients(model, X, y, k, X_adv, d_adv, config):
-    """One step's gradient accumulation, no parameter update.
+def training_step(model, X, y, k, X_adv, d_adv, config):
+    """One step's losses and the gradients of the parameters it touches.
 
     Supervised cross-entropy through domain k's head, domain-id
     cross-entropy through the discriminator behind the reversal layer
     (scaled by lam_adv), optional shared/private orthogonality penalty.
-    Returns (loss_sup, loss_adv, loss_diff) with loss_adv the raw
-    cross-entropy before weighting.
+    Reads Param.value and writes nothing. Returns
+    ((loss_sup, loss_adv, loss_diff), grads) with loss_adv the raw
+    cross-entropy before weighting and grads the (Param, gradient) pairs of
+    shared W/b, private_k W/b, classifier_k W/b and discriminator W/b, in
+    that order. Every operation is the one the Linear/relu/reversal layers
+    of nncore perform, in the same order, so the gradients are bit-identical
+    to the layer-by-layer backward pass; the gradients with respect to the
+    inputs are never formed.
     """
-    S = config.shared_hidden
+    shared, private = model.shared.lin, model.privates[k].lin
+    clf, disc = model.classifiers[k], model.discriminator
+    Ws, Wp, Wc, Wd = shared.W.value, private.W.value, clf.W.value, disc.W.value
 
-    hs, cs = model.shared.forward(X)
-    hp, cp = model.privates[k].forward(X)
+    Zs = X @ Ws.T + shared.b.value
+    hs = np.maximum(0.0, Zs)
+    Zp = X @ Wp.T + private.b.value
+    hp = np.maximum(0.0, Zp)
     h = np.concatenate([hs, hp], axis=1)
-    logits, cc = model.classifiers[k].forward(h)
-    loss_sup, dlogits, _ = softmax_cross_entropy(logits, y)
-    dh = model.classifiers[k].backward(cc, dlogits)
+    loss_sup, dlogits = _xent(h @ Wc.T + clf.b.value, y)
+    gWc = dlogits.T @ h
+    gbc = dlogits.sum(axis=0)
+    dh = dlogits @ Wc
+    S = config.shared_hidden
     dhs, dhp = dh[:, :S], dh[:, S:]
 
     loss_diff = 0.0
@@ -293,24 +304,50 @@ def accumulate_training_gradients(model, X, y, k, X_adv, d_adv, config):
         dhs = dhs + config.lam_diff * 2.0 * (hp @ M.T)
         dhp = dhp + config.lam_diff * 2.0 * (hs @ M)
 
-    model.shared.backward(cs, dhs)
-    model.privates[k].backward(cp, dhp)
+    dZs = np.where(Zs > 0.0, dhs, 0.0)
+    gWs = dZs.T @ X
+    gbs = dZs.sum(axis=0)
+    dZp = np.where(Zp > 0.0, dhp, 0.0)
+    gWp = dZp.T @ X
+    gbp = dZp.sum(axis=0)
 
-    hs_a, cs_a = model.shared.forward(X_adv)
-    rev, rcache = grad_reversal(hs_a, 1.0)
-    logits_a, cd = model.discriminator.forward(rev)
-    loss_adv, dlog_a, _ = softmax_cross_entropy(logits_a, d_adv)
-    drev = model.discriminator.backward(cd, config.lam_adv * dlog_a)
-    model.shared.backward(cs_a, grad_reversal_backward(rcache, drev))
-    return loss_sup, loss_adv, loss_diff
+    Za = X_adv @ Ws.T + shared.b.value
+    ha = np.maximum(0.0, Za)
+    loss_adv, dla = _xent(ha @ Wd.T + disc.b.value, d_adv)
+    dla = config.lam_adv * dla
+    gWd = dla.T @ ha
+    gbd = dla.sum(axis=0)
+    dZa = np.where(Za > 0.0, -1.0 * (dla @ Wd), 0.0)
+    gWs += dZa.T @ X_adv
+    gbs += dZa.sum(axis=0)
+
+    grads = [
+        (shared.W, gWs), (shared.b, gbs),
+        (private.W, gWp), (private.b, gbp),
+        (clf.W, gWc), (clf.b, gbc),
+        (disc.W, gWd), (disc.b, gbd),
+    ]
+    return (loss_sup, loss_adv, loss_diff), grads
+
+
+def accumulate_training_gradients(model, X, y, k, X_adv, d_adv, config):
+    """training_step with its gradients added into Param.grad.
+
+    Returns (loss_sup, loss_adv, loss_diff); no parameter is updated.
+    """
+    losses, grads = training_step(model, X, y, k, X_adv, d_adv, config)
+    for p, g in grads:
+        p.grad += g
+    return losses
 
 
 def train_round(model, store, labeled, config, rng):
     """One training round over the current labeled sets.
 
     Each step takes a supervised batch from one domain (round-robin) and an
-    adversarial domain-id batch drawn uniformly from the union of all pools.
-    Returns the per-epoch mean losses.
+    adversarial domain-id batch drawn uniformly from the union of all pools,
+    then applies plain SGD to the eight parameters the step touches (the
+    others have zero gradient). Returns the per-epoch mean losses.
     """
     K = config.num_domains
     labeled = [np.asarray(l, dtype=np.int64) for l in labeled]
@@ -320,18 +357,15 @@ def train_round(model, store, labeled, config, rng):
         if store[k].X.shape[0] == 0:
             raise ValidationError(f"domain {k} pool is empty")
 
+    pool_X = np.concatenate([store[k].X for k in range(K)])
     pool_domain = np.concatenate(
         [np.full(store[k].X.shape[0], k, dtype=np.int64) for k in range(K)]
-    )
-    pool_index = np.concatenate(
-        [np.arange(store[k].X.shape[0], dtype=np.int64) for k in range(K)]
     )
     n_pool = pool_domain.shape[0]
 
     gen = rng.child("batches").generator()
     total_labeled = int(sum(l.size for l in labeled))
     steps_per_epoch = max(1, math.ceil(total_labeled / config.batch_size))
-    params = model.params()
 
     logs = []
     step_counter = 0
@@ -345,17 +379,12 @@ def train_round(model, store, labeled, config, rng):
             take = gen.choice(
                 pool, size=config.batch_size, replace=pool.size < config.batch_size
             )
-            X = store[k].X[take]
-            y = store[k].y[take]
-
             rows = gen.choice(
                 n_pool, size=config.batch_size, replace=n_pool < config.batch_size
             )
-            Xa = _gather_rows(store, pool_domain, pool_index, rows, config.input_dim)
-            da = pool_domain[rows]
-
-            loss_sup, loss_adv, loss_diff = accumulate_training_gradients(
-                model, X, y, k, Xa, da, config
+            (loss_sup, loss_adv, loss_diff), grads = training_step(
+                model, store[k].X[take], store[k].y[take], k,
+                pool_X[rows], pool_domain[rows], config,
             )
 
             total = (
@@ -363,12 +392,16 @@ def train_round(model, store, labeled, config, rng):
                 + config.lam_adv * loss_adv
                 + config.lam_diff * loss_diff
             )
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise NonFiniteError(
                     f"non-finite loss (sup={loss_sup}, adv={loss_adv}, "
                     f"diff={loss_diff}) at step {step_counter}"
                 )
-            sgd_step(params, config.lr)
+            # the sum is non-finite whenever any entry is
+            if not math.isfinite(sum(float(g.sum()) for _, g in grads)):
+                raise NonFiniteError(f"non-finite gradient at step {step_counter}")
+            for p, g in grads:
+                p.value -= config.lr * g
             sums += (loss_sup, loss_adv, loss_diff, total)
 
         means = sums / steps_per_epoch

@@ -72,6 +72,11 @@ def test_run_missing_config_exits_2(tmp_path):
         pytest.param({"model": 3}, "model", id="section-not-object"),
         pytest.param({"dataset.num_domain": 2}, "dataset", id="unknown-synthetic-key"),
         pytest.param({"dataset.num_domains": 0}, "dataset", id="synthetic-range"),
+        pytest.param({"dataset.num_domains": 2.5}, "num_domains", id="synthetic-int-as-float"),
+        pytest.param(
+            {"dataset.samples_per_domain": 24.5}, "samples_per_domain",
+            id="synthetic-samples-float",
+        ),
         pytest.param({"dataset": {"type": "manifest"}}, "dataset.path", id="manifest-no-path"),
         pytest.param({"strategies": "random"}, "strategies", id="strategies-string"),
         pytest.param({"seeds": ["a"]}, "seeds", id="seed-string"),
@@ -143,6 +148,37 @@ def test_run_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv("MDALBENCH_SEED")
     out2 = tmp_path / "no-seed"
     assert main(["run", "--config", str(path), "--out", str(out2)]) == 2
+
+
+def test_run_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch):
+    path = minimal_config(tmp_path)
+    out = tmp_path / "o"
+    args = ["run", "--config", str(path), "--out", str(out)]
+    assert main(args + ["--seeds", "1,a"]) == 2
+    assert "--seeds: expected an integer seed, got 'a'" in capsys.readouterr().err
+
+    doc = json.loads(path.read_text())
+    del doc["seeds"]
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("MDALBENCH_SEED", "x")
+    assert main(args) == 2
+    assert "MDALBENCH_SEED: expected an integer seed, got 'x'" in capsys.readouterr().err
+    assert not out.exists() or not list(out.glob("*.csv"))
+
+
+def test_run_jobs_do_not_change_results(tmp_path):
+    """A process pool writes the same non-timing bytes as a serial grid."""
+    path = minimal_config(tmp_path, strategies=["p2s", "random"], seeds=[0, 1])
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(["run", "--config", str(path), "--out", str(serial), "--jobs", "1"]) == 0
+    assert main(["run", "--config", str(path), "--out", str(pooled), "--jobs", "2"]) == 0
+    names = sorted(p.name for p in serial.glob("*.csv"))
+    assert names == sorted(p.name for p in pooled.glob("*.csv"))
+    assert len(names) == 4
+    for name in names:
+        text_serial = (serial / name).read_text()
+        text_pooled = (pooled / name).read_text()
+        assert strip_timing_columns(text_serial) == strip_timing_columns(text_pooled)
 
 
 def test_run_strategy_and_seed_overrides(tmp_path):

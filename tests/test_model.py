@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, finite_difference, tiny_model
+from mdalbench import model as model_module
 from mdalbench.data import DomainDataset, generate_synthetic, SyntheticSpec, train_test_split
-from mdalbench.errors import ShapeError, ValidationError
+from mdalbench.errors import NonFiniteError, ShapeError, ValidationError
 from mdalbench.model import (
     AspMtlModel,
+    EpochLog,
     FeatureMlp,
     ModelConfig,
     accumulate_training_gradients,
@@ -14,7 +18,15 @@ from mdalbench.model import (
     save_checkpoint,
     train_round,
 )
-from mdalbench.nncore import Linear, RngStream, kl_divergence, softmax_cross_entropy
+from mdalbench.nncore import (
+    Linear,
+    RngStream,
+    grad_reversal,
+    grad_reversal_backward,
+    kl_divergence,
+    sgd_step,
+    softmax_cross_entropy,
+)
 
 
 def hand_model():
@@ -311,6 +323,148 @@ def test_adversarial_training_hides_domain_from_shared_features():
     plain = np.mean([probe_accuracy(0.0, s) for s in range(5)])
     adversarial = np.mean([probe_accuracy(1.0, s) for s in range(5)])
     assert adversarial < plain
+
+
+# ------------------------------------------------- layer-by-layer round oracle
+
+
+def reference_train_round(model, store, labeled, config, rng):
+    """The training round composed from nncore's layers, step by step.
+
+    Same batches as train_round (the same two draws per step from the same
+    stream), gradients accumulated through FeatureMlp/Linear forward and
+    backward, relu_backward, grad_reversal and softmax_cross_entropy, then
+    sgd_step over every parameter of the model.
+    """
+    K, S, B = config.num_domains, config.shared_hidden, config.batch_size
+    pool_domain = np.concatenate([np.full(len(store[k]), k) for k in range(K)])
+    pool_index = np.concatenate([np.arange(len(store[k])) for k in range(K)])
+    n_pool = pool_domain.shape[0]
+    gen = rng.child("batches").generator()
+    steps = max(1, math.ceil(sum(len(l) for l in labeled) / B))
+    params = model.params()
+    logs = []
+    step = 0
+    for _ in range(config.epochs_per_round):
+        sums = np.zeros(4)
+        for _ in range(steps):
+            k = step % K
+            step += 1
+            pool = np.asarray(labeled[k], dtype=np.int64)
+            take = gen.choice(pool, size=B, replace=pool.size < B)
+            X, y = store[k].X[take], store[k].y[take]
+            rows = gen.choice(n_pool, size=B, replace=n_pool < B)
+            Xa = np.array([store[pool_domain[r]].X[pool_index[r]] for r in rows])
+            da = pool_domain[rows]
+
+            hs, cs = model.shared.forward(X)
+            hp, cp = model.privates[k].forward(X)
+            logits, cc = model.classifiers[k].forward(np.concatenate([hs, hp], axis=1))
+            loss_sup, dlogits, _ = softmax_cross_entropy(logits, y)
+            dh = model.classifiers[k].backward(cc, dlogits)
+            dhs, dhp = dh[:, :S], dh[:, S:]
+            loss_diff = 0.0
+            if config.lam_diff > 0:
+                M = hs.T @ hp
+                loss_diff = float((M * M).sum())
+                dhs = dhs + config.lam_diff * 2.0 * (hp @ M.T)
+                dhp = dhp + config.lam_diff * 2.0 * (hs @ M)
+            model.shared.backward(cs, dhs)
+            model.privates[k].backward(cp, dhp)
+
+            hs_a, cs_a = model.shared.forward(Xa)
+            rev, rcache = grad_reversal(hs_a, 1.0)
+            logits_a, cd = model.discriminator.forward(rev)
+            loss_adv, dlog_a, _ = softmax_cross_entropy(logits_a, da)
+            drev = model.discriminator.backward(cd, config.lam_adv * dlog_a)
+            model.shared.backward(cs_a, grad_reversal_backward(rcache, drev))
+
+            total = loss_sup + config.lam_adv * loss_adv + config.lam_diff * loss_diff
+            sgd_step(params, config.lr)
+            sums += (loss_sup, loss_adv, loss_diff, total)
+        logs.append(EpochLog(*(float(v) for v in sums / steps)))
+    return logs
+
+
+def _class_store(classes, n=12, dim=5, seed=0):
+    """One Gaussian blob per class and domain; domain k has classes[k] classes."""
+    gen = np.random.default_rng(seed)
+    store = []
+    for k, c in enumerate(classes):
+        y = np.arange(n) % c
+        X = 2.0 * gen.normal(size=(c, dim))[y] + gen.normal(size=(n, dim))
+        store.append(DomainDataset(X=X, y=y, domain_id=k))
+    return store
+
+
+@pytest.mark.parametrize(
+    "classes, lam_diff, batch_size, n_labeled",
+    [
+        pytest.param((2,), 0.0, 4, 6, id="1-domain-2-class"),
+        pytest.param((4,), 0.05, 4, 6, id="1-domain-4-class-diff"),
+        pytest.param((2, 4, 2), 0.0, 4, 6, id="3-domain-mixed"),
+        pytest.param((4, 4, 4), 0.05, 4, 6, id="3-domain-4-class-diff"),
+        pytest.param((2, 4, 2), 0.05, 8, 3, id="batch-over-labeled"),
+        pytest.param((2,), 0.0, 16, 3, id="batch-over-pool"),
+    ],
+)
+def test_train_round_matches_layer_by_layer_round(classes, lam_diff, batch_size,
+                                                  n_labeled):
+    store = _class_store(classes)
+    config = ModelConfig(
+        input_dim=5, num_classes=classes, shared_hidden=6, private_hidden=4,
+        lam_adv=0.3, lam_diff=lam_diff, lr=0.02, batch_size=batch_size,
+        epochs_per_round=4,
+    )
+    labeled = [np.arange(n_labeled) * 2 for _ in classes]
+    fused = AspMtlModel.init(config, RngStream(11))
+    layered = AspMtlModel.init(config, RngStream(11))
+    start = [p.value.copy() for p in fused.params()]
+
+    logs = train_round(fused, store, labeled, config, RngStream(11, "train"))
+    ref_logs = reference_train_round(
+        layered, store, labeled, config, RngStream(11, "train")
+    )
+    assert logs == ref_logs
+    for a, b in zip(fused.params(), layered.params()):
+        assert np.array_equal(a.value, b.value)
+        assert not a.grad.any()
+    # every parameter trains, except a one-domain discriminator, whose
+    # softmax over a single domain is constant
+    still = [np.array_equal(p.value, v) for p, v in zip(fused.params(), start)]
+    assert sum(still) == (2 if len(classes) == 1 else 0)
+
+
+@pytest.mark.parametrize("poisoned", range(8))
+def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
+                                                                poisoned):
+    """A NaN in any one of the eight gradients stops the round at its step,
+    with finite losses and before any parameter moves."""
+    store = _class_store((2, 3))
+    config = ModelConfig(
+        input_dim=5, num_classes=(2, 3), shared_hidden=4, private_hidden=3,
+        lam_diff=0.05, batch_size=4, epochs_per_round=3,
+    )
+    model = AspMtlModel.init(config, RngStream(2))
+    real_step = model_module.training_step
+    calls, before = [], []
+
+    def step_with_nan(*args):
+        losses, grads = real_step(*args)
+        calls.append(None)
+        if len(calls) == 4:
+            before.extend(p.value.copy() for p in model.params())
+            grads[poisoned][1].flat[-1] = np.nan
+            assert all(math.isfinite(v) for v in losses)
+        return losses, grads
+
+    monkeypatch.setattr(model_module, "training_step", step_with_nan)
+    labeled = [np.arange(6), np.arange(6)]
+    with pytest.raises(NonFiniteError, match="gradient at step 4"):
+        train_round(model, store, labeled, config, RngStream(2, "train"))
+    assert len(calls) == 4
+    for p, value in zip(model.params(), before):
+        assert np.array_equal(p.value, value)
 
 
 # ------------------------------------------------------- composed-loss oracle
