@@ -50,11 +50,14 @@ def _load_json(path):
 
 def _seed(text, source):
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise ValidationError(
             f"{source}: expected an integer seed, got {text!r}"
         ) from None
+    if seed < 0:
+        raise ValidationError(f"{source}: seed must be >= 0, got {seed}")
+    return seed
 
 
 def _seed_fallback(seeds_arg):
@@ -68,6 +71,8 @@ def _seed_fallback(seeds_arg):
 
 
 def cmd_run(args):
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs: must be >= 1, got {args.jobs}")
     raw = _load_json(args.config)
     if not isinstance(raw, dict):
         raise ValidationError("config: expected a JSON object")
@@ -100,6 +105,8 @@ def cmd_run(args):
 
 def cmd_synth(args):
     raw = _load_json(args.spec)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{args.spec}: expected a JSON object")
     try:
         spec = SyntheticSpec(**{k: v for k, v in raw.items() if k != "name"})
     except TypeError as exc:

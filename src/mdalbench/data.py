@@ -64,6 +64,8 @@ def load_manifest(path):
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"manifest {path}: expected a JSON object")
     problems = []
     name = raw.get("name")
     dim = raw.get("dim")
@@ -77,6 +79,9 @@ def load_manifest(path):
         problems.append("domains: expected a non-empty list")
     else:
         for i, d in enumerate(raw_domains):
+            if not isinstance(d, dict):
+                problems.append(f"domains[{i}]: expected an object, got {d!r}")
+                continue
             for key, kind in (("name", str), ("file", str), ("classes", int)):
                 if not isinstance(d.get(key), kind):
                     problems.append(f"domains[{i}].{key}: expected {kind.__name__}")
@@ -178,6 +183,8 @@ class SyntheticSpec:
                 raise ValidationError(f"{f.name}: expected an integer, got {value!r}")
             if f.type is float and type(value) not in (int, float):
                 raise ValidationError(f"{f.name}: expected a number, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed: must be >= 0, got {self.seed}")
         if self.num_domains < 1 or self.samples_per_domain < 1:
             raise ValidationError("need >= 1 domain and >= 1 sample per domain")
         if self.input_dim < 1 or self.num_classes < 2:
@@ -186,9 +193,6 @@ class SyntheticSpec:
             raise ValidationError("strengths must be >= 0")
         if not 0 <= self.label_noise < 0.5:
             raise ValidationError("label_noise must lie in [0, 0.5)")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _unit(gen, dim):

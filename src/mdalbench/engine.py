@@ -115,8 +115,15 @@ class ExperimentConfig:
                 out.append(f"dataset: {exc}")
         elif ds.get("type") != "manifest":
             out.append("dataset.type: expected 'synthetic' or 'manifest'")
-        elif not isinstance(ds.get("path"), str):
-            out.append(f"dataset.path: expected a string, got {ds.get('path')!r}")
+        else:
+            if not isinstance(ds.get("path"), str):
+                out.append(f"dataset.path: expected a string, got {ds.get('path')!r}")
+            split_seed = ds.get("split_seed", 0)
+            if type(split_seed) is not int or split_seed < 0:
+                out.append(
+                    f"dataset.split_seed: expected a non-negative integer, "
+                    f"got {split_seed!r}"
+                )
         if not isinstance(self.strategies, list) or not self.strategies:
             out.append(f"strategies: expected a non-empty list, got {self.strategies!r}")
         else:
@@ -124,8 +131,11 @@ class ExperimentConfig:
                 if s not in STRATEGY_NAMES:
                     out.append(f"strategies: unknown strategy {s!r}")
         seeds = self.seeds if isinstance(self.seeds, list) else []
-        if not seeds or any(type(s) is not int for s in seeds):
-            out.append(f"seeds: expected a non-empty list of integers, got {self.seeds!r}")
+        if not seeds or any(type(s) is not int or s < 0 for s in seeds):
+            out.append(
+                f"seeds: expected a non-empty list of non-negative integers, "
+                f"got {self.seeds!r}"
+            )
         for f in fields(self):
             value, meta = getattr(self, f.name), f.metadata
             if "section" not in meta:
@@ -197,7 +207,7 @@ def load_dataset(config):
         manifest = load_manifest(ds["path"])
         full = [load_domain(manifest, k) for k in range(manifest.num_domains)]
         default_standardize = True
-        split_seed = int(ds.get("split_seed", 0))
+        split_seed = ds.get("split_seed", 0)
     do_std = config.standardize
     if do_std is None:
         do_std = default_standardize
@@ -537,7 +547,11 @@ def _execute_run_worker(config_dict, strategy, seed, out_dir):
 
 
 def run_grid(config, out_dir, jobs=1, force=False):
-    """Run the full (strategy x seed) grid, optionally with a process pool."""
+    """Run the full (strategy x seed) grid, optionally with a process pool.
+
+    The pool gets at most one worker per run: the default fork start method
+    launches every worker at once, whether or not it has a run to take.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = [(s, int(seed)) for s in config.strategies for seed in config.seeds]
@@ -554,7 +568,8 @@ def run_grid(config, out_dir, jobs=1, force=False):
         )
 
     outcomes = []
-    if jobs <= 1:
+    workers = min(jobs, len(pairs))
+    if workers <= 1:
         train_store, test_sets = prepare_pools(config)
         for strategy, seed in pairs:
             result = execute_run(
@@ -565,7 +580,7 @@ def run_grid(config, out_dir, jobs=1, force=False):
         import concurrent.futures
 
         raw = config.to_dict()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_execute_run_worker, raw, strategy, seed, str(out_dir))
                 for strategy, seed in pairs

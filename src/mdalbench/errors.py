@@ -9,10 +9,6 @@ class ShapeError(ValidationError):
     """Array dimensions are incompatible; message names both shapes."""
 
 
-class UsageError(RuntimeError):
-    """API misuse, e.g. backward called without a forward cache."""
-
-
 class NonFiniteError(RuntimeError):
     """A loss or gradient went NaN/Inf; carries diagnostics in the message."""
 

@@ -3,20 +3,20 @@
 One shared feature extractor serves every domain; each domain adds a private
 extractor and a linear classifier over the concatenated features. A linear
 domain discriminator sits behind a gradient-reversal layer on the shared
-features, pushing them toward domain invariance. All extractors are
-one-hidden-layer MLPs (linear + ReLU), so the extracted feature IS the hidden
-layer.
+features, pushing them toward domain invariance. Every extractor is one
+Linear followed by a ReLU, so the extracted feature IS the hidden layer.
+Training runs through training_step, one fused forward/backward pass that
+computes the gradients of the eight parameters a step touches.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .kernels import PROB_FLOOR, softmax_rows
-from .nncore import Linear, RngStream, relu, relu_backward
+from .nncore import Linear, relu
 
 
 @dataclass
@@ -48,43 +48,11 @@ class ModelConfig:
     def num_domains(self):
         return len(self.num_classes)
 
-    def to_dict(self):
-        d = asdict(self)
-        d["num_classes"] = list(self.num_classes)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-
-class FeatureMlp:
-    """One-hidden-layer extractor: h = relu(W x + b)."""
-
-    def __init__(self, lin):
-        self.lin = lin
-
-    @classmethod
-    def init(cls, in_dim, width, gen):
-        return cls(Linear.init(in_dim, width, gen))
-
-    @property
-    def out_dim(self):
-        return self.lin.out_dim
-
-    def params(self):
-        return self.lin.params()
-
-    def forward(self, X):
-        Z, xcache = self.lin.forward(X)
-        return relu(Z), (xcache, Z)
-
-    def backward(self, cache, dH):
-        xcache, Z = cache
-        return self.lin.backward(xcache, relu_backward(Z, dH))
-
 
 class AspMtlModel:
+    """shared and privates[k] are the extractors' Linears (a ReLU follows
+    each); classifiers[k] and discriminator are the heads."""
+
     def __init__(self, config, shared, privates, classifiers, discriminator):
         self.config = config
         self.shared = shared
@@ -96,9 +64,9 @@ class AspMtlModel:
     def init(cls, config, rng):
         """Fresh parameters drawn from the stream's `init` child."""
         gen = rng.child("init").generator()
-        shared = FeatureMlp.init(config.input_dim, config.shared_hidden, gen)
+        shared = Linear.init(config.input_dim, config.shared_hidden, gen)
         privates = [
-            FeatureMlp.init(config.input_dim, config.private_hidden, gen)
+            Linear.init(config.input_dim, config.private_hidden, gen)
             for _ in range(config.num_domains)
         ]
         feat_dim = config.shared_hidden + config.private_hidden
@@ -109,15 +77,6 @@ class AspMtlModel:
         return cls(config, shared, privates, classifiers, disc)
 
     # ------------------------------------------------------------- plumbing
-
-    def params(self):
-        out = list(self.shared.params())
-        for p in self.privates:
-            out.extend(p.params())
-        for c in self.classifiers:
-            out.extend(c.params())
-        out.extend(self.discriminator.params())
-        return out
 
     def _check_domain(self, k):
         if not 0 <= k < self.config.num_domains:
@@ -139,12 +98,10 @@ class AspMtlModel:
     # ------------------------------------------------------- read-only pass
 
     def features_batch(self, X, k):
-        """(h_shared, h_private) for a batch, no gradient caches kept."""
+        """(h_shared, h_private) for a batch."""
         self._check_domain(k)
         X, _ = self._as_batch(X)
-        hs, _ = self.shared.forward(X)
-        hp, _ = self.privates[k].forward(X)
-        return hs, hp
+        return relu(self.shared.forward(X)), relu(self.privates[k].forward(X))
 
     def penultimate_features(self, x, k):
         """Concatenated shared+private feature h = F_s(x) (+) F_p_k(x)."""
@@ -158,22 +115,11 @@ class AspMtlModel:
         X, _ = self._as_batch(X)
         hs, hp = self.features_batch(X, k)
         h = np.concatenate([hs, hp], axis=1)
-        logits, _ = self.classifiers[k].forward(h)
-        return softmax_rows(logits)
+        return softmax_rows(self.classifiers[k].forward(h))
 
     def forward(self, x, k):
         """Predicted class distribution of a single sample."""
         return self.predict_proba_batch(x, k)[0]
-
-    def forward_perturbed(self, x, k, delta):
-        """Forward with noise added to the shared feature only."""
-        delta = np.asarray(delta, dtype=np.float64).ravel()
-        if delta.shape[0] != self.config.shared_hidden:
-            raise ShapeError(
-                f"perturbation dim {delta.shape[0]} does not match shared "
-                f"feature dim {self.config.shared_hidden}"
-            )
-        return self.perturbed_probs(x, k, delta[None, :])[0]
 
     def perturbed_probs(self, x, k, deltas):
         """Class distributions under many shared-feature perturbations.
@@ -195,8 +141,7 @@ class AspMtlModel:
         H = np.concatenate(
             [hs + deltas, np.repeat(hp, deltas.shape[0], axis=0)], axis=1
         )
-        logits, _ = self.classifiers[k].forward(H)
-        return softmax_rows(logits)
+        return softmax_rows(self.classifiers[k].forward(H))
 
     def gradient_embeddings(self, X, k):
         """Last-layer weight gradients under the predicted pseudo-label.
@@ -208,16 +153,12 @@ class AspMtlModel:
         X, single = self._as_batch(X)
         hs, hp = self.features_batch(X, k)
         h = np.concatenate([hs, hp], axis=1)
-        logits, _ = self.classifiers[k].forward(h)
-        probs = softmax_rows(logits)
+        probs = softmax_rows(self.classifiers[k].forward(h))
         yhat = np.argmax(probs, axis=1)
         resid = probs.copy()
         resid[np.arange(X.shape[0]), yhat] -= 1.0
         E = (resid[:, :, None] * h[:, None, :]).reshape(X.shape[0], -1)
         return E[0] if single else E
-
-    def gradient_embedding(self, x, k):
-        return self.gradient_embeddings(x, k)
 
 
 def evaluate(model, test_sets):
@@ -252,11 +193,8 @@ class EpochLog:
 
 
 def _xent(logits, labels):
-    """Mean softmax cross-entropy and its logit gradient (probs - onehot) / n.
-
-    softmax_cross_entropy's arithmetic without its input checks; the
-    gradient is built in the probability array itself.
-    """
+    """Mean softmax cross-entropy and its logit gradient (probs - onehot) / n,
+    built in the probability array itself."""
     n = logits.shape[0]
     rows = np.arange(n)
     probs = softmax_rows(logits)
@@ -272,25 +210,25 @@ def training_step(model, X, y, k, X_adv, d_adv, config):
     Supervised cross-entropy through domain k's head, domain-id
     cross-entropy through the discriminator behind the reversal layer
     (scaled by lam_adv), optional shared/private orthogonality penalty.
-    Reads Param.value and writes nothing. Returns
+    Reads the model's arrays and writes nothing. Returns
     ((loss_sup, loss_adv, loss_diff), grads) with loss_adv the raw
-    cross-entropy before weighting and grads the (Param, gradient) pairs of
-    shared W/b, private_k W/b, classifier_k W/b and discriminator W/b, in
-    that order. Every operation is the one the Linear/relu/reversal layers
-    of nncore perform, in the same order, so the gradients are bit-identical
-    to the layer-by-layer backward pass; the gradients with respect to the
-    inputs are never formed.
+    cross-entropy before weighting and grads the (parameter array, gradient)
+    pairs of shared W/b, private_k W/b, classifier_k W/b and discriminator
+    W/b, in that order. The arithmetic is that of a layer-by-layer backward
+    pass (affine, ReLU, reversal) in the same order, so the gradients are
+    bit-identical to it; tests/reference_layers.py keeps that pass as the
+    reference. The gradients with respect to the inputs are never formed.
     """
-    shared, private = model.shared.lin, model.privates[k].lin
+    shared, private = model.shared, model.privates[k]
     clf, disc = model.classifiers[k], model.discriminator
-    Ws, Wp, Wc, Wd = shared.W.value, private.W.value, clf.W.value, disc.W.value
+    Ws, Wp, Wc, Wd = shared.W, private.W, clf.W, disc.W
 
-    Zs = X @ Ws.T + shared.b.value
-    hs = np.maximum(0.0, Zs)
-    Zp = X @ Wp.T + private.b.value
-    hp = np.maximum(0.0, Zp)
+    Zs = X @ Ws.T + shared.b
+    hs = relu(Zs)
+    Zp = X @ Wp.T + private.b
+    hp = relu(Zp)
     h = np.concatenate([hs, hp], axis=1)
-    loss_sup, dlogits = _xent(h @ Wc.T + clf.b.value, y)
+    loss_sup, dlogits = _xent(h @ Wc.T + clf.b, y)
     gWc = dlogits.T @ h
     gbc = dlogits.sum(axis=0)
     dh = dlogits @ Wc
@@ -311,9 +249,9 @@ def training_step(model, X, y, k, X_adv, d_adv, config):
     gWp = dZp.T @ X
     gbp = dZp.sum(axis=0)
 
-    Za = X_adv @ Ws.T + shared.b.value
-    ha = np.maximum(0.0, Za)
-    loss_adv, dla = _xent(ha @ Wd.T + disc.b.value, d_adv)
+    Za = X_adv @ Ws.T + shared.b
+    ha = relu(Za)
+    loss_adv, dla = _xent(ha @ Wd.T + disc.b, d_adv)
     dla = config.lam_adv * dla
     gWd = dla.T @ ha
     gbd = dla.sum(axis=0)
@@ -328,17 +266,6 @@ def training_step(model, X, y, k, X_adv, d_adv, config):
         (disc.W, gWd), (disc.b, gbd),
     ]
     return (loss_sup, loss_adv, loss_diff), grads
-
-
-def accumulate_training_gradients(model, X, y, k, X_adv, d_adv, config):
-    """training_step with its gradients added into Param.grad.
-
-    Returns (loss_sup, loss_adv, loss_diff); no parameter is updated.
-    """
-    losses, grads = training_step(model, X, y, k, X_adv, d_adv, config)
-    for p, g in grads:
-        p.grad += g
-    return losses
 
 
 def train_round(model, store, labeled, config, rng):
@@ -401,54 +328,9 @@ def train_round(model, store, labeled, config, rng):
             if not math.isfinite(sum(float(g.sum()) for _, g in grads)):
                 raise NonFiniteError(f"non-finite gradient at step {step_counter}")
             for p, g in grads:
-                p.value -= config.lr * g
+                p -= config.lr * g
             sums += (loss_sup, loss_adv, loss_diff, total)
 
         means = sums / steps_per_epoch
         logs.append(EpochLog(*(float(v) for v in means)))
     return logs
-
-
-# --------------------------------------------------------------- checkpoints
-
-CHECKPOINT_VERSION = 1
-
-
-def _param_arrays(model):
-    out = {"shared.W": model.shared.lin.W.value, "shared.b": model.shared.lin.b.value}
-    for k, p in enumerate(model.privates):
-        out[f"private.{k}.W"] = p.lin.W.value
-        out[f"private.{k}.b"] = p.lin.b.value
-    for k, c in enumerate(model.classifiers):
-        out[f"classifier.{k}.W"] = c.W.value
-        out[f"classifier.{k}.b"] = c.b.value
-    out["disc.W"] = model.discriminator.W.value
-    out["disc.b"] = model.discriminator.b.value
-    return out
-
-
-def save_checkpoint(model, path):
-    meta = json.dumps(
-        {"version": CHECKPOINT_VERSION, "config": model.config.to_dict()},
-        sort_keys=True,
-    )
-    np.savez(path, __meta__=np.array(meta), **_param_arrays(model))
-
-
-def load_checkpoint(path):
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValidationError(
-                f"unsupported checkpoint version {meta.get('version')}"
-            )
-        config = ModelConfig.from_dict(meta["config"])
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-
-    def lin(prefix):
-        return Linear(arrays[f"{prefix}.W"], arrays[f"{prefix}.b"])
-
-    shared = FeatureMlp(lin("shared"))
-    privates = [FeatureMlp(lin(f"private.{k}")) for k in range(config.num_domains)]
-    classifiers = [lin(f"classifier.{k}") for k in range(config.num_domains)]
-    return AspMtlModel(config, shared, privates, classifiers, lin("disc"))

@@ -35,7 +35,6 @@ STRATEGY_NAMES = (
     "2s-bvsb",
     "2s-egl",
     "p2s-no-region",
-    "p2s-no-perturb",
 )
 
 
@@ -498,7 +497,4 @@ _DISPATCH = {
     "p2s-no-region": lambda ctx: two_stage_variant_select(
         ctx, "perturbation", False
     ),
-    # the no-perturbation ablation keeps the regions and takes each
-    # region's most central item
-    "p2s-no-perturb": lambda ctx: two_stage_variant_select(ctx, "center", True),
 }

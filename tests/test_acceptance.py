@@ -16,14 +16,17 @@ from conftest import tiny_model
 from mdalbench.cli import main as cli_main
 from mdalbench.data import DomainDataset
 from mdalbench.engine import aggregate_seeds, read_run_csv
-from mdalbench.nncore import RngStream, kl_divergence, softmax_cross_entropy
+from mdalbench.kernels import kl_rows
+from mdalbench.nncore import RngStream
 from mdalbench.strategies import (
     SelectionContext,
+    _egl_scores,
     allocate_budget,
     coreset_select,
     kmeans,
     perturbation_score,
 )
+from reference_layers import linear_backward, softmax_cross_entropy
 from test_model import check_composed_gradients
 from test_strategies import (
     brute_force_farthest_first,
@@ -91,35 +94,27 @@ def test_criterion_2_analytic_embedding_oracle():
         )
         x = gen.normal(size=model.config.input_dim)
         clf = model.classifiers[0]
-        h = model.penultimate_features(x, 0)
+        h = model.penultimate_features(x, 0)[None, :]
         probs = model.forward(x, 0)
 
-        # gradient embedding vs generic layer backward at the pseudo-label
-        E = model.gradient_embedding(x, 0)
+        # gradient embedding vs the reference layer backward at the
+        # pseudo-label
+        E = model.gradient_embeddings(x, 0)
         yhat = int(np.argmax(probs))
-        logits, cache = clf.forward(h[None, :])
-        _, dlogits, _ = softmax_cross_entropy(logits, [yhat])
-        clf.W.zero_grad()
-        clf.b.zero_grad()
-        clf.backward(cache, dlogits)
-        assert np.abs(E - clf.W.grad.ravel()).max() < 1e-10
-        clf.W.zero_grad()
-        clf.b.zero_grad()
+        _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [yhat])
+        _, dW, _ = linear_backward(clf, h, dlogits)
+        assert np.abs(E - dW.ravel()).max() < 1e-10
 
-        # analytic EGL vs per-class backprop norms
-        p_sq = float(probs @ probs)
-        analytic = float(
-            np.linalg.norm(h)
-            * (probs * np.sqrt(np.maximum(p_sq - 2.0 * probs + 1.0, 0.0))).sum()
+        # the EGL score egl_select ranks by vs per-class backprop norms
+        ctx = SelectionContext(
+            model=model, store=[DomainDataset(X=x[None, :], y=[0], domain_id=0)],
+            labeled=[[]], unlabeled=[[0]], budget=1, rng=RngStream(trial),
         )
+        analytic = float(_egl_scores(ctx, 0)[0])
         brute = 0.0
         for c in range(len(probs)):
-            logits, cache = clf.forward(h[None, :])
-            _, dlogits, _ = softmax_cross_entropy(logits, [c])
-            clf.backward(cache, dlogits)
-            brute += probs[c] * np.linalg.norm(clf.W.grad)
-            clf.W.zero_grad()
-            clf.b.zero_grad()
+            _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [c])
+            brute += probs[c] * np.linalg.norm(linear_backward(clf, h, dlogits)[1])
         assert abs(analytic - brute) < 1e-10
 
 
@@ -204,7 +199,7 @@ def test_criterion_4_perturbation_properties():
 
     # decoupled classifier ignores the shared half entirely
     model = tiny_model(gen_seed=9)
-    model.classifiers[0].W.value[:, : model.config.shared_hidden] = 0.0
+    model.classifiers[0].W[:, : model.config.shared_hidden] = 0.0
     for _ in range(10):
         x = gen.normal(size=3)
         assert perturbation_score(model, x, 0, 0.5, 20, RngStream(0, "d")) == 0.0
@@ -236,6 +231,11 @@ def test_criterion_4_perturbation_properties():
 # --------------------------------------------------------------- criterion 5
 
 
+def kl(P, Q):
+    """KL(P || Q) of two distributions through kernels.kl_rows."""
+    return float(kl_rows(np.asarray([P], float), np.asarray([Q], float))[0])
+
+
 @criterion(5, "KL divergence: nonnegativity and hand values @1e-6")
 def test_criterion_5_kl_properties():
     gen = np.random.default_rng(5)
@@ -245,11 +245,11 @@ def test_criterion_5_kl_properties():
         q = gen.random(c) + 1e-9
         p /= p.sum()
         q /= q.sum()
-        assert kl_divergence(p, q) >= 0.0
-    assert kl_divergence([0.25, 0.75], [0.25, 0.75]) == 0.0
-    assert abs(kl_divergence([1.0, 0.0], [0.5, 0.5]) - np.log(2.0)) < 1e-6
+        assert kl(p, q) >= 0.0
+    assert kl([0.25, 0.75], [0.25, 0.75]) == 0.0
+    assert abs(kl([1.0, 0.0], [0.5, 0.5]) - np.log(2.0)) < 1e-6
     expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    assert abs(kl_divergence([0.5, 0.5], [0.25, 0.75]) - expected) < 1e-6
+    assert abs(kl([0.5, 0.5], [0.25, 0.75]) - expected) < 1e-6
     assert abs(expected - 0.1438) < 5e-5  # the quoted rounded value
 
 

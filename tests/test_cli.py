@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -81,6 +82,16 @@ def test_run_missing_config_exits_2(tmp_path):
         pytest.param({"strategies": "random"}, "strategies", id="strategies-string"),
         pytest.param({"seeds": ["a"]}, "seeds", id="seed-string"),
         pytest.param({"seeds": [1.5]}, "seeds", id="seed-float"),
+        pytest.param({"seeds": [-1]}, "seeds", id="seed-negative"),
+        pytest.param({"dataset.seed": -1}, "seed", id="synthetic-seed-negative"),
+        pytest.param(
+            {"dataset": {"type": "manifest", "path": "m.json", "split_seed": -1}},
+            "dataset.split_seed", id="split-seed-negative",
+        ),
+        pytest.param(
+            {"dataset": {"type": "manifest", "path": "m.json", "split_seed": 1.5}},
+            "dataset.split_seed", id="split-seed-float",
+        ),
         pytest.param([], "config", id="config-not-object"),
     ],
 )
@@ -163,7 +174,59 @@ def test_run_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MDALBENCH_SEED", "x")
     assert main(args) == 2
     assert "MDALBENCH_SEED: expected an integer seed, got 'x'" in capsys.readouterr().err
+    monkeypatch.setenv("MDALBENCH_SEED", "-1")
+    assert main(args) == 2
+    assert "MDALBENCH_SEED: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert main(args + ["--seeds=-1"]) == 2
+    assert "--seeds: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists() or not list(out.glob("*.csv"))
+
+
+def test_run_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch):
+    """--jobs 8 on a two-run grid asks the pool for two workers."""
+    asked = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path = minimal_config(tmp_path, seeds=[0, 1])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "8"]) == 0
+    assert asked == [2]
+    assert len(list(out.glob("*.csv"))) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    path = minimal_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), f"--jobs={jobs}"]) == 2
+    assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        pytest.param([1], "manifest.json: expected a JSON object", id="top-level-list"),
+        pytest.param(
+            {"name": "m", "dim": 4, "domains": [3]}, "domains[0]: expected an object",
+            id="domain-entry-number",
+        ),
+    ],
+)
+def test_run_non_object_manifest_exits_2(tmp_path, capsys, manifest, named):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    dataset = {"type": "manifest", "path": str(manifest_path)}
+    path = minimal_config(tmp_path, dataset=dataset)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_run_jobs_do_not_change_results(tmp_path):
@@ -225,6 +288,14 @@ def test_synth_invalid_spec_exits_2(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"label_noise": 0.9}', encoding="utf-8")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3"])
+def test_synth_non_object_spec_exits_2(tmp_path, capsys, text):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text, encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]) == 2
+    assert f"{spec_path}: expected a JSON object" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- report

@@ -17,8 +17,8 @@ from mdalbench.data import (
     train_test_split,
 )
 from mdalbench.errors import ValidationError
-from mdalbench.model import FeatureMlp
-from mdalbench.nncore import Linear, RngStream, softmax_cross_entropy
+from mdalbench.nncore import Linear, RngStream, relu
+from reference_layers import linear_backward, relu_backward, softmax_cross_entropy
 
 
 def write_manifest(tmp_path, dim=3, files=("a.csv",), classes=2):
@@ -127,13 +127,11 @@ def test_synthetic_separable_when_clean():
     dom = generate_synthetic(spec)[0]
     probe = Linear.init(8, 2, RngStream(0, "probe").generator())
     for _ in range(400):
-        logits, cache = probe.forward(dom.X)
-        _, dlogits, _ = softmax_cross_entropy(logits, dom.y)
-        probe.backward(cache, dlogits)
-        for p in probe.params():
-            p.value -= 1.0 * p.grad
-            p.zero_grad()
-    logits, _ = probe.forward(dom.X)
+        _, dlogits, _ = softmax_cross_entropy(probe.forward(dom.X), dom.y)
+        _, dW, db = linear_backward(probe, dom.X, dlogits)
+        probe.W -= 1.0 * dW
+        probe.b -= 1.0 * db
+    logits = probe.forward(dom.X)
     acc = (np.argmax(logits, axis=1) == dom.y).mean()
     assert acc > 0.99
 
@@ -162,19 +160,19 @@ def test_synthetic_domain_shift_detectable_by_nonlinear_probe():
         order = gen.permutation(len(X))
         X, dom = X[order], dom[order]
         n_train = len(X) // 2
-        mlp = FeatureMlp.init(6, 16, RngStream(seed, "probe").generator())
+        hidden = Linear.init(6, 16, RngStream(seed, "probe").generator())
         head = Linear.init(16, 2, RngStream(seed, "probe-head").generator())
         for _ in range(300):
-            H, ch = mlp.forward(X[:n_train])
-            logits, cc = head.forward(H)
-            _, dlogits, _ = softmax_cross_entropy(logits, dom[:n_train])
-            dH = head.backward(cc, dlogits)
-            mlp.backward(ch, dH)
-            for p in mlp.params() + head.params():
-                p.value -= 0.5 * p.grad
-                p.zero_grad()
-        H, _ = mlp.forward(X[n_train:])
-        logits, _ = head.forward(H)
+            Z = hidden.forward(X[:n_train])
+            H = relu(Z)
+            _, dlogits, _ = softmax_cross_entropy(head.forward(H), dom[:n_train])
+            dH, dW_head, db_head = linear_backward(head, H, dlogits)
+            _, dW, db = linear_backward(hidden, X[:n_train], relu_backward(Z, dH))
+            hidden.W -= 0.5 * dW
+            hidden.b -= 0.5 * db
+            head.W -= 0.5 * dW_head
+            head.b -= 0.5 * db_head
+        logits = head.forward(relu(hidden.forward(X[n_train:])))
         accs.append((np.argmax(logits, 1) == dom[n_train:]).mean())
     assert np.mean(accs) > 0.6
 

@@ -7,24 +7,19 @@ from conftest import assert_grad_close, finite_difference, tiny_model
 from mdalbench import model as model_module
 from mdalbench.data import DomainDataset, generate_synthetic, SyntheticSpec, train_test_split
 from mdalbench.errors import NonFiniteError, ShapeError, ValidationError
+from mdalbench.kernels import kl_rows
 from mdalbench.model import (
     AspMtlModel,
-    EpochLog,
-    FeatureMlp,
     ModelConfig,
-    accumulate_training_gradients,
     evaluate,
-    load_checkpoint,
-    save_checkpoint,
     train_round,
+    training_step,
 )
-from mdalbench.nncore import (
-    Linear,
-    RngStream,
-    grad_reversal,
-    grad_reversal_backward,
-    kl_divergence,
-    sgd_step,
+from mdalbench.nncore import Linear, RngStream, relu
+from reference_layers import (
+    linear_backward,
+    model_params,
+    reference_train_round,
     softmax_cross_entropy,
 )
 
@@ -34,8 +29,8 @@ def hand_model():
     config = ModelConfig(
         input_dim=1, num_classes=(2,), shared_hidden=1, private_hidden=1
     )
-    shared = FeatureMlp(Linear(np.array([[2.0]]), np.array([0.5])))
-    private = FeatureMlp(Linear(np.array([[-1.0]]), np.array([0.1])))
+    shared = Linear(np.array([[2.0]]), np.array([0.5]))
+    private = Linear(np.array([[-1.0]]), np.array([0.1]))
     clf = Linear(np.array([[1.0, -1.0], [0.5, 2.0]]), np.array([0.0, -0.3]))
     disc = Linear(np.array([[0.3]]), np.array([0.0]))
     return AspMtlModel(config, shared, [private], [clf], disc)
@@ -55,7 +50,7 @@ def test_forward_equals_zero_perturbation(rng):
     model = tiny_model()
     x = rng.normal(size=3)
     p = model.forward(x, 1)
-    q = model.forward_perturbed(x, 1, np.zeros(4))
+    q = model.perturbed_probs(x, 1, np.zeros((1, 4)))[0]
     assert np.array_equal(p, q)
 
 
@@ -82,19 +77,19 @@ def test_forward_rejects_bad_domain():
 def test_forward_perturbed_rejects_bad_dim():
     model = tiny_model()
     with pytest.raises(ShapeError):
-        model.forward_perturbed(np.zeros(3), 0, np.zeros(5))
+        model.perturbed_probs(np.zeros(3), 0, np.zeros((1, 5)))
 
 
 def test_perturbation_ignored_when_shared_weights_zero(rng):
     model = tiny_model()
     k = 0
     S = model.config.shared_hidden
-    model.classifiers[k].W.value[:, :S] = 0.0
+    model.classifiers[k].W[:, :S] = 0.0
     x = rng.normal(size=3)
     base = model.forward(x, k)
     for _ in range(5):
-        delta = rng.normal(scale=3.0, size=S)
-        assert np.allclose(model.forward_perturbed(x, k, delta), base, atol=1e-15)
+        delta = rng.normal(scale=3.0, size=(1, S))
+        assert np.allclose(model.perturbed_probs(x, k, delta)[0], base, atol=1e-15)
 
 
 def test_perturbed_probs_matches_forward_perturbed_loop(rng):
@@ -104,7 +99,7 @@ def test_perturbed_probs_matches_forward_perturbed_loop(rng):
     batch = model.perturbed_probs(x, 0, deltas)
     for t in range(6):
         np.testing.assert_allclose(
-            batch[t], model.forward_perturbed(x, 0, deltas[t]), atol=1e-15
+            batch[t], model.perturbed_probs(x, 0, deltas[t : t + 1])[0], atol=1e-15
         )
 
 
@@ -115,10 +110,10 @@ def test_small_perturbation_kl_scales_quadratically(rng):
     kl_full, kl_half = [], []
     for i in range(10):
         x = store[0].X[i]
-        delta = rng.normal(scale=1e-3, size=model.config.shared_hidden)
-        p0 = model.forward(x, 0)
-        kl_full.append(kl_divergence(p0, model.forward_perturbed(x, 0, delta)))
-        kl_half.append(kl_divergence(p0, model.forward_perturbed(x, 0, delta / 2.0)))
+        delta = rng.normal(scale=1e-3, size=(1, model.config.shared_hidden))
+        p0 = model.forward(x, 0)[None, :]
+        kl_full.append(kl_rows(p0, model.perturbed_probs(x, 0, delta))[0])
+        kl_half.append(kl_rows(p0, model.perturbed_probs(x, 0, delta / 2.0))[0])
     assert np.mean(kl_half) > 0
     assert 3.5 < np.mean(kl_full) / np.mean(kl_half) < 4.5
 
@@ -157,8 +152,8 @@ def test_penultimate_dims_and_halves(rng):
 def test_gradient_embedding_zero_for_onehot_confidence():
     # push one logit far up so the softmax saturates
     model = hand_model()
-    model.classifiers[0].b.value[:] = np.array([200.0, -200.0])
-    E = model.gradient_embedding(np.array([0.4]), 0)
+    model.classifiers[0].b[:] = np.array([200.0, -200.0])
+    E = model.gradient_embeddings(np.array([0.4]), 0)
     assert np.abs(E).max() < 1e-12
 
 
@@ -170,25 +165,20 @@ def test_gradient_embedding_outer_product_layout():
 
 
 def test_gradient_embedding_matches_backprop(rng):
-    # oracle: run the generic layer backward at the pseudo-label and read
-    # the accumulated classifier weight gradient
+    # oracle: run the reference layer backward at the pseudo-label and read
+    # the classifier weight gradient
     for trial in range(10):
         model = tiny_model(gen_seed=trial)
         k = int(rng.integers(0, 2))
         x = rng.normal(size=3)
-        E = model.gradient_embedding(x, k)
+        E = model.gradient_embeddings(x, k)
 
-        h = model.penultimate_features(x, k)
+        h = model.penultimate_features(x, k)[None, :]
         clf = model.classifiers[k]
-        logits, cache = clf.forward(h[None, :])
         yhat = int(np.argmax(model.forward(x, k)))
-        _, dlogits, _ = softmax_cross_entropy(logits, [yhat])
-        clf.W.zero_grad()
-        clf.b.zero_grad()
-        clf.backward(cache, dlogits)
-        np.testing.assert_allclose(E, clf.W.grad.ravel(), atol=1e-10)
-        clf.W.zero_grad()
-        clf.b.zero_grad()
+        _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [yhat])
+        _, dW, _ = linear_backward(clf, h, dlogits)
+        np.testing.assert_allclose(E, dW.ravel(), atol=1e-10)
 
 
 # ------------------------------------------------------------------- training
@@ -251,9 +241,11 @@ def test_zero_adv_weight_means_zero_discriminator_gradient(rng):
     y = rng.integers(0, 2, size=6)
     Xa = rng.normal(size=(6, 3))
     da = rng.integers(0, 2, size=6)
-    accumulate_training_gradients(model, X, y, 0, Xa, da, model.config)
-    assert np.abs(model.discriminator.W.grad).max() == 0.0
-    assert np.abs(model.discriminator.b.grad).max() == 0.0
+    _, grads = training_step(model, X, y, 0, Xa, da, model.config)
+    (W, gW), (b, gb) = grads[6:]
+    assert W is model.discriminator.W and b is model.discriminator.b
+    assert np.abs(gW).max() == 0.0
+    assert np.abs(gb).max() == 0.0
 
 
 def test_supervised_loss_non_increasing_full_batch():
@@ -270,8 +262,8 @@ def test_supervised_loss_non_increasing_full_batch():
 
 
 def test_training_is_deterministic():
-    params_a = [p.value.copy() for p in _trained_toy(seed=5)[0].params()]
-    params_b = [p.value.copy() for p in _trained_toy(seed=5)[0].params()]
+    params_a = model_params(_trained_toy(seed=5)[0])
+    params_b = model_params(_trained_toy(seed=5)[0])
     for a, b in zip(params_a, params_b):
         assert np.array_equal(a, b)
 
@@ -311,13 +303,11 @@ def test_adversarial_training_hides_domain_from_shared_features():
         d = np.concatenate(doms)
         probe = Linear.init(F.shape[1], 2, RngStream(seed, "probe").generator())
         for _ in range(300):
-            logits, cache = probe.forward(F)
-            _, dlogits, _ = softmax_cross_entropy(logits, d)
-            probe.backward(cache, dlogits)
-            for p in probe.params():
-                p.value -= 1.0 * p.grad
-                p.zero_grad()
-        logits, _ = probe.forward(np.vstack(held_feats))
+            _, dlogits, _ = softmax_cross_entropy(probe.forward(F), d)
+            _, dW, db = linear_backward(probe, F, dlogits)
+            probe.W -= 1.0 * dW
+            probe.b -= 1.0 * db
+        logits = probe.forward(np.vstack(held_feats))
         return (np.argmax(logits, 1) == np.concatenate(held_doms)).mean()
 
     plain = np.mean([probe_accuracy(0.0, s) for s in range(5)])
@@ -326,64 +316,6 @@ def test_adversarial_training_hides_domain_from_shared_features():
 
 
 # ------------------------------------------------- layer-by-layer round oracle
-
-
-def reference_train_round(model, store, labeled, config, rng):
-    """The training round composed from nncore's layers, step by step.
-
-    Same batches as train_round (the same two draws per step from the same
-    stream), gradients accumulated through FeatureMlp/Linear forward and
-    backward, relu_backward, grad_reversal and softmax_cross_entropy, then
-    sgd_step over every parameter of the model.
-    """
-    K, S, B = config.num_domains, config.shared_hidden, config.batch_size
-    pool_domain = np.concatenate([np.full(len(store[k]), k) for k in range(K)])
-    pool_index = np.concatenate([np.arange(len(store[k])) for k in range(K)])
-    n_pool = pool_domain.shape[0]
-    gen = rng.child("batches").generator()
-    steps = max(1, math.ceil(sum(len(l) for l in labeled) / B))
-    params = model.params()
-    logs = []
-    step = 0
-    for _ in range(config.epochs_per_round):
-        sums = np.zeros(4)
-        for _ in range(steps):
-            k = step % K
-            step += 1
-            pool = np.asarray(labeled[k], dtype=np.int64)
-            take = gen.choice(pool, size=B, replace=pool.size < B)
-            X, y = store[k].X[take], store[k].y[take]
-            rows = gen.choice(n_pool, size=B, replace=n_pool < B)
-            Xa = np.array([store[pool_domain[r]].X[pool_index[r]] for r in rows])
-            da = pool_domain[rows]
-
-            hs, cs = model.shared.forward(X)
-            hp, cp = model.privates[k].forward(X)
-            logits, cc = model.classifiers[k].forward(np.concatenate([hs, hp], axis=1))
-            loss_sup, dlogits, _ = softmax_cross_entropy(logits, y)
-            dh = model.classifiers[k].backward(cc, dlogits)
-            dhs, dhp = dh[:, :S], dh[:, S:]
-            loss_diff = 0.0
-            if config.lam_diff > 0:
-                M = hs.T @ hp
-                loss_diff = float((M * M).sum())
-                dhs = dhs + config.lam_diff * 2.0 * (hp @ M.T)
-                dhp = dhp + config.lam_diff * 2.0 * (hs @ M)
-            model.shared.backward(cs, dhs)
-            model.privates[k].backward(cp, dhp)
-
-            hs_a, cs_a = model.shared.forward(Xa)
-            rev, rcache = grad_reversal(hs_a, 1.0)
-            logits_a, cd = model.discriminator.forward(rev)
-            loss_adv, dlog_a, _ = softmax_cross_entropy(logits_a, da)
-            drev = model.discriminator.backward(cd, config.lam_adv * dlog_a)
-            model.shared.backward(cs_a, grad_reversal_backward(rcache, drev))
-
-            total = loss_sup + config.lam_adv * loss_adv + config.lam_diff * loss_diff
-            sgd_step(params, config.lr)
-            sums += (loss_sup, loss_adv, loss_diff, total)
-        logs.append(EpochLog(*(float(v) for v in sums / steps)))
-    return logs
 
 
 def _class_store(classes, n=12, dim=5, seed=0):
@@ -419,19 +351,18 @@ def test_train_round_matches_layer_by_layer_round(classes, lam_diff, batch_size,
     labeled = [np.arange(n_labeled) * 2 for _ in classes]
     fused = AspMtlModel.init(config, RngStream(11))
     layered = AspMtlModel.init(config, RngStream(11))
-    start = [p.value.copy() for p in fused.params()]
+    start = [p.copy() for p in model_params(fused)]
 
     logs = train_round(fused, store, labeled, config, RngStream(11, "train"))
     ref_logs = reference_train_round(
         layered, store, labeled, config, RngStream(11, "train")
     )
     assert logs == ref_logs
-    for a, b in zip(fused.params(), layered.params()):
-        assert np.array_equal(a.value, b.value)
-        assert not a.grad.any()
+    for a, b in zip(model_params(fused), model_params(layered)):
+        assert np.array_equal(a, b)
     # every parameter trains, except a one-domain discriminator, whose
     # softmax over a single domain is constant
-    still = [np.array_equal(p.value, v) for p, v in zip(fused.params(), start)]
+    still = [np.array_equal(p, v) for p, v in zip(model_params(fused), start)]
     assert sum(still) == (2 if len(classes) == 1 else 0)
 
 
@@ -453,7 +384,7 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
         losses, grads = real_step(*args)
         calls.append(None)
         if len(calls) == 4:
-            before.extend(p.value.copy() for p in model.params())
+            before.extend(p.copy() for p in model_params(model))
             grads[poisoned][1].flat[-1] = np.nan
             assert all(math.isfinite(v) for v in losses)
         return losses, grads
@@ -463,8 +394,8 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
     with pytest.raises(NonFiniteError, match="gradient at step 4"):
         train_round(model, store, labeled, config, RngStream(2, "train"))
     assert len(calls) == 4
-    for p, value in zip(model.params(), before):
-        assert np.array_equal(p.value, value)
+    for p, value in zip(model_params(model), before):
+        assert np.array_equal(p, value)
 
 
 # ------------------------------------------------------- composed-loss oracle
@@ -473,16 +404,13 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
 def composed_loss(model, X, y, k, Xa, da, sign_adv):
     """Forward-only probe: sup CE + sign * lam_adv * disc CE + diff term."""
     cfg = model.config
-    hs, _ = model.shared.forward(X)
-    hp, _ = model.privates[k].forward(X)
+    hs, hp = relu(model.shared.forward(X)), relu(model.privates[k].forward(X))
     h = np.concatenate([hs, hp], axis=1)
-    logits, _ = model.classifiers[k].forward(h)
-    loss = softmax_cross_entropy(logits, y)[0]
+    loss = softmax_cross_entropy(model.classifiers[k].forward(h), y)[0]
     if cfg.lam_diff > 0:
         M = hs.T @ hp
         loss += cfg.lam_diff * float((M * M).sum())
-    hs_a, _ = model.shared.forward(Xa)
-    logits_a, _ = model.discriminator.forward(hs_a)
+    logits_a = model.discriminator.forward(relu(model.shared.forward(Xa)))
     loss += sign_adv * cfg.lam_adv * softmax_cross_entropy(logits_a, da)[0]
     return loss
 
@@ -496,18 +424,16 @@ def check_composed_gradients(model, rng):
     Xa = rng.normal(size=(n, cfg.input_dim))
     da = rng.integers(0, cfg.num_domains, size=n)
 
-    for p in model.params():
-        p.zero_grad()
-    accumulate_training_gradients(model, X, y, k, Xa, da, cfg)
-
-    shared_params = set(map(id, model.shared.params()))
-    for p in model.params():
-        sign = -1.0 if id(p) in shared_params else 1.0
+    # the step returns the gradients it computes; every other parameter
+    # must have a zero gradient
+    _, grads = training_step(model, X, y, k, Xa, da, cfg)
+    returned = {id(p): g for p, g in grads}
+    for p in model_params(model):
+        sign = -1.0 if p is model.shared.W or p is model.shared.b else 1.0
         fd = finite_difference(
-            lambda: composed_loss(model, X, y, k, Xa, da, sign), p.value
+            lambda: composed_loss(model, X, y, k, Xa, da, sign), p
         )
-        assert_grad_close(p.grad, fd)
-        p.zero_grad()
+        assert_grad_close(returned.get(id(p), np.zeros_like(p)), fd)
 
 
 def test_composed_loss_gradients_match_finite_differences(rng):
@@ -535,9 +461,9 @@ def test_evaluate_perfect_and_constant():
 
     # constant predictor via huge bias on class 0
     for clf in model.classifiers:
-        clf.W.value[:] = 0.0
-        clf.b.value[:] = 0.0
-        clf.b.value[0] = 100.0
+        clf.W[:] = 0.0
+        clf.b[:] = 0.0
+        clf.b[0] = 100.0
     balanced = [(s.X, np.tile([0, 1], len(s) // 2)) for s in store]
     accs, macro = evaluate(model, balanced)
     assert accs == [0.5, 0.5] and macro == 0.5
@@ -566,19 +492,3 @@ def test_evaluate_rejects_empty():
     model = tiny_model()
     with pytest.raises(ValidationError):
         evaluate(model, [(np.zeros((0, 3)), np.zeros(0)), (np.zeros((1, 3)), [0])])
-
-
-# ---------------------------------------------------------------- checkpoints
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model, store = _trained_toy(seed=7)
-    path = tmp_path / "model.npz"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    for a, b in zip(model.params(), loaded.params()):
-        assert np.array_equal(a.value, b.value)
-        assert a.value.dtype == b.value.dtype
-    x = store[0].X[0]
-    assert np.array_equal(model.forward(x, 0), loaded.forward(x, 0))
-    assert loaded.config == model.config

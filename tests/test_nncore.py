@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, finite_difference
-from mdalbench.errors import NonFiniteError, ShapeError, UsageError, ValidationError
-from mdalbench.nncore import (
-    Linear,
-    Param,
-    RngStream,
-    gaussian_sample,
-    grad_reversal,
+from mdalbench.errors import ShapeError, ValidationError
+from mdalbench.kernels import kl_rows
+from mdalbench.nncore import Linear, RngStream, relu
+from reference_layers import (
     grad_reversal_backward,
-    kl_divergence,
-    relu,
+    linear_backward,
     relu_backward,
-    sgd_step,
     softmax_cross_entropy,
 )
+
+
+def kl(P, Q):
+    return float(kl_rows(np.asarray([P], float), np.asarray([Q], float))[0])
 
 
 # ----------------------------------------------------------------- rng stream
@@ -44,19 +43,19 @@ def test_rng_children_are_independent():
 
 def test_linear_identity_weights():
     lin = Linear(np.eye(2), np.zeros(2))
-    Y, _ = lin.forward([[3.0, 4.0]])
+    Y = lin.forward([[3.0, 4.0]])
     assert np.array_equal(Y, [[3.0, 4.0]])
 
 
 def test_linear_hand_product():
     lin = Linear(np.array([[1.0, 1.0]]), np.array([1.0]))
-    Y, _ = lin.forward([[2.0, 3.0]])
+    Y = lin.forward([[2.0, 3.0]])
     assert np.array_equal(Y, [[6.0]])
 
 
 def test_linear_zero_weights_pass_bias():
     lin = Linear(np.zeros((1, 4)), np.array([5.0]))
-    Y, _ = lin.forward([[1.0, -2.0, 3.5, 0.0]])
+    Y = lin.forward([[1.0, -2.0, 3.5, 0.0]])
     assert np.array_equal(Y, [[5.0]])
 
 
@@ -69,25 +68,17 @@ def test_linear_shape_error_names_both_shapes():
 
 def test_linear_backward_zero_upstream():
     lin = Linear(np.array([[2.0]]), np.zeros(1))
-    _, cache = lin.forward([[3.0]])
-    dX = lin.backward(cache, np.zeros((1, 1)))
+    dX, dW, db = linear_backward(lin, np.array([[3.0]]), np.zeros((1, 1)))
     assert np.array_equal(dX, [[0.0]])
-    assert np.array_equal(lin.W.grad, [[0.0]])
-    assert np.array_equal(lin.b.grad, [0.0])
+    assert np.array_equal(dW, [[0.0]])
+    assert np.array_equal(db, [0.0])
 
 
 def test_linear_backward_scalar_chain_rule():
     lin = Linear(np.array([[2.0]]), np.zeros(1))
-    _, cache = lin.forward([[3.0]])
-    dX = lin.backward(cache, np.array([[1.0]]))
-    assert np.array_equal(lin.W.grad, [[3.0]])
+    dX, dW, _ = linear_backward(lin, np.array([[3.0]]), np.array([[1.0]]))
+    assert np.array_equal(dW, [[3.0]])
     assert np.array_equal(dX, [[2.0]])
-
-
-def test_linear_backward_requires_cache():
-    lin = Linear(np.eye(2), np.zeros(2))
-    with pytest.raises(UsageError):
-        lin.backward(None, np.zeros((1, 2)))
 
 
 def test_linear_backward_matches_finite_differences(rng):
@@ -98,16 +89,12 @@ def test_linear_backward_matches_finite_differences(rng):
         R = rng.normal(size=(n, d_out))  # fixed probe direction
 
         def loss():
-            Y, _ = lin.forward(X)
-            return float((Y * R).sum())
+            return float((lin.forward(X) * R).sum())
 
-        _, cache = lin.forward(X)
-        dX = lin.backward(cache, R)
-        assert_grad_close(lin.W.grad, finite_difference(loss, lin.W.value))
-        assert_grad_close(lin.b.grad, finite_difference(loss, lin.b.value))
+        dX, dW, db = linear_backward(lin, X, R)
+        assert_grad_close(dW, finite_difference(loss, lin.W))
+        assert_grad_close(db, finite_difference(loss, lin.b))
         assert_grad_close(dX, finite_difference(loss, X))
-        lin.W.zero_grad()
-        lin.b.zero_grad()
 
 
 # ----------------------------------------------------------------------- relu
@@ -178,25 +165,22 @@ def test_softmax_ce_gradient_matches_finite_differences(rng):
 
 
 def test_grad_reversal_sign_flip():
-    _, cache = grad_reversal(np.array([[1.0, 2.0]]), 1.0)
     g = np.array([[0.3, -0.7]])
-    assert np.array_equal(grad_reversal_backward(cache, g), -g)
+    assert np.array_equal(grad_reversal_backward(g, 1.0), -g)
 
 
 def test_grad_reversal_zero_lambda_blocks():
-    _, cache = grad_reversal(np.array([[1.0]]), 0.0)
-    assert np.array_equal(grad_reversal_backward(cache, np.array([[9.0]])), [[0.0]])
+    assert np.array_equal(grad_reversal_backward(np.array([[9.0]]), 0.0), [[0.0]])
 
 
 def test_grad_reversal_scaling():
-    _, cache = grad_reversal(np.array([[0.0, 0.0]]), 0.5)
-    out = grad_reversal_backward(cache, np.array([[2.0, -4.0]]))
+    out = grad_reversal_backward(np.array([[2.0, -4.0]]), 0.5)
     assert np.array_equal(out, [[-1.0, 2.0]])
 
 
 def test_grad_reversal_rejects_negative_lambda():
     with pytest.raises(ValidationError):
-        grad_reversal(np.zeros((1, 1)), -0.1)
+        grad_reversal_backward(np.zeros((1, 1)), -0.1)
 
 
 def test_grad_reversal_in_two_layer_net_matches_flipped_fd(rng):
@@ -209,75 +193,29 @@ def test_grad_reversal_in_two_layer_net_matches_flipped_fd(rng):
     y = rng.integers(0, 2, size=4)
 
     def loss():
-        h, _ = lin1.forward(X)
-        out, _ = lin2.forward(h)
-        return softmax_cross_entropy(out, y)[0]
+        return softmax_cross_entropy(lin2.forward(lin1.forward(X)), y)[0]
 
-    h, c1 = lin1.forward(X)
-    rev, rc = grad_reversal(h, lam)
-    out, c2 = lin2.forward(rev)
-    _, dlogits, _ = softmax_cross_entropy(out, y)
-    drev = lin2.backward(c2, dlogits)
-    lin1.backward(c1, grad_reversal_backward(rc, drev))
+    h = lin1.forward(X)
+    _, dlogits, _ = softmax_cross_entropy(lin2.forward(h), y)
+    drev, dW2, _ = linear_backward(lin2, h, dlogits)
+    _, dW1, db1 = linear_backward(lin1, X, grad_reversal_backward(drev, lam))
 
-    assert_grad_close(lin2.W.grad, finite_difference(loss, lin2.W.value))
-    assert_grad_close(lin1.W.grad, -lam * finite_difference(loss, lin1.W.value))
-    assert_grad_close(lin1.b.grad, -lam * finite_difference(loss, lin1.b.value))
-
-
-# -------------------------------------------------------------------- sgd step
-
-
-def test_sgd_zero_grad_no_change():
-    p = Param(np.array([1.0, -2.0]))
-    sgd_step([p], 0.1)
-    assert np.array_equal(p.value, [1.0, -2.0])
-
-
-def test_sgd_arithmetic():
-    p = Param(np.array([1.0]))
-    p.grad[:] = 2.0
-    sgd_step([p], 0.1)
-    assert p.value[0] == pytest.approx(0.8)
-    assert p.grad[0] == 0.0
-
-
-def test_sgd_two_steps_compose():
-    p = Param(np.array([0.0]))
-    for _ in range(2):
-        p.grad[:] = 3.0
-        sgd_step([p], 0.5)
-    q = Param(np.array([0.0]))
-    q.grad[:] = 6.0
-    sgd_step([q], 0.5)
-    assert p.value == pytest.approx(q.value)
-
-
-def test_sgd_rejects_non_finite_grad():
-    p = Param(np.array([1.0]))
-    p.grad[:] = np.nan
-    with pytest.raises(NonFiniteError):
-        sgd_step([p], 0.1)
+    assert_grad_close(dW2, finite_difference(loss, lin2.W))
+    assert_grad_close(dW1, -lam * finite_difference(loss, lin1.W))
+    assert_grad_close(db1, -lam * finite_difference(loss, lin1.b))
 
 
 # --------------------------------------------------------------- kl divergence
 
 
 def test_kl_identical_is_exactly_zero():
-    assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
+    assert kl([0.3, 0.7], [0.3, 0.7]) == 0.0
 
 
 def test_kl_hand_values():
-    assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-9)
+    assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-9)
     expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
-
-
-def test_kl_validation():
-    with pytest.raises(ValidationError):
-        kl_divergence([0.5, 0.5], [1.0])
-    with pytest.raises(ValidationError):
-        kl_divergence([0.9, 0.3], [0.5, 0.5])
+    assert kl([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_kl_nonnegative_and_self_zero_on_random_pairs(rng):
@@ -287,28 +225,5 @@ def test_kl_nonnegative_and_self_zero_on_random_pairs(rng):
         q = rng.random(c) + 1e-9
         p /= p.sum()
         q /= q.sum()
-        assert kl_divergence(p, q) >= 0.0
-        assert kl_divergence(p, p) == 0.0
-
-
-# ------------------------------------------------------------- gaussian sample
-
-
-def test_gaussian_sample_deterministic_per_stream():
-    s = RngStream(11, "perturbation")
-    assert np.array_equal(gaussian_sample(0.3, 6, s), gaussian_sample(0.3, 6, s))
-
-
-def test_gaussian_sample_rejects_bad_sigma():
-    with pytest.raises(ValidationError):
-        gaussian_sample(0.0, 3, RngStream(0))
-    with pytest.raises(ValidationError):
-        gaussian_sample(-1.0, 3, RngStream(0))
-
-
-def test_gaussian_sample_moments():
-    n = 100_000
-    sigma = 0.7
-    draws = gaussian_sample(sigma, n, RngStream(5, "moments"))
-    assert abs(draws.mean()) < 3.0 * sigma / np.sqrt(n)
-    assert abs(draws.var() - sigma**2) < 0.05 * sigma**2
+        assert kl(p, q) >= 0.0
+        assert kl(p, p) == 0.0
