@@ -540,17 +540,21 @@ def execute_run(config, strategy, seed, out_dir, train_store=None, test_sets=Non
     return result
 
 
-def _execute_run_worker(config_dict, strategy, seed, out_dir):
+def _execute_run_worker(config_dict, strategy, seed, out_dir, train_store,
+                        test_sets):
     config = ExperimentConfig.from_dict(config_dict)
-    result = execute_run(config, strategy, seed, out_dir)
+    result = execute_run(config, strategy, seed, out_dir, train_store, test_sets)
     return result.strategy, result.seed, result.status, result.error
 
 
 def run_grid(config, out_dir, jobs=1, force=False):
     """Run the full (strategy x seed) grid, optionally with a process pool.
 
-    The pool gets at most one worker per run: the default fork start method
-    launches every worker at once, whether or not it has a run to take.
+    The pools are built once, before any run starts, so a dataset that
+    cannot be loaded fails the grid whatever jobs is; every run gets them.
+    The process pool gets at most one worker per run: the default fork start
+    method launches every worker at once, whether or not it has a run to
+    take.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -567,10 +571,10 @@ def run_grid(config, out_dir, jobs=1, force=False):
             f"(first: {existing[0].name}); pass --force to overwrite"
         )
 
+    train_store, test_sets = prepare_pools(config)
     outcomes = []
     workers = min(jobs, len(pairs))
     if workers <= 1:
-        train_store, test_sets = prepare_pools(config)
         for strategy, seed in pairs:
             result = execute_run(
                 config, strategy, seed, out_dir, train_store, test_sets
@@ -582,7 +586,10 @@ def run_grid(config, out_dir, jobs=1, force=False):
         raw = config.to_dict()
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_execute_run_worker, raw, strategy, seed, str(out_dir))
+                pool.submit(
+                    _execute_run_worker, raw, strategy, seed, str(out_dir),
+                    train_store, test_sets,
+                )
                 for strategy, seed in pairs
             ]
             outcomes = [f.result() for f in futures]

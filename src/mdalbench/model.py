@@ -6,7 +6,9 @@ domain discriminator sits behind a gradient-reversal layer on the shared
 features, pushing them toward domain invariance. Every extractor is one
 Linear followed by a ReLU, so the extracted feature IS the hidden layer.
 Training runs through training_step, one fused forward/backward pass that
-computes the gradients of the eight parameters a step touches.
+runs both extractors through one stacked weight [W_shared; W_private_k] and
+writes the gradients of the eight parameters a step touches into one flat
+buffer per domain (StepGrads).
 """
 
 import math
@@ -192,80 +194,111 @@ class EpochLog:
     total: float
 
 
-def _xent(logits, labels):
+def _xent(logits, labels, rows):
     """Mean softmax cross-entropy and its logit gradient (probs - onehot) / n,
-    built in the probability array itself."""
+    built in the probability array itself. rows is np.arange(n)."""
     n = logits.shape[0]
-    rows = np.arange(n)
     probs = softmax_rows(logits)
-    loss = float(-np.log(np.maximum(probs[rows, labels], PROB_FLOOR)).mean())
+    picked = np.maximum(probs[rows, labels], PROB_FLOOR)
+    loss = -(float(np.log(picked).sum()) / n)
     probs[rows, labels] -= 1.0
     probs /= n
     return loss, probs
 
 
-def training_step(model, X, y, k, X_adv, d_adv, config):
-    """One step's losses and the gradients of the parameters it touches.
+class StepGrads:
+    """The gradients of the eight parameters a step on domain k touches, as
+    views of one flat array.
 
-    Supervised cross-entropy through domain k's head, domain-id
-    cross-entropy through the discriminator behind the reversal layer
-    (scaled by lam_adv), optional shared/private orthogonality penalty.
-    Reads the model's arrays and writes nothing. Returns
-    ((loss_sup, loss_adv, loss_diff), grads) with loss_adv the raw
-    cross-entropy before weighting and grads the (parameter array, gradient)
-    pairs of shared W/b, private_k W/b, classifier_k W/b and discriminator
-    W/b, in that order. The arithmetic is that of a layer-by-layer backward
-    pass (affine, ReLU, reversal) in the same order, so the gradients are
-    bit-identical to it; tests/reference_layers.py keeps that pass as the
-    reference. The gradients with respect to the inputs are never formed.
+    ext_W and ext_b hold the stacked extractor [shared; private_k]: the
+    shared rows first, then the private rows. pairs lists (parameter array,
+    gradient view) for shared W/b, private_k W/b, classifier_k W/b and
+    discriminator W/b, in that order. training_step overwrites every entry.
     """
+
+    def __init__(self, model, k):
+        shared, private = model.shared, model.privates[k]
+        clf, disc = model.classifiers[k], model.discriminator
+        S = shared.W.shape[0]
+        ext = S + private.W.shape[0]
+        shapes = [
+            (ext, shared.W.shape[1]), (ext,),
+            clf.W.shape, clf.b.shape, disc.W.shape, disc.b.shape,
+        ]
+        self.flat = np.empty(sum(math.prod(s) for s in shapes))
+        views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(self.flat[start : start + size].reshape(shape))
+            start += size
+        self.ext_W, self.ext_b, self.clf_W, self.clf_b, self.disc_W, self.disc_b = views
+        self.pairs = [
+            (shared.W, self.ext_W[:S]), (shared.b, self.ext_b[:S]),
+            (private.W, self.ext_W[S:]), (private.b, self.ext_b[S:]),
+            (clf.W, self.clf_W), (clf.b, self.clf_b),
+            (disc.W, self.disc_W), (disc.b, self.disc_b),
+        ]
+
+
+def training_step(model, XX, y, k, d_adv, config, grads):
+    """One step's losses, with the gradients written into grads.
+
+    XX stacks the supervised batch (n = len(y) rows of domain k) over the
+    adversarial batch (n rows with domain ids d_adv). Supervised
+    cross-entropy through domain k's head, domain-id cross-entropy through
+    the discriminator behind the reversal layer (scaled by lam_adv),
+    optional shared/private orthogonality penalty. Reads the model's arrays
+    and writes only grads, a StepGrads of domain k. Returns (loss_sup,
+    loss_adv, loss_diff) with loss_adv the raw cross-entropy before
+    weighting.
+
+    One matmul through the stacked weight [W_shared; W_private_k] runs both
+    extractors on all 2n rows; the supervised features h and the adversarial
+    shared features are views of its ReLU, and the private features of the
+    adversarial rows go unused. One dZ.T @ X gives both extractors'
+    supervised weight gradients before the adversarial part is added onto
+    the shared rows. Every other operation is that of a layer-by-layer
+    backward pass (affine, ReLU, reversal) in the same order, so the
+    gradients are bit-identical to it; tests/reference_layers.py keeps that
+    pass as the reference. The gradients with respect to the inputs are
+    never formed.
+    """
+    n = y.shape[0]
+    S = config.shared_hidden
     shared, private = model.shared, model.privates[k]
     clf, disc = model.classifiers[k], model.discriminator
-    Ws, Wp, Wc, Wd = shared.W, private.W, clf.W, disc.W
+    rows = np.arange(n)
 
-    Zs = X @ Ws.T + shared.b
-    hs = relu(Zs)
-    Zp = X @ Wp.T + private.b
-    hp = relu(Zp)
-    h = np.concatenate([hs, hp], axis=1)
-    loss_sup, dlogits = _xent(h @ Wc.T + clf.b, y)
-    gWc = dlogits.T @ h
-    gbc = dlogits.sum(axis=0)
-    dh = dlogits @ Wc
-    S = config.shared_hidden
-    dhs, dhp = dh[:, :S], dh[:, S:]
+    Z = XX @ np.concatenate((shared.W, private.W)).T
+    Z += np.concatenate((shared.b, private.b))
+    H = relu(Z)
+    h = H[:n]
+    loss_sup, dlogits = _xent(h @ clf.W.T + clf.b, y, rows)
+    np.matmul(dlogits.T, h, out=grads.clf_W)
+    dlogits.sum(axis=0, out=grads.clf_b)
+    dh = dlogits @ clf.W
 
     loss_diff = 0.0
     if config.lam_diff > 0:
+        hs, hp = h[:, :S], h[:, S:]
         M = hs.T @ hp
         loss_diff = float((M * M).sum())
-        dhs = dhs + config.lam_diff * 2.0 * (hp @ M.T)
-        dhp = dhp + config.lam_diff * 2.0 * (hs @ M)
+        dh[:, :S] += config.lam_diff * 2.0 * (hp @ M.T)
+        dh[:, S:] += config.lam_diff * 2.0 * (hs @ M)
 
-    dZs = np.where(Zs > 0.0, dhs, 0.0)
-    gWs = dZs.T @ X
-    gbs = dZs.sum(axis=0)
-    dZp = np.where(Zp > 0.0, dhp, 0.0)
-    gWp = dZp.T @ X
-    gbp = dZp.sum(axis=0)
+    dZ = np.where(Z[:n] > 0.0, dh, 0.0)
+    np.matmul(dZ.T, XX[:n], out=grads.ext_W)
+    dZ.sum(axis=0, out=grads.ext_b)
 
-    Za = X_adv @ Ws.T + shared.b
-    ha = relu(Za)
-    loss_adv, dla = _xent(ha @ Wd.T + disc.b, d_adv)
-    dla = config.lam_adv * dla
-    gWd = dla.T @ ha
-    gbd = dla.sum(axis=0)
-    dZa = np.where(Za > 0.0, -1.0 * (dla @ Wd), 0.0)
-    gWs += dZa.T @ X_adv
-    gbs += dZa.sum(axis=0)
-
-    grads = [
-        (shared.W, gWs), (shared.b, gbs),
-        (private.W, gWp), (private.b, gbp),
-        (clf.W, gWc), (clf.b, gbc),
-        (disc.W, gWd), (disc.b, gbd),
-    ]
-    return (loss_sup, loss_adv, loss_diff), grads
+    ha = H[n:, :S]
+    loss_adv, dla = _xent(ha @ disc.W.T + disc.b, d_adv, rows)
+    dla *= config.lam_adv
+    np.matmul(dla.T, ha, out=grads.disc_W)
+    dla.sum(axis=0, out=grads.disc_b)
+    dZa = np.where(Z[n:, :S] > 0.0, -1.0 * (dla @ disc.W), 0.0)
+    grads.ext_W[:S] += dZa.T @ XX[n:]
+    grads.ext_b[:S] += dZa.sum(axis=0)
+    return loss_sup, loss_adv, loss_diff
 
 
 def train_round(model, store, labeled, config, rng):
@@ -273,10 +306,11 @@ def train_round(model, store, labeled, config, rng):
 
     Each step takes a supervised batch from one domain (round-robin) and an
     adversarial domain-id batch drawn uniformly from the union of all pools,
-    then applies plain SGD to the eight parameters the step touches (the
-    others have zero gradient). Returns the per-epoch mean losses.
+    gathers both with one index into the pooled inputs, then applies plain
+    SGD to the eight parameters the step touches (the others have zero
+    gradient). Returns the per-epoch mean losses.
     """
-    K = config.num_domains
+    K, B = config.num_domains, config.batch_size
     labeled = [np.asarray(l, dtype=np.int64) for l in labeled]
     for k in range(K):
         if labeled[k].size == 0:
@@ -285,33 +319,35 @@ def train_round(model, store, labeled, config, rng):
             raise ValidationError(f"domain {k} pool is empty")
 
     pool_X = np.concatenate([store[k].X for k in range(K)])
-    pool_domain = np.concatenate(
-        [np.full(store[k].X.shape[0], k, dtype=np.int64) for k in range(K)]
-    )
+    pool_y = np.concatenate([store[k].y for k in range(K)])
+    sizes = [store[k].X.shape[0] for k in range(K)]
+    pool_domain = np.repeat(np.arange(K, dtype=np.int64), sizes)
     n_pool = pool_domain.shape[0]
+    # labeled rows of the pooled arrays; choice draws its positions from the
+    # array's length alone, so the batches are those of the per-domain ids
+    offsets = np.cumsum([0] + sizes[:-1])
+    labeled = [offsets[k] + labeled[k] for k in range(K)]
+    grads = [StepGrads(model, k) for k in range(K)]
 
     gen = rng.child("batches").generator()
     total_labeled = int(sum(l.size for l in labeled))
-    steps_per_epoch = max(1, math.ceil(total_labeled / config.batch_size))
+    steps_per_epoch = max(1, math.ceil(total_labeled / B))
 
     logs = []
     step_counter = 0
     for _ in range(config.epochs_per_round):
-        sums = np.zeros(4)
+        sum_sup = sum_adv = sum_diff = sum_total = 0.0
         for _ in range(steps_per_epoch):
             k = step_counter % K
             step_counter += 1
 
             pool = labeled[k]
-            take = gen.choice(
-                pool, size=config.batch_size, replace=pool.size < config.batch_size
-            )
-            rows = gen.choice(
-                n_pool, size=config.batch_size, replace=n_pool < config.batch_size
-            )
-            (loss_sup, loss_adv, loss_diff), grads = training_step(
-                model, store[k].X[take], store[k].y[take], k,
-                pool_X[rows], pool_domain[rows], config,
+            take = gen.choice(pool, size=B, replace=pool.size < B)
+            rows = gen.choice(n_pool, size=B, replace=n_pool < B)
+            g = grads[k]
+            loss_sup, loss_adv, loss_diff = training_step(
+                model, pool_X[np.concatenate((take, rows))], pool_y[take], k,
+                pool_domain[rows], config, g,
             )
 
             total = (
@@ -325,12 +361,18 @@ def train_round(model, store, labeled, config, rng):
                     f"diff={loss_diff}) at step {step_counter}"
                 )
             # the sum is non-finite whenever any entry is
-            if not math.isfinite(sum(float(g.sum()) for _, g in grads)):
+            if not math.isfinite(g.flat.sum()):
                 raise NonFiniteError(f"non-finite gradient at step {step_counter}")
-            for p, g in grads:
-                p -= config.lr * g
-            sums += (loss_sup, loss_adv, loss_diff, total)
+            g.flat *= config.lr
+            for p, gp in g.pairs:
+                p -= gp
+            sum_sup += loss_sup
+            sum_adv += loss_adv
+            sum_diff += loss_diff
+            sum_total += total
 
-        means = sums / steps_per_epoch
-        logs.append(EpochLog(*(float(v) for v in means)))
+        logs.append(EpochLog(
+            sum_sup / steps_per_epoch, sum_adv / steps_per_epoch,
+            sum_diff / steps_per_epoch, sum_total / steps_per_epoch,
+        ))
     return logs

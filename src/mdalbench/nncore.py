@@ -2,9 +2,10 @@
 
 Everything is float64. A Linear holds its weight and bias as plain arrays
 and its forward pass keeps no cache: training runs through the fused step in
-``model.training_step``, which reads and updates those arrays directly. The
-layer-by-layer backward pass it reproduces lives in the tests as the
-reference it is checked against.
+``model.training_step``, which stacks the shared and private weights per
+step, writes the gradients into a flat buffer of its own and updates these
+arrays in place. The layer-by-layer backward pass it reproduces lives in the
+tests as the reference it is checked against.
 """
 
 import hashlib

@@ -343,8 +343,6 @@ def _lloyd_once(points, k, gen, max_iter):
             centers[j] = points[labels == j].mean(axis=0)
         diff = points - centers[labels]
         sse_history.append(float(np.einsum("ij,ij->", diff, diff)))
-    for j in range(k):
-        centers[j] = points[labels == j].mean(axis=0)
     return labels, centers, sse_history
 
 

@@ -229,6 +229,19 @@ def test_run_non_object_manifest_exits_2(tmp_path, capsys, manifest, named):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_missing_manifest_exits_2(tmp_path, capsys, jobs):
+    """The pools are built before the grid branches on --jobs, so a pooled
+    grid fails at load too instead of failing every run."""
+    manifest_path = tmp_path / "absent" / "manifest.json"
+    dataset = {"type": "manifest", "path": str(manifest_path)}
+    path = minimal_config(tmp_path, dataset=dataset, seeds=[0, 1])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
+    assert str(manifest_path) in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_jobs_do_not_change_results(tmp_path):
     """A process pool writes the same non-timing bytes as a serial grid."""
     path = minimal_config(tmp_path, strategies=["p2s", "random"], seeds=[0, 1])

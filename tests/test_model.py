@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from mdalbench.kernels import kl_rows
 from mdalbench.model import (
     AspMtlModel,
     ModelConfig,
+    StepGrads,
     evaluate,
     train_round,
     training_step,
@@ -241,8 +243,9 @@ def test_zero_adv_weight_means_zero_discriminator_gradient(rng):
     y = rng.integers(0, 2, size=6)
     Xa = rng.normal(size=(6, 3))
     da = rng.integers(0, 2, size=6)
-    _, grads = training_step(model, X, y, 0, Xa, da, model.config)
-    (W, gW), (b, gb) = grads[6:]
+    grads = StepGrads(model, 0)
+    training_step(model, np.vstack([X, Xa]), y, 0, da, model.config, grads)
+    (W, gW), (b, gb) = grads.pairs[6:]
     assert W is model.discriminator.W and b is model.discriminator.b
     assert np.abs(gW).max() == 0.0
     assert np.abs(gb).max() == 0.0
@@ -330,24 +333,44 @@ def _class_store(classes, n=12, dim=5, seed=0):
 
 
 @pytest.mark.parametrize(
-    "classes, lam_diff, batch_size, n_labeled",
+    "classes, settings, n_labeled, rtol",
     [
-        pytest.param((2,), 0.0, 4, 6, id="1-domain-2-class"),
-        pytest.param((4,), 0.05, 4, 6, id="1-domain-4-class-diff"),
-        pytest.param((2, 4, 2), 0.0, 4, 6, id="3-domain-mixed"),
-        pytest.param((4, 4, 4), 0.05, 4, 6, id="3-domain-4-class-diff"),
-        pytest.param((2, 4, 2), 0.05, 8, 3, id="batch-over-labeled"),
-        pytest.param((2,), 0.0, 16, 3, id="batch-over-pool"),
+        pytest.param((2,), {}, 6, 0.0, id="1-domain-2-class"),
+        pytest.param((4,), {"lam_diff": 0.05}, 6, 0.0, id="1-domain-4-class-diff"),
+        pytest.param((2, 4, 2), {}, 6, 0.0, id="3-domain-mixed"),
+        pytest.param((4, 4, 4), {"lam_diff": 0.05}, 6, 0.0,
+                     id="3-domain-4-class-diff"),
+        pytest.param((2, 4, 2), {"lam_diff": 0.05, "batch_size": 8}, 3, 0.0,
+                     id="batch-over-labeled"),
+        pytest.param((2,), {"batch_size": 16}, 3, 0.0, id="batch-over-pool"),
+        # the stacked step multiplies by [W_shared; W_private_k] with every
+        # dimension >= 2 (gemm), where the reference's product is 1 wide
+        # (gemv), which sums in another order
+        pytest.param((2, 4, 2), {"lam_diff": 0.05, "batch_size": 1}, 6, 1e-12,
+                     id="unit-batch"),
+        pytest.param((2, 4, 2), {"lam_diff": 0.05, "shared_hidden": 1}, 6, 1e-12,
+                     id="unit-shared"),
+        pytest.param((2, 4, 2), {"lam_diff": 0.05, "private_hidden": 1}, 6, 1e-12,
+                     id="unit-private"),
+        # stacked and sliced products agree bit for bit shape by shape, so
+        # the paper's shapes get a case of their own
+        pytest.param(
+            (2, 2, 2),
+            {"input_dim": 20, "shared_hidden": 64, "private_hidden": 64,
+             "lam_adv": 0.2, "lr": 0.01, "batch_size": 8},
+            20, 0.0, id="paper-shape",
+        ),
     ],
 )
-def test_train_round_matches_layer_by_layer_round(classes, lam_diff, batch_size,
-                                                  n_labeled):
-    store = _class_store(classes)
-    config = ModelConfig(
-        input_dim=5, num_classes=classes, shared_hidden=6, private_hidden=4,
-        lam_adv=0.3, lam_diff=lam_diff, lr=0.02, batch_size=batch_size,
-        epochs_per_round=4,
+def test_train_round_matches_layer_by_layer_round(classes, settings, n_labeled,
+                                                  rtol):
+    values = dict(
+        input_dim=5, shared_hidden=6, private_hidden=4, lam_adv=0.3,
+        lam_diff=0.0, lr=0.02, batch_size=4, epochs_per_round=4,
     )
+    values.update(settings)
+    config = ModelConfig(num_classes=classes, **values)
+    store = _class_store(classes, n=max(12, 2 * n_labeled), dim=config.input_dim)
     labeled = [np.arange(n_labeled) * 2 for _ in classes]
     fused = AspMtlModel.init(config, RngStream(11))
     layered = AspMtlModel.init(config, RngStream(11))
@@ -357,9 +380,13 @@ def test_train_round_matches_layer_by_layer_round(classes, lam_diff, batch_size,
     ref_logs = reference_train_round(
         layered, store, labeled, config, RngStream(11, "train")
     )
-    assert logs == ref_logs
+    # elementwise; at rtol 0 this is exact equality
+    np.testing.assert_allclose(
+        [dataclasses.astuple(l) for l in logs],
+        [dataclasses.astuple(l) for l in ref_logs], rtol=rtol, atol=0.0,
+    )
     for a, b in zip(model_params(fused), model_params(layered)):
-        assert np.array_equal(a, b)
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
     # every parameter trains, except a one-domain discriminator, whose
     # softmax over a single domain is constant
     still = [np.array_equal(p, v) for p, v in zip(model_params(fused), start)]
@@ -381,13 +408,14 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
     calls, before = [], []
 
     def step_with_nan(*args):
-        losses, grads = real_step(*args)
+        losses = real_step(*args)
         calls.append(None)
         if len(calls) == 4:
             before.extend(p.copy() for p in model_params(model))
-            grads[poisoned][1].flat[-1] = np.nan
+            grads = args[-1]
+            grads.pairs[poisoned][1].flat[-1] = np.nan
             assert all(math.isfinite(v) for v in losses)
-        return losses, grads
+        return losses
 
     monkeypatch.setattr(model_module, "training_step", step_with_nan)
     labeled = [np.arange(6), np.arange(6)]
@@ -424,10 +452,11 @@ def check_composed_gradients(model, rng):
     Xa = rng.normal(size=(n, cfg.input_dim))
     da = rng.integers(0, cfg.num_domains, size=n)
 
-    # the step returns the gradients it computes; every other parameter
-    # must have a zero gradient
-    _, grads = training_step(model, X, y, k, Xa, da, cfg)
-    returned = {id(p): g for p, g in grads}
+    # the step writes the gradients it computes; every other parameter must
+    # have a zero gradient
+    grads = StepGrads(model, k)
+    training_step(model, np.vstack([X, Xa]), y, k, da, cfg, grads)
+    returned = {id(p): g for p, g in grads.pairs}
     for p in model_params(model):
         sign = -1.0 if p is model.shared.W or p is model.shared.b else 1.0
         fd = finite_difference(
