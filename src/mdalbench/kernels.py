@@ -25,10 +25,29 @@ def sq_dists_to_point(A, p):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def assign_nearest(points, centers):
-    d2 = pairwise_sq_dists(points, centers)
+def factor_sq_norms(R, H):
+    """|r_i (x) h_i|^2 = |r_i|^2 |h_i|^2 for every row."""
+    return np.einsum("ij,ij->i", R, R) * np.einsum("ij,ij->i", H, H)
+
+
+def assign_nearest(H, centers, R, sq_norms):
+    """Nearest center of each point r_i (x) h_i, and its squared distance.
+
+    H is (n, d), R is (n, c), centers is (k, c, d) and sq_norms comes from
+    factor_sq_norms(R, H). The cross terms are one (n, d) x (d, k*c) matmul
+    contracted with R; the outer products are never formed.
+    """
+    n = H.shape[0]
+    k, c, d = centers.shape
+    flat = centers.reshape(k, c * d)
+    cc = np.einsum("ij,ij->i", flat, flat)
+    cross = np.einsum(
+        "ikc,ic->ik", (H @ centers.reshape(k * c, d).T).reshape(n, k, c), R
+    )
+    d2 = sq_norms[:, None] + cc[None, :] - 2.0 * cross
+    np.maximum(d2, 0.0, out=d2)
     labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(points.shape[0]), labels]
+    return labels, d2[np.arange(n), labels]
 
 
 def softmax_rows(Z):

@@ -146,21 +146,20 @@ class AspMtlModel:
         return softmax_rows(self.classifiers[k].forward(H))
 
     def gradient_embeddings(self, X, k):
-        """Last-layer weight gradients under the predicted pseudo-label.
+        """Last-layer weight gradients under the predicted pseudo-label, as
+        the factors (resid, h) of their rank-1 rows.
 
-        Row i is (p - onehot(argmax p)) outer h, flattened to
-        classes_k * (shared+private) entries.
+        Row i of the embedding is resid[i] outer h[i], flattened to
+        classes_k * (shared+private) entries, with resid = p - onehot(argmax p)
+        and h the penultimate feature. The product is left to the caller.
         """
         self._check_domain(k)
         X, single = self._as_batch(X)
         hs, hp = self.features_batch(X, k)
         h = np.concatenate([hs, hp], axis=1)
-        probs = softmax_rows(self.classifiers[k].forward(h))
-        yhat = np.argmax(probs, axis=1)
-        resid = probs.copy()
-        resid[np.arange(X.shape[0]), yhat] -= 1.0
-        E = (resid[:, :, None] * h[:, None, :]).reshape(X.shape[0], -1)
-        return E[0] if single else E
+        resid = softmax_rows(self.classifiers[k].forward(h))
+        resid[np.arange(X.shape[0]), np.argmax(resid, axis=1)] -= 1.0
+        return (resid[0], h[0]) if single else (resid, h)
 
 
 def evaluate(model, test_sets):

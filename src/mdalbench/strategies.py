@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import (
     assign_nearest,
+    factor_sq_norms,
     kl_rows,
     pairwise_sq_dists,
     sq_dists_to_point,
@@ -203,14 +204,38 @@ def coreset_select(ctx):
     return sorted(picked)
 
 
-def kmeans_pp_indices(points, k, gen):
-    """k-Means++ seeding; returns the chosen row indices."""
-    n = points.shape[0]
+# Below this fraction of |E_i|^2 + |E_p|^2, a squared distance from the
+# expanded form is rounding noise (its error is a few (c + d) ulps of that
+# sum) and counts as zero, as the distance between duplicates does.
+_ROUNDING = 1e-12
+
+
+def _factors(R, H):
+    return (np.ascontiguousarray(R, dtype=np.float64),
+            np.ascontiguousarray(H, dtype=np.float64))
+
+
+def kmeans_pp_indices(R, H, k, gen):
+    """k-Means++ seeding over the points r_i (x) h_i; returns the chosen rows.
+
+    R is (n, c) and H is (n, d); plain points are R = ones((n, 1)). Each
+    pick's distances are |E_i|^2 + |E_p|^2 - 2 (r_i . r_p)(h_i . h_p), which
+    costs O(n (c + d)) and never forms the outer products.
+    """
+    R, H = _factors(R, H)
+    n = H.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"cannot seed {k} centers from {n} points")
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    norms = factor_sq_norms(R, H)
+
+    def sq_dists_to(p):
+        scale = norms + norms[p]
+        d2 = scale - 2.0 * ((R @ R[p]) * (H @ H[p]))
+        d2[d2 <= _ROUNDING * scale] = 0.0
+        return d2
+
     chosen = [int(gen.integers(n))]
-    d2 = sq_dists_to_point(points, points[chosen[0]])
+    d2 = sq_dists_to(chosen[0])
     d2[chosen[0]] = 0.0
     for _ in range(k - 1):
         total = d2.sum()
@@ -223,24 +248,30 @@ def kmeans_pp_indices(points, k, gen):
             cand = np.flatnonzero(mask)
             nxt = int(cand[gen.integers(cand.size)])
         chosen.append(nxt)
-        np.minimum(d2, sq_dists_to_point(points, points[nxt]), out=d2)
+        np.minimum(d2, sq_dists_to(nxt), out=d2)
         d2[nxt] = 0.0
     return np.asarray(chosen, dtype=np.int64)
 
 
 def badge_select(ctx):
-    """k-Means++ seeding over pseudo-label gradient embeddings, global pool."""
-    embeds = []
-    items = []
+    """k-Means++ seeding over pseudo-label gradient embeddings, global pool.
+
+    Domains with fewer classes have their residuals zero-padded to the
+    largest class count, so every embedding lives in one space.
+    """
+    resids, feats, items = [], [], []
     for k in range(ctx.num_domains):
         if ctx.unlabeled[k].size == 0:
             continue
         X = ctx.store[k].X[ctx.unlabeled[k]]
-        embeds.append(ctx.model.gradient_embeddings(X, k))
+        resid, h = ctx.model.gradient_embeddings(X, k)
+        resids.append(resid)
+        feats.append(h)
         items.extend((k, int(i)) for i in ctx.unlabeled[k])
-    E = np.vstack(embeds)
+    c = max(r.shape[1] for r in resids)
+    R = np.vstack([np.pad(r, ((0, 0), (0, c - r.shape[1]))) for r in resids])
     gen = ctx.rng.child("badge").generator()
-    chosen = kmeans_pp_indices(E, ctx.budget, gen)
+    chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)
     return sorted(items[j] for j in chosen)
 
 
@@ -295,36 +326,47 @@ def allocate_budget(counts, budget, capacities=None):
     return alloc
 
 
-def kmeans(points, k, rng, max_iter=100, n_init=8):
-    """k-Means++ seeding plus Lloyd iterations, best of n_init restarts.
+def kmeans(R, H, k, rng, max_iter=100, n_init=8):
+    """k-Means++ seeding plus Lloyd iterations over the points r_i (x) h_i,
+    best of n_init restarts.
 
-    Each restart stops when assignments stop changing or after max_iter
-    rounds; the restart with the lowest final SSE wins. An empty cluster
-    seizes the point farthest from its own center (never draining a
-    singleton). Returns (labels, centers, sse_history) for the winning
-    restart; centers are the means of the returned clusters and sse_history
-    interleaves the SSE after each assignment and each recentering.
+    R is (n, c) and H is (n, d); plain points are R = ones((n, 1)). Each
+    restart stops when assignments stop changing or after max_iter rounds;
+    the restart with the lowest final SSE wins. An empty cluster seizes the
+    point farthest from its own center (never draining a singleton).
+    Returns (labels, centers, sse_history) for the winning restart; centers,
+    of shape (k, c, d), are the means of the returned clusters and
+    sse_history interleaves the SSE after each assignment and each
+    recentering.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    n = points.shape[0]
+    R, H = _factors(R, H)
+    n = H.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"cannot form {k} clusters from {n} points")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
+    norms = factor_sq_norms(R, H)
     best = None
     for _ in range(max(1, n_init)):
-        result = _lloyd_once(points, k, gen, max_iter)
+        result = _lloyd(R, H, norms, k, gen, max_iter)
         if best is None or result[2][-1] < best[2][-1]:
             best = result
     return best
 
 
-def _lloyd_once(points, k, gen, max_iter):
-    n = points.shape[0]
-    centers = points[kmeans_pp_indices(points, k, gen)].copy()
+def _lloyd(R, H, norms, k, gen, max_iter):
+    """One restart. A center update is one W.T @ H over the counts, where
+    row i of the (n, k, c) indicator W holds r_i at label_i. The recentering
+    SSE is sum_i |E_i|^2 - |C_(label_i)|^2, which sums to
+    sum_j (sum_(i in j) |E_i|^2 - n_j |C_j|^2) in point order, so it does
+    not depend on how the clusters are numbered."""
+    n, c = R.shape
+    seeds = kmeans_pp_indices(R, H, k, gen)
+    centers = R[seeds, :, None] * H[seeds, None, :]
+    rows = np.arange(n)
     labels = None
     sse_history = []
     for _ in range(max_iter):
-        new_labels, d2 = assign_nearest(points, centers)
+        new_labels, d2 = assign_nearest(H, centers, R, norms)
         new_labels = new_labels.astype(np.int64, copy=False)
         sse_history.append(float(d2.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
@@ -339,10 +381,13 @@ def _lloyd_once(points, k, gen, max_iter):
             counts[j] += 1
             d2[i] = 0.0
         labels = new_labels
-        for j in range(k):
-            centers[j] = points[labels == j].mean(axis=0)
-        diff = points - centers[labels]
-        sse_history.append(float(np.einsum("ij,ij->", diff, diff)))
+        W = np.zeros((n, k, c))
+        W[rows, labels] = R
+        centers = (W.reshape(n, k * c).T @ H).reshape(k, c, -1)
+        centers /= counts[:, None, None]
+        flat = centers.reshape(k, -1)
+        center_norms = np.einsum("ij,ij->i", flat, flat)
+        sse_history.append(float((norms - center_norms[labels]).sum()))
     return labels, centers, sse_history
 
 
@@ -351,13 +396,11 @@ class RegionPartition:
     """Per-domain clusters of unlabeled items in gradient-embedding space.
 
     regions[k] is a list of arrays of store indices (disjoint, covering that
-    domain's scored candidates); centers[k] stacks the cluster means;
-    embeddings[k] is aligned with ctx.unlabeled[k].
+    domain's scored candidates); member_positions[k] holds the same clusters
+    as positions into ctx.unlabeled[k].
     """
 
     regions: dict = field(default_factory=dict)
-    centers: dict = field(default_factory=dict)
-    embeddings: dict = field(default_factory=dict)
     member_positions: dict = field(default_factory=dict)
 
 
@@ -370,10 +413,8 @@ def build_regions(ctx, budgets):
             continue
         idx = ctx.unlabeled[k]
         X = ctx.store[k].X[idx]
-        E = ctx.model.gradient_embeddings(X, k)
-        labels, centers, _ = kmeans(E, bk, ctx.rng.child(f"kmeans/{k}"))
-        part.embeddings[k] = E
-        part.centers[k] = centers
+        resid, h = ctx.model.gradient_embeddings(X, k)
+        labels, _, _ = kmeans(resid, h, bk, ctx.rng.child(f"kmeans/{k}"))
         part.regions[k] = [idx[labels == j] for j in range(bk)]
         part.member_positions[k] = [
             np.flatnonzero(labels == j) for j in range(bk)
@@ -428,18 +469,18 @@ def _domain_scores(ctx, k, scorer, partition=None):
         return _egl_scores(ctx, k), True
     if scorer == "center":
         # distance to the owning region's centroid (or the domain centroid
-        # when there are no regions); nearest wins
-        if partition is not None and k in partition.embeddings:
-            E = partition.embeddings[k]
-            dists = np.empty(E.shape[0])
-            for j, members in enumerate(partition.member_positions[k]):
-                dists[members] = sq_dists_to_point(
-                    np.ascontiguousarray(E[members]), partition.centers[k][j]
-                )
-        else:
-            idx = ctx.unlabeled[k]
-            E = ctx.model.gradient_embeddings(ctx.store[k].X[idx], k)
-            dists = sq_dists_to_point(E, E.mean(axis=0))
+        # when there are no regions); nearest wins. Confident samples have
+        # residuals near 1e-20, so the picks hang on rounding: the centroids
+        # are means of the formed embeddings, not the factored centers.
+        idx = ctx.unlabeled[k]
+        resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[idx], k)
+        E = (resid[:, :, None] * h[:, None, :]).reshape(idx.size, -1)
+        if partition is None:
+            return sq_dists_to_point(E, E.mean(axis=0)), False
+        dists = np.empty(idx.size)
+        for members in partition.member_positions[k]:
+            region = E[members]
+            dists[members] = sq_dists_to_point(region, region.mean(axis=0))
         return dists, False
     raise ValidationError(
         f"unknown second-stage scorer {scorer!r}; "

@@ -99,7 +99,8 @@ def test_criterion_2_analytic_embedding_oracle():
 
         # gradient embedding vs the reference layer backward at the
         # pseudo-label
-        E = model.gradient_embeddings(x, 0)
+        resid, h_row = model.gradient_embeddings(x, 0)
+        E = np.outer(resid, h_row).ravel()
         yhat = int(np.argmax(probs))
         _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [yhat])
         _, dW, _ = linear_backward(clf, h, dlogits)
@@ -168,7 +169,7 @@ def test_criterion_3_combinatorial_oracles():
         n = int(g.integers(4, 9))
         k = int(g.integers(1, min(3, n) + 1))
         pts = g.normal(size=(n, 2))
-        _, _, history = kmeans(pts, k, RngStream(seed, "km"))
+        _, _, history = kmeans(np.ones((n, 1)), pts, k, RngStream(seed, "km"))
         assert all(
             history[i + 1] <= history[i] + 1e-9
             for i in range(len(history) - 1)

@@ -257,6 +257,33 @@ def test_run_jobs_do_not_change_results(tmp_path):
         assert strip_timing_columns(text_serial) == strip_timing_columns(text_pooled)
 
 
+def test_run_badge_with_different_class_counts(tmp_path, capsys):
+    """badge pools the embeddings of a 2-class and a 3-class domain; the
+    narrower residuals are zero-padded, so the grid finishes."""
+    gen = np.random.default_rng(5)
+    domains = []
+    for k, classes in enumerate((2, 3)):
+        y = np.arange(30) % classes
+        X = gen.normal(size=(30, 4)) + y[:, None]
+        lines = [
+            ",".join([str(label), *(f"{v:.6f}" for v in row)])
+            for label, row in zip(y, X)
+        ]
+        (tmp_path / f"d{k}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        domains.append({"name": f"d{k}", "file": f"d{k}.csv", "classes": classes})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"name": "mixed", "dim": 4, "domains": domains}))
+    path = minimal_config(
+        tmp_path, dataset={"type": "manifest", "path": str(manifest)},
+        strategies=["badge", "p2s", "random"],
+        model={"shared_hidden": 8, "private_hidden": 8, "epochs_per_round": 2},
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert "failed" not in capsys.readouterr().out
+    assert len(list(out.glob("*.csv"))) == 3
+
+
 def test_run_strategy_and_seed_overrides(tmp_path):
     path = minimal_config(tmp_path, strategies=["random", "bvsb"])
     out = tmp_path / "filtered"

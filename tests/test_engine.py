@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -307,3 +312,20 @@ def test_config_round_trips_through_dict():
     config = quick_config(name="echo")
     again = ExperimentConfig.from_dict(config.to_dict())
     assert again == config
+
+
+def test_import_defaults_blas_threads_to_one_unless_set():
+    code = (
+        "import os, mdalbench; print(','.join(os.environ[v] for v in "
+        "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"
+    )
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1,1,1"
+    env["OMP_NUM_THREADS"] = "2"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1,2,1"

@@ -21,19 +21,30 @@ def test_sq_dists_to_point(rng):
 def test_assign_nearest_breaks_ties_to_lowest_index():
     points = np.array([[0.0, 0.0], [2.0, 0.0]])
     centers = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-    labels, d2 = kernels.assign_nearest(points, centers)
+    R = np.ones((2, 1))
+    labels, d2 = kernels.assign_nearest(
+        points, centers[:, None, :], R, kernels.factor_sq_norms(R, points)
+    )
     assert labels.tolist() == [0, 0]
     np.testing.assert_allclose(d2, [1.0, 1.0])
 
 
 def test_assign_nearest_matches_brute_force_argmin(rng):
-    points = rng.normal(size=(40, 6))
-    centers = rng.normal(size=(7, 6))
-    labels, d2 = kernels.assign_nearest(points, centers)
-    ref = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    ref_labels = ref.argmin(axis=1)
-    assert np.array_equal(labels, ref_labels)
-    np.testing.assert_allclose(d2, ref[np.arange(len(points)), ref_labels], atol=1e-10)
+    # points r_i (x) h_i; c = 1 with r = 1 is the plain-point case
+    for c in (1, 3):
+        R = np.ones((40, 1)) if c == 1 else rng.normal(size=(40, c))
+        H = rng.normal(size=(40, 6))
+        centers = rng.normal(size=(7, c, 6))
+        norms = kernels.factor_sq_norms(R, H)
+        labels, d2 = kernels.assign_nearest(H, centers, R, norms)
+        E = (R[:, :, None] * H[:, None, :]).reshape(40, -1)
+        flat = centers.reshape(7, -1)
+        ref = ((E[:, None, :] - flat[None, :, :]) ** 2).sum(-1)
+        ref_labels = ref.argmin(axis=1)
+        assert np.array_equal(labels, ref_labels)
+        np.testing.assert_allclose(
+            d2, ref[np.arange(len(H)), ref_labels], atol=1e-10
+        )
 
 
 def test_softmax_rows_normalized_and_shift_invariant(rng):

@@ -1,0 +1,143 @@
+"""The factored k-Means against the k-Means on the formed points.
+
+strategies.kmeans and kmeans_pp_indices work on the factors (R, H) of the
+points r_i (x) h_i; reference_kmeans.py runs the same algorithm on the
+formed points. Seeds and labels must be equal, centers and SSE equal within
+1e-9 relative: the factored distances round differently, but no decision
+here is close enough to a tie for that to matter.
+"""
+
+import numpy as np
+import pytest
+
+import reference_kmeans as ref
+from mdalbench.kernels import sq_dists_to_point
+from mdalbench.strategies import (
+    _domain_scores,
+    allocate_budget,
+    build_regions,
+    kmeans,
+    kmeans_pp_indices,
+)
+from test_strategies import make_real_context
+
+
+def formed(R, H):
+    return (R[:, :, None] * H[:, None, :]).reshape(H.shape[0], -1)
+
+
+def random_factors(gen, c, n, d):
+    if c == 1:
+        R = np.ones((n, 1))
+    elif c == 2:  # binary residuals [a, -a]
+        a = gen.normal(size=n)
+        R = np.stack([a, -a], axis=1)
+    else:
+        R = gen.normal(size=(n, c))
+    return R, gen.normal(size=(n, d))
+
+
+def cases():
+    """(name, R, H, k, max_iter) over c in {1, 2, 4}, with duplicates,
+    fewer distinct points than clusters and truncated Lloyd runs."""
+    gen = np.random.default_rng(2024)
+    out = []
+    for trial in range(36):
+        c = (1, 2, 4)[trial % 3]
+        n = int(gen.integers(8, 41))
+        R, H = random_factors(gen, c, n, int(gen.integers(2, 9)))
+        if trial % 4 == 1:  # duplicate points
+            src = gen.integers(0, n, size=n // 3)
+            R[: src.size], H[: src.size] = R[src], H[src]
+        k = int(gen.integers(1, min(7, n) + 1))
+        max_iter = (1, 2, 3, 100)[trial % 4]
+        out.append((f"c{c}-t{trial}", R, H, k, max_iter))
+    # fewer distinct points than clusters, on exactly representable values:
+    # the uniform fallback seeds a duplicate center and a cluster starts empty
+    for c in (1, 2, 4):
+        R0, H0 = random_factors(gen, c, 3, 4)
+        R0, H0 = np.round(R0 * 4) / 4, np.round(H0 * 4) / 4
+        pick = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
+        for max_iter in (1, 3, 100):
+            out.append((f"c{c}-empty-{max_iter}", R0[pick], H0[pick], 5, max_iter))
+    return out
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
+def test_factored_kmeans_matches_reference(name, R, H, k, max_iter):
+    E = formed(R, H)
+    for seed in range(4):
+        seeds = kmeans_pp_indices(R, H, k, np.random.default_rng(seed))
+        expected = ref.kmeans_pp_indices(E, k, np.random.default_rng(seed))
+        assert np.array_equal(seeds, expected)
+
+        labels, centers, history = kmeans(
+            R, H, k, np.random.default_rng(seed), max_iter=max_iter, n_init=3
+        )
+        ref_labels, ref_centers, ref_history = ref.kmeans(
+            E, k, np.random.default_rng(seed), max_iter=max_iter, n_init=3
+        )
+        assert np.array_equal(labels, ref_labels)
+        assert len(set(labels.tolist())) == k
+        assert centers.shape == (k, R.shape[1], H.shape[1])
+        np.testing.assert_allclose(centers.reshape(k, -1), ref_centers, rtol=1e-9)
+        assert len(history) == len(ref_history)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-9)
+
+
+def test_seeding_on_inexact_duplicates_matches_reference():
+    # with fewer distinct points than clusters, the reference's distances
+    # between duplicates are exactly 0 and its last picks come from the
+    # uniform fallback; the factored distances must reach the same zeros.
+    # (Lloyd is not compared here: with every point on a center, which point
+    # an empty cluster seizes depends on each side's rounding noise.)
+    gen = np.random.default_rng(7)
+    pick = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
+    for c in (1, 2, 4):
+        R, H = random_factors(gen, c, 3, 5)
+        R, H = R[pick], H[pick]
+        for seed in range(6):
+            seeds = kmeans_pp_indices(R, H, 5, np.random.default_rng(seed))
+            expected = ref.kmeans_pp_indices(
+                formed(R, H), 5, np.random.default_rng(seed)
+            )
+            assert np.array_equal(seeds, expected)
+
+
+def test_center_scorer_uses_means_of_formed_embeddings():
+    # 2s-center picks on confident samples hang on rounding, so its
+    # centroids must be E[members].mean(axis=0) bit for bit
+    for seed in (31, 32, 33):
+        ctx = make_real_context(seed, budget=4)
+        counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
+        part = build_regions(ctx, allocate_budget(counts, ctx.budget))
+        for k in part.regions:
+            resid, h = ctx.model.gradient_embeddings(
+                ctx.store[k].X[ctx.unlabeled[k]], k
+            )
+            E = formed(resid, h)
+            dists, largest = _domain_scores(ctx, k, "center", part)
+            assert not largest
+            for members in part.member_positions[k]:
+                region = E[members]
+                np.testing.assert_array_equal(
+                    dists[members], sq_dists_to_point(region, region.mean(axis=0))
+                )
+
+
+def test_build_regions_match_reference_clustering():
+    ctx = make_real_context(34, budget=5, n_per=12)
+    counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
+    budgets = allocate_budget(counts, ctx.budget)
+    part = build_regions(ctx, budgets)
+    for k in part.regions:
+        idx = ctx.unlabeled[k]
+        E = formed(*ctx.model.gradient_embeddings(ctx.store[k].X[idx], k))
+        gen = ctx.rng.child(f"kmeans/{k}").generator()
+        labels, _, _ = ref.kmeans(E, budgets[k], gen)
+        assert [r.tolist() for r in part.regions[k]] == [
+            idx[labels == j].tolist() for j in range(budgets[k])
+        ]

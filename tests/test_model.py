@@ -155,8 +155,8 @@ def test_gradient_embedding_zero_for_onehot_confidence():
     # push one logit far up so the softmax saturates
     model = hand_model()
     model.classifiers[0].b[:] = np.array([200.0, -200.0])
-    E = model.gradient_embeddings(np.array([0.4]), 0)
-    assert np.abs(E).max() < 1e-12
+    resid, h = model.gradient_embeddings(np.array([0.4]), 0)
+    assert np.abs(np.outer(resid, h)).max() < 1e-12
 
 
 def test_gradient_embedding_outer_product_layout():
@@ -173,7 +173,8 @@ def test_gradient_embedding_matches_backprop(rng):
         model = tiny_model(gen_seed=trial)
         k = int(rng.integers(0, 2))
         x = rng.normal(size=3)
-        E = model.gradient_embeddings(x, k)
+        resid, h_row = model.gradient_embeddings(x, k)
+        E = np.outer(resid, h_row).ravel()
 
         h = model.penultimate_features(x, k)[None, :]
         clf = model.classifiers[k]

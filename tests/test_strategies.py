@@ -61,7 +61,8 @@ class TableModel:
         return self.feats[k][self._rows(X)]
 
     def gradient_embeddings(self, X, k):
-        return self.embeds[k][self._rows(X)]
+        E = self.embeds[k][self._rows(X)]
+        return np.ones((E.shape[0], 1)), E
 
 
 def make_real_context(seed, budget=None, num_domains=2, n_per=8, sigma=0.05,
@@ -328,7 +329,7 @@ def test_kmeanspp_never_reselects_duplicate_until_distinct_exhausted():
     pts = np.array([[0.0], [0.0], [1.0]])
     for seed in range(200):
         gen = np.random.default_rng(seed)
-        chosen = kmeans_pp_indices(pts, 2, gen)
+        chosen = kmeans_pp_indices(np.ones((3, 1)), pts, 2, gen)
         vals = sorted(float(pts[i, 0]) for i in chosen)
         assert vals == [0.0, 1.0]  # one of each, never both zeros
 
@@ -339,7 +340,7 @@ def test_kmeanspp_first_pick_uniform():
     trials = 10_000
     for seed in range(trials):
         gen = np.random.default_rng(seed)
-        counts[kmeans_pp_indices(pts, 1, gen)[0]] += 1
+        counts[kmeans_pp_indices(np.ones((6, 1)), pts, 1, gen)[0]] += 1
     p = 1 / 6
     se = np.sqrt(p * (1 - p) * trials)
     assert np.abs(counts - trials * p).max() < 3.0 * se
@@ -443,16 +444,16 @@ def exhaustive_min_sse(points, k):
 
 def test_kmeans_singletons_when_k_equals_n(rng):
     pts = rng.normal(size=(6, 2))
-    labels, centers, history = kmeans(pts, 6, RngStream(0, "km"))
+    labels, centers, history = kmeans(np.ones((6, 1)), pts, 6, RngStream(0, "km"))
     assert sorted(labels.tolist()) == list(range(6))
     assert history[-1] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_kmeans_k1_center_is_mean(rng):
     pts = rng.normal(size=(9, 3))
-    labels, centers, _ = kmeans(pts, 1, RngStream(0, "km"))
+    labels, centers, _ = kmeans(np.ones((9, 1)), pts, 1, RngStream(0, "km"))
     assert (labels == 0).all()
-    np.testing.assert_allclose(centers[0], pts.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(centers[0, 0], pts.mean(axis=0), atol=1e-12)
 
 
 def test_kmeans_two_blobs():
@@ -460,7 +461,7 @@ def test_kmeans_two_blobs():
     blob_a = gen.normal(size=(3, 2)) + [0.0, 0.0]
     blob_b = gen.normal(size=(3, 2)) + [20.0, 0.0]
     pts = np.vstack([blob_a, blob_b])
-    labels, _, _ = kmeans(pts, 2, RngStream(4, "km"))
+    labels, _, _ = kmeans(np.ones((6, 1)), pts, 2, RngStream(4, "km"))
     assert len(set(labels[:3].tolist())) == 1
     assert len(set(labels[3:].tolist())) == 1
     assert labels[0] != labels[3]
@@ -468,7 +469,7 @@ def test_kmeans_two_blobs():
 
 def test_kmeans_rejects_too_many_clusters(rng):
     with pytest.raises(ValidationError):
-        kmeans(rng.normal(size=(3, 2)), 4, RngStream(0))
+        kmeans(np.ones((3, 1)), rng.normal(size=(3, 2)), 4, RngStream(0))
 
 
 def test_kmeans_sse_non_increasing_and_near_optimal(rng):
@@ -479,7 +480,9 @@ def test_kmeans_sse_non_increasing_and_near_optimal(rng):
         n = int(gen.integers(4, 9))
         k = int(gen.integers(1, min(3, n) + 1))
         pts = gen.normal(size=(n, 2))
-        labels, centers, history = kmeans(pts, k, RngStream(seed, "km"))
+        labels, centers, history = kmeans(
+            np.ones((n, 1)), pts, k, RngStream(seed, "km")
+        )
         assert all(
             history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1)
         ), "SSE increased during Lloyd iteration"
@@ -494,7 +497,7 @@ def test_kmeans_sse_non_increasing_and_near_optimal(rng):
 
 def test_kmeans_no_empty_clusters_with_duplicates():
     pts = np.array([[0.0], [0.0], [0.0], [5.0]])
-    labels, centers, _ = kmeans(pts, 3, RngStream(11, "km"))
+    labels, centers, _ = kmeans(np.ones((4, 1)), pts, 3, RngStream(11, "km"))
     assert len(set(labels.tolist())) == 3
 
 
@@ -601,8 +604,8 @@ def test_p2s_matches_straightline_pipeline():
         if budgets[k] < 1:
             continue
         idx = ctx.unlabeled[k]
-        E = ctx.model.gradient_embeddings(ctx.store[k].X[idx], k)
-        labels, _, _ = kmeans(E, budgets[k], ctx.rng.child(f"kmeans/{k}"))
+        resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[idx], k)
+        labels, _, _ = kmeans(resid, h, budgets[k], ctx.rng.child(f"kmeans/{k}"))
         for j in range(budgets[k]):
             members = idx[labels == j]
             best, best_score = None, -np.inf
