@@ -164,7 +164,10 @@ def build_parser():
     run_p.add_argument("--config", required=True, help="experiment config JSON")
     run_p.add_argument("--out", required=True, help="output directory for results")
     run_p.add_argument("--seeds", help="comma-separated seed overrides")
-    run_p.add_argument("--strategies", help="comma-separated strategy filter")
+    run_p.add_argument(
+        "--strategies",
+        help="comma-separated strategies; overrides the config's list",
+    )
     run_p.add_argument("--jobs", type=int, default=1, help="parallel worker cap")
     run_p.add_argument(
         "--force", action="store_true", help="overwrite existing result files"

@@ -71,7 +71,7 @@ def load_manifest(path):
     dim = raw.get("dim")
     if not isinstance(name, str) or not name:
         problems.append("name: expected a non-empty string")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         problems.append("dim: expected a positive integer")
     domains = []
     raw_domains = raw.get("domains")
@@ -83,9 +83,9 @@ def load_manifest(path):
                 problems.append(f"domains[{i}]: expected an object, got {d!r}")
                 continue
             for key, kind in (("name", str), ("file", str), ("classes", int)):
-                if not isinstance(d.get(key), kind):
+                if type(d.get(key)) is not kind:
                     problems.append(f"domains[{i}].{key}: expected {kind.__name__}")
-            if isinstance(d.get("classes"), int) and d["classes"] < 2:
+            if type(d.get("classes")) is int and d["classes"] < 2:
                 problems.append(f"domains[{i}].classes: must be >= 2")
         if not problems:
             domains = [DomainSpec(d["name"], d["file"], d["classes"]) for d in raw_domains]

@@ -218,7 +218,9 @@ def prepare_pools(config):
     """Split each domain into train pool and test set, standardizing if asked.
 
     The split is keyed to the dataset seed, not the run seed, so every run
-    sees the same pools and test sets.
+    sees the same pools and test sets. A pool whose labels are all 0 fails
+    here, before any run: the model reads a domain's class count as its
+    largest pool label plus one and needs at least two.
     """
     full, do_std, split_seed = load_dataset(config)
     train_store, test_sets = [], []
@@ -226,6 +228,11 @@ def prepare_pools(config):
         train, test = train_test_split(
             dom, config.test_fraction, RngStream(split_seed, f"split/{k}")
         )
+        if train.y.size and train.y.max() < 1:
+            raise ValidationError(
+                f"domain {k} {dom.name!r}: every training label is 0; a "
+                "domain needs >= 2 classes"
+            )
         if do_std:
             train, test, _ = standardize(train, test)
         train_store.append(train)

@@ -5,6 +5,9 @@ extractor and a linear classifier over the concatenated features. A linear
 domain discriminator sits behind a gradient-reversal layer on the shared
 features, pushing them toward domain invariance. Every extractor is one
 Linear followed by a ReLU, so the extracted feature IS the hidden layer.
+Reads take a 2-D batch: penultimate_features runs the extractors once and
+classify maps any feature rows to class distributions, so predictions,
+gradient embeddings and perturbed predictions all start from the same h.
 Training runs through training_step, one fused forward/backward pass that
 runs both extractors through one stacked weight [W_shared; W_private_k] and
 writes the gradients of the eight parameters a step touches into one flat
@@ -78,72 +81,42 @@ class AspMtlModel:
         disc = Linear.init(config.shared_hidden, config.num_domains, gen)
         return cls(config, shared, privates, classifiers, disc)
 
-    # ------------------------------------------------------------- plumbing
+    # ------------------------------------------------------- read-only pass
 
-    def _check_domain(self, k):
+    def penultimate_features(self, X, k):
+        """Concatenated shared+private features h = F_s(x) (+) F_p_k(x) of
+        the rows of a 2-D X; one sample goes in as x[None, :]."""
         if not 0 <= k < self.config.num_domains:
             raise ValidationError(
                 f"domain id {k} out of range [0, {self.config.num_domains})"
             )
-
-    def _as_batch(self, x):
-        X = np.asarray(x, dtype=np.float64)
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.shape[1] != self.config.input_dim:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.config.input_dim:
             raise ShapeError(
                 f"input shape {X.shape} incompatible with input_dim "
                 f"{self.config.input_dim}"
             )
-        return X, single
+        hs, hp = relu(self.shared.forward(X)), relu(self.privates[k].forward(X))
+        return np.concatenate([hs, hp], axis=1)
 
-    # ------------------------------------------------------- read-only pass
-
-    def features_batch(self, X, k):
-        """(h_shared, h_private) for a batch."""
-        self._check_domain(k)
-        X, _ = self._as_batch(X)
-        return relu(self.shared.forward(X)), relu(self.privates[k].forward(X))
-
-    def penultimate_features(self, x, k):
-        """Concatenated shared+private feature h = F_s(x) (+) F_p_k(x)."""
-        X, single = self._as_batch(x)
-        hs, hp = self.features_batch(X, k)
-        h = np.concatenate([hs, hp], axis=1)
-        return h[0] if single else h
-
-    def predict_proba_batch(self, X, k):
-        self._check_domain(k)
-        X, _ = self._as_batch(X)
-        hs, hp = self.features_batch(X, k)
-        h = np.concatenate([hs, hp], axis=1)
+    def classify(self, h, k):
+        """Domain k's class distributions of the feature rows h."""
         return softmax_rows(self.classifiers[k].forward(h))
 
-    def forward(self, x, k):
-        """Predicted class distribution of a single sample."""
-        return self.predict_proba_batch(x, k)[0]
+    def predict_proba_batch(self, X, k):
+        return self.classify(self.penultimate_features(X, k), k)
 
-    def perturbed_probs(self, x, k, deltas):
-        """Class distributions under many shared-feature perturbations.
-
-        deltas has shape (T, shared_hidden); returns (T, classes_k). The
-        extractors run once, only the classifier is re-run per draw.
+    def perturbed_probs(self, h, k, deltas):
+        """Class distributions of one feature row h, of shape (1, shared +
+        private), under the shared-feature perturbations deltas, of shape
+        (T, shared_hidden); returns (T, classes_k). Only the classifier runs.
         """
-        self._check_domain(k)
-        X, single = self._as_batch(x)
-        if not single:
-            raise ShapeError("perturbed_probs expects a single sample")
-        deltas = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
-        if deltas.shape[1] != self.config.shared_hidden:
-            raise ShapeError(
-                f"perturbation dim {deltas.shape[1]} does not match shared "
-                f"feature dim {self.config.shared_hidden}"
-            )
-        hs, hp = self.features_batch(X, k)
+        S = self.config.shared_hidden
         H = np.concatenate(
-            [hs + deltas, np.repeat(hp, deltas.shape[0], axis=0)], axis=1
+            [h[:, :S] + deltas, np.repeat(h[:, S:], deltas.shape[0], axis=0)],
+            axis=1,
         )
-        return softmax_rows(self.classifiers[k].forward(H))
+        return self.classify(H, k)
 
     def gradient_embeddings(self, X, k):
         """Last-layer weight gradients under the predicted pseudo-label, as
@@ -153,13 +126,10 @@ class AspMtlModel:
         classes_k * (shared+private) entries, with resid = p - onehot(argmax p)
         and h the penultimate feature. The product is left to the caller.
         """
-        self._check_domain(k)
-        X, single = self._as_batch(X)
-        hs, hp = self.features_batch(X, k)
-        h = np.concatenate([hs, hp], axis=1)
-        resid = softmax_rows(self.classifiers[k].forward(h))
-        resid[np.arange(X.shape[0]), np.argmax(resid, axis=1)] -= 1.0
-        return (resid[0], h[0]) if single else (resid, h)
+        h = self.penultimate_features(X, k)
+        resid = self.classify(h, k)
+        resid[np.arange(h.shape[0]), np.argmax(resid, axis=1)] -= 1.0
+        return resid, h
 
 
 def evaluate(model, test_sets):

@@ -5,6 +5,7 @@ is no cached state. AULC is computed on the [0, 1] accuracy scale and shown
 multiplied by 100, table cells formatted mean(std).
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -16,12 +17,25 @@ from .engine import aggregate_seeds, read_run_csv
 from .errors import ValidationError
 
 
+def _config_hash(config):
+    """sha256 of a sidecar's config echo without seeds and strategies, which
+    --seeds and --strategies vary within one grid."""
+    kept = {k: v for k, v in config.items() if k not in ("seeds", "strategies")}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def scan_runs(results_dir):
-    """Collect (dataset, strategy, seed, columns) for every finished run."""
+    """Collect (dataset, strategy, seed, columns) for every finished run.
+
+    Runs are grouped by config name, so two runs under one name must echo
+    the same config (seeds and strategies aside); otherwise this raises,
+    naming two files that disagree.
+    """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
         raise ValidationError(f"results directory not found: {results_dir}")
     runs = []
+    first_of_name = {}
     for meta_path in sorted(results_dir.glob("*.json")):
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -30,16 +44,37 @@ def scan_runs(results_dir):
             continue
         if not isinstance(meta, dict) or "strategy" not in meta or "config" not in meta:
             continue
+        config = meta["config"]
+        if not (
+            isinstance(config, dict)
+            and isinstance(config.get("name"), str)
+            and isinstance(meta["strategy"], str)
+            and type(meta.get("seed")) is int
+        ):
+            print(
+                f"warning: skipping {meta_path}: malformed sidecar (needs a "
+                "config object with a string name, a string strategy and an "
+                "integer seed)",
+                file=sys.stderr,
+            )
+            continue
         csv_path = meta_path.with_suffix(".csv")
         if not csv_path.is_file():
             continue
         if meta.get("status") != "ok":
             continue
+        name, digest = config["name"], _config_hash(config)
+        first = first_of_name.setdefault(name, (digest, meta_path))
+        if first[0] != digest:
+            raise ValidationError(
+                f"runs named {name!r} come from different configs: "
+                f"{first[1]} and {meta_path} disagree"
+            )
         runs.append(
             {
-                "dataset": meta["config"]["name"],
+                "dataset": name,
                 "strategy": meta["strategy"],
-                "seed": int(meta["seed"]),
+                "seed": meta["seed"],
                 "columns": read_run_csv(csv_path),
             }
         )

@@ -3,15 +3,19 @@
 Five conventional baselines (random, bvsb, egl, coreset, badge) plus the
 two-stage pipeline: proportional per-domain budget allocation, k-Means region
 building over last-layer gradient embeddings, and a per-region winner picked
-by a scorer. The full method uses the perturbation scorer (expected KL shift
-of the prediction under Gaussian noise on the shared feature); the ablation
-variants swap the scorer or drop the region stage.
+by a scorer. A scorer is a function (ctx, k, regions) -> one score per
+unlabeled item of domain k, the largest winning. The full method uses the
+perturbation scorer (expected KL shift of the prediction under Gaussian
+noise on the shared feature); the ablation variants swap the scorer or drop
+the region stage. _DISPATCH binds each strategy name to its function and is
+the one list of names.
 
 Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
 every strategy is a deterministic function of the context snapshot and seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,19 +28,6 @@ from .kernels import (
     sq_dists_to_point,
 )
 from .nncore import RngStream
-
-STRATEGY_NAMES = (
-    "random",
-    "bvsb",
-    "egl",
-    "coreset",
-    "badge",
-    "p2s",
-    "2s-center",
-    "2s-bvsb",
-    "2s-egl",
-    "p2s-no-region",
-)
 
 
 @dataclass
@@ -132,19 +123,23 @@ def random_select(ctx):
     return sorted(items[i] for i in pick)
 
 
-def _margins(ctx, k):
+# A scorer maps (ctx, k, regions) to one score per item of ctx.unlabeled[k];
+# the largest score wins. regions (position arrays into ctx.unlabeled[k]) is
+# None outside the region stage. Scores where the smallest value is the
+# better pick are negated, which is exact: argmax(-m) is argmin(m), ties
+# included.
+
+
+def bvsb_scores(ctx, k, regions=None):
+    """Negated top-1 minus top-2 probability margin (most uncertain first)."""
     X = ctx.store[k].X[ctx.unlabeled[k]]
     probs = ctx.model.predict_proba_batch(X, k)
     top2 = np.partition(probs, probs.shape[1] - 2, axis=1)[:, -2:]
-    return top2[:, 1] - top2[:, 0]
+    return -(top2[:, 1] - top2[:, 0])
 
 
-def bvsb_select(ctx):
-    """Smallest top-1 minus top-2 probability margin (most uncertain first)."""
-    return _take_global(ctx, _margins, largest=False)
-
-
-def _egl_scores(ctx, k):
+def egl_scores(ctx, k, regions=None):
+    """Expected last-layer gradient length."""
     X = ctx.store[k].X[ctx.unlabeled[k]]
     probs = ctx.model.predict_proba_batch(X, k)
     h = ctx.model.penultimate_features(X, k)
@@ -155,24 +150,15 @@ def _egl_scores(ctx, k):
     return h_norm * np.einsum("ij,ij->i", probs, grad_norms)
 
 
-def egl_select(ctx):
-    """Largest expected last-layer gradient length."""
-    return _take_global(ctx, _egl_scores, largest=True)
-
-
-def _take_global(ctx, score_fn, largest):
-    keyed = []
-    for k in range(ctx.num_domains):
-        if ctx.unlabeled[k].size == 0:
-            continue
-        scores = score_fn(ctx, k)
-        sign = -1.0 if largest else 1.0
-        keyed.extend(
-            (sign * float(s), k, int(i))
-            for s, i in zip(scores, ctx.unlabeled[k])
-        )
-    keyed.sort()
-    return sorted((k, i) for _, k, i in keyed[: ctx.budget])
+def _take_global(ctx, scorer):
+    """The budget's highest scores over every domain's unlabeled items, ties
+    to the lower (domain, index)."""
+    doms = [k for k in range(ctx.num_domains) if ctx.unlabeled[k].size]
+    keys = np.concatenate([-scorer(ctx, k) for k in doms])
+    dom = np.concatenate([np.full(ctx.unlabeled[k].size, k) for k in doms])
+    idx = np.concatenate([ctx.unlabeled[k] for k in doms])
+    top = np.lexsort((idx, dom, keys))[: ctx.budget]
+    return sorted(zip(dom[top].tolist(), idx[top].tolist()))
 
 
 def coreset_select(ctx):
@@ -391,105 +377,68 @@ def _lloyd(R, H, norms, k, gen, max_iter):
     return labels, centers, sse_history
 
 
-@dataclass
-class RegionPartition:
-    """Per-domain clusters of unlabeled items in gradient-embedding space.
-
-    regions[k] is a list of arrays of store indices (disjoint, covering that
-    domain's scored candidates); member_positions[k] holds the same clusters
-    as positions into ctx.unlabeled[k].
-    """
-
-    regions: dict = field(default_factory=dict)
-    member_positions: dict = field(default_factory=dict)
-
-
-def build_regions(ctx, budgets):
-    """Cluster each domain's unlabeled gradient embeddings into B_k regions."""
-    part = RegionPartition()
-    for k in range(ctx.num_domains):
-        bk = budgets[k]
-        if bk < 1:
-            continue
-        idx = ctx.unlabeled[k]
-        X = ctx.store[k].X[idx]
-        resid, h = ctx.model.gradient_embeddings(X, k)
-        labels, _, _ = kmeans(resid, h, bk, ctx.rng.child(f"kmeans/{k}"))
-        part.regions[k] = [idx[labels == j] for j in range(bk)]
-        part.member_positions[k] = [
-            np.flatnonzero(labels == j) for j in range(bk)
-        ]
-    return part
+def build_regions(ctx, k, bk):
+    """Cluster domain k's unlabeled gradient embeddings into bk regions;
+    returns each region as positions into ctx.unlabeled[k]."""
+    X = ctx.store[k].X[ctx.unlabeled[k]]
+    resid, h = ctx.model.gradient_embeddings(X, k)
+    labels, _, _ = kmeans(resid, h, bk, ctx.rng.child(f"kmeans/{k}"))
+    return [np.flatnonzero(labels == j) for j in range(bk)]
 
 
 # ------------------------------------------------------- stage 2: the scorer
 
 
 def perturbation_score(model, x, k, sigma, num_draws, rng):
-    """Mean KL(original || perturbed) over Gaussian shared-feature noise."""
+    """Mean KL(original || perturbed) over Gaussian shared-feature noise.
+
+    The extractors run once on the sample x; its feature row gives both the
+    original prediction and the perturbed ones.
+    """
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if num_draws < 1:
         raise ValidationError(f"need >= 1 perturbation draws, got {num_draws}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     deltas = gen.normal(0.0, sigma, size=(num_draws, model.config.shared_hidden))
-    p0 = model.forward(x, k)
-    perturbed = model.perturbed_probs(x, k, deltas)
-    base = np.ascontiguousarray(np.repeat(p0[None, :], num_draws, axis=0))
-    return float(kl_rows(base, perturbed).mean())
+    h = model.penultimate_features(x[None, :], k)
+    base = np.repeat(model.classify(h, k), num_draws, axis=0)
+    return float(kl_rows(base, model.perturbed_probs(h, k, deltas)).mean())
 
 
-def _perturbation_scores_domain(ctx, k):
-    """Score every unlabeled item of domain k; stream label is per-sample."""
-    idx = ctx.unlabeled[k]
-    out = np.empty(idx.size)
-    for pos, i in enumerate(idx):
-        stream = ctx.rng.child(f"perturbation/{k}/{int(i)}")
-        out[pos] = perturbation_score(
-            ctx.model,
-            ctx.store[k].X[int(i)],
-            k,
-            ctx.sigma,
-            ctx.num_perturbations,
-            stream,
+def perturbation_scores(ctx, k, regions=None):
+    """perturbation_score of every unlabeled item of domain k, each with
+    its own stream perturbation/{k}/{i}."""
+    X = ctx.store[k].X
+    return np.array([
+        perturbation_score(
+            ctx.model, X[i], k, ctx.sigma, ctx.num_perturbations,
+            ctx.rng.child(f"perturbation/{k}/{i}"),
         )
-    return out
+        for i in ctx.unlabeled[k].tolist()
+    ])
 
 
-SECOND_STAGE_SCORERS = ("perturbation", "center", "bvsb", "egl")
+def center_scores(ctx, k, regions):
+    """Negated squared distance to the owning region's centroid: the
+    nearest wins. Needs the region stage.
 
-
-def _domain_scores(ctx, k, scorer, partition=None):
-    """(scores, pick_largest) for every unlabeled item of domain k."""
-    if scorer == "perturbation":
-        return _perturbation_scores_domain(ctx, k), True
-    if scorer == "bvsb":
-        return _margins(ctx, k), False
-    if scorer == "egl":
-        return _egl_scores(ctx, k), True
-    if scorer == "center":
-        # distance to the owning region's centroid (or the domain centroid
-        # when there are no regions); nearest wins. Confident samples have
-        # residuals near 1e-20, so the picks hang on rounding: the centroids
-        # are means of the formed embeddings, not the factored centers.
-        idx = ctx.unlabeled[k]
-        resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[idx], k)
-        E = (resid[:, :, None] * h[:, None, :]).reshape(idx.size, -1)
-        if partition is None:
-            return sq_dists_to_point(E, E.mean(axis=0)), False
-        dists = np.empty(idx.size)
-        for members in partition.member_positions[k]:
-            region = E[members]
-            dists[members] = sq_dists_to_point(region, region.mean(axis=0))
-        return dists, False
-    raise ValidationError(
-        f"unknown second-stage scorer {scorer!r}; "
-        f"expected one of {SECOND_STAGE_SCORERS}"
-    )
+    Confident samples have residuals near 1e-20, so the picks hang on
+    rounding: the centroids are means of the formed embeddings, not the
+    factored centers.
+    """
+    resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[ctx.unlabeled[k]], k)
+    E = (resid[:, :, None] * h[:, None, :]).reshape(h.shape[0], -1)
+    dists = np.empty(h.shape[0])
+    for members in regions:
+        region = E[members]
+        dists[members] = sq_dists_to_point(region, region.mean(axis=0))
+    return -dists
 
 
 def two_stage_variant_select(ctx, scorer, region_stage=True):
-    """Budget allocation, optional region building, per-region winner."""
+    """Budget allocation, then per domain the highest-scoring item of each
+    k-Means region, or without the region stage the B_k highest scores."""
     counts = [
         (ctx.store[k].X.shape[0] if ctx.budget_counts == "pool" else ctx.unlabeled[k].size)
         for k in range(ctx.num_domains)
@@ -498,42 +447,32 @@ def two_stage_variant_select(ctx, scorer, region_stage=True):
     budgets = allocate_budget(counts, ctx.budget, capacities=caps)
 
     batch = []
-    if region_stage:
-        partition = build_regions(ctx, budgets)
-        for k in sorted(partition.regions):
-            scores, largest = _domain_scores(ctx, k, scorer, partition)
-            for members in partition.member_positions[k]:
-                vals = scores[members]
-                pos = int(np.argmax(vals) if largest else np.argmin(vals))
-                batch.append((k, int(ctx.unlabeled[k][members[pos]])))
-    else:
-        for k in range(ctx.num_domains):
-            bk = budgets[k]
-            if bk < 1:
-                continue
-            scores, largest = _domain_scores(ctx, k, scorer)
-            keys = -scores if largest else scores
-            order = np.lexsort((ctx.unlabeled[k], keys))
-            batch.extend((k, int(ctx.unlabeled[k][p])) for p in order[:bk])
+    for k, bk in enumerate(budgets):
+        if bk < 1:
+            continue
+        idx = ctx.unlabeled[k]
+        if region_stage:
+            regions = build_regions(ctx, k, bk)
+            scores = scorer(ctx, k, regions)
+            picks = [members[np.argmax(scores[members])] for members in regions]
+        else:
+            picks = np.lexsort((idx, -scorer(ctx, k, None)))[:bk]
+        batch.extend((k, int(idx[p])) for p in picks)
     return sorted(batch)
-
-
-def p2s_select(ctx):
-    """Full two-stage pipeline with the perturbation scorer."""
-    return two_stage_variant_select(ctx, "perturbation", region_stage=True)
 
 
 _DISPATCH = {
     "random": random_select,
-    "bvsb": bvsb_select,
-    "egl": egl_select,
+    "bvsb": partial(_take_global, scorer=bvsb_scores),
+    "egl": partial(_take_global, scorer=egl_scores),
     "coreset": coreset_select,
     "badge": badge_select,
-    "p2s": p2s_select,
-    "2s-center": lambda ctx: two_stage_variant_select(ctx, "center", True),
-    "2s-bvsb": lambda ctx: two_stage_variant_select(ctx, "bvsb", True),
-    "2s-egl": lambda ctx: two_stage_variant_select(ctx, "egl", True),
-    "p2s-no-region": lambda ctx: two_stage_variant_select(
-        ctx, "perturbation", False
+    "p2s": partial(two_stage_variant_select, scorer=perturbation_scores),
+    "2s-center": partial(two_stage_variant_select, scorer=center_scores),
+    "2s-bvsb": partial(two_stage_variant_select, scorer=bvsb_scores),
+    "2s-egl": partial(two_stage_variant_select, scorer=egl_scores),
+    "p2s-no-region": partial(
+        two_stage_variant_select, scorer=perturbation_scores, region_stage=False
     ),
 }
+STRATEGY_NAMES = tuple(_DISPATCH)

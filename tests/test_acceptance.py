@@ -20,9 +20,9 @@ from mdalbench.kernels import kl_rows
 from mdalbench.nncore import RngStream
 from mdalbench.strategies import (
     SelectionContext,
-    _egl_scores,
     allocate_budget,
     coreset_select,
+    egl_scores,
     kmeans,
     perturbation_score,
 )
@@ -94,24 +94,24 @@ def test_criterion_2_analytic_embedding_oracle():
         )
         x = gen.normal(size=model.config.input_dim)
         clf = model.classifiers[0]
-        h = model.penultimate_features(x, 0)[None, :]
-        probs = model.forward(x, 0)
+        h = model.penultimate_features(x[None, :], 0)
+        probs = model.classify(h, 0)[0]
 
         # gradient embedding vs the reference layer backward at the
         # pseudo-label
-        resid, h_row = model.gradient_embeddings(x, 0)
-        E = np.outer(resid, h_row).ravel()
+        resid, h_row = model.gradient_embeddings(x[None, :], 0)
+        E = np.outer(resid[0], h_row[0]).ravel()
         yhat = int(np.argmax(probs))
         _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [yhat])
         _, dW, _ = linear_backward(clf, h, dlogits)
         assert np.abs(E - dW.ravel()).max() < 1e-10
 
-        # the EGL score egl_select ranks by vs per-class backprop norms
+        # the EGL score the egl strategy ranks by vs per-class backprop norms
         ctx = SelectionContext(
             model=model, store=[DomainDataset(X=x[None, :], y=[0], domain_id=0)],
             labeled=[[]], unlabeled=[[0]], budget=1, rng=RngStream(trial),
         )
-        analytic = float(_egl_scores(ctx, 0)[0])
+        analytic = float(egl_scores(ctx, 0)[0])
         brute = 0.0
         for c in range(len(probs)):
             _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [c])

@@ -216,6 +216,14 @@ def test_run_jobs_below_one_exits_2(tmp_path, capsys, jobs):
             {"name": "m", "dim": 4, "domains": [3]}, "domains[0]: expected an object",
             id="domain-entry-number",
         ),
+        pytest.param(
+            {"name": "m", "dim": True, "domains": [{"name": "d", "file": "d.csv", "classes": 2}]},
+            "dim: expected a positive integer", id="dim-true",
+        ),
+        pytest.param(
+            {"name": "m", "dim": 4, "domains": [{"name": "d", "file": "d.csv", "classes": True}]},
+            "domains[0].classes: expected int", id="classes-true",
+        ),
     ],
 )
 def test_run_non_object_manifest_exits_2(tmp_path, capsys, manifest, named):
@@ -239,6 +247,30 @@ def test_run_missing_manifest_exits_2(tmp_path, capsys, jobs):
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
     assert str(manifest_path) in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_single_class_domain_exits_2(tmp_path, capsys, jobs):
+    """A domain whose training labels are all 0 fails before any run."""
+    gen = np.random.default_rng(3)
+    domains = []
+    for k, labels in enumerate((np.arange(30) % 2, np.zeros(30, dtype=int))):
+        X = gen.normal(size=(30, 4))
+        lines = [
+            ",".join([str(label), *(f"{v:.6f}" for v in row)])
+            for label, row in zip(labels, X)
+        ]
+        (tmp_path / f"d{k}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        domains.append({"name": f"d{k}", "file": f"d{k}.csv", "classes": 2})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"name": "one-class", "dim": 4, "domains": domains}))
+    path = minimal_config(
+        tmp_path, dataset={"type": "manifest", "path": str(manifest)}, seeds=[0, 1],
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
+    assert "domain 1 'd1': every training label is 0" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -341,8 +373,9 @@ def test_synth_non_object_spec_exits_2(tmp_path, capsys, text):
 # -------------------------------------------------------------------- report
 
 
-def fake_run(out_dir, dataset, strategy, seed, accs):
-    """Hand-built result pair with a flat curve at each accuracy step."""
+def fake_run(out_dir, dataset, strategy, seed, accs, **config):
+    """Hand-built result pair with a flat curve at each accuracy step; the
+    sidecar echoes {"name": dataset, **config} as its config."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{dataset}__{strategy}__seed{seed}"
     lines = [
@@ -355,7 +388,7 @@ def fake_run(out_dir, dataset, strategy, seed, accs):
         )
     (out_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n")
     meta = {
-        "config": {"name": dataset},
+        "config": {"name": dataset, **config},
         "strategy": strategy,
         "seed": seed,
         "status": "ok",
@@ -405,6 +438,43 @@ def test_report_skips_unparseable_json(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == clean
     assert "junk.json" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param({"config": {"strategies": ["p2s"]}}, id="config-without-name"),
+        pytest.param({"config": ["ds"]}, id="config-not-object"),
+        pytest.param({"seed": "0"}, id="seed-string"),
+        pytest.param({"seed": True}, id="seed-bool"),
+    ],
+)
+def test_report_skips_malformed_sidecar(tmp_path, capsys, edit):
+    fake_run(tmp_path, "ds", "random", 0, [0.80, 0.80])
+    fake_run(tmp_path, "ds", "p2s", 0, [0.90, 0.90])
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    clean = capsys.readouterr().out
+    fake_run(tmp_path, "ds", "egl", 0, [0.5, 0.5])
+    sidecar = tmp_path / "ds__egl__seed0.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean
+    assert "ds__egl__seed0.json" in captured.err
+
+
+def test_report_refuses_runs_of_different_configs_under_one_name(tmp_path, capsys):
+    # seeds and strategies may differ: --seeds and --strategies vary them
+    fake_run(tmp_path, "t", "random", 0, [0.8, 0.8], seeds=[0], model={"epochs_per_round": 1})
+    fake_run(tmp_path, "t", "random", 1, [0.6, 0.6], seeds=[1], model={"epochs_per_round": 1})
+    fake_run(tmp_path, "t", "p2s", 0, [0.7, 0.7], strategies=["p2s"], model={"epochs_per_round": 1})
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    capsys.readouterr()
+    fake_run(tmp_path, "t", "random", 2, [0.9, 0.9], model={"epochs_per_round": 3})
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert "runs named 't' come from different configs" in err
+    assert "t__p2s__seed0.json" in err and "t__random__seed2.json" in err
 
 
 def test_report_matches_recomputation(tmp_path, capsys):

@@ -13,9 +13,9 @@ import pytest
 import reference_kmeans as ref
 from mdalbench.kernels import sq_dists_to_point
 from mdalbench.strategies import (
-    _domain_scores,
     allocate_budget,
     build_regions,
+    center_scores,
     kmeans,
     kmeans_pp_indices,
 )
@@ -113,18 +113,20 @@ def test_center_scorer_uses_means_of_formed_embeddings():
     for seed in (31, 32, 33):
         ctx = make_real_context(seed, budget=4)
         counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-        part = build_regions(ctx, allocate_budget(counts, ctx.budget))
-        for k in part.regions:
+        budgets = allocate_budget(counts, ctx.budget)
+        for k in range(ctx.num_domains):
+            if budgets[k] < 1:
+                continue
+            regions = build_regions(ctx, k, budgets[k])
             resid, h = ctx.model.gradient_embeddings(
                 ctx.store[k].X[ctx.unlabeled[k]], k
             )
             E = formed(resid, h)
-            dists, largest = _domain_scores(ctx, k, "center", part)
-            assert not largest
-            for members in part.member_positions[k]:
+            scores = center_scores(ctx, k, regions)
+            for members in regions:
                 region = E[members]
                 np.testing.assert_array_equal(
-                    dists[members], sq_dists_to_point(region, region.mean(axis=0))
+                    -scores[members], sq_dists_to_point(region, region.mean(axis=0))
                 )
 
 
@@ -132,12 +134,14 @@ def test_build_regions_match_reference_clustering():
     ctx = make_real_context(34, budget=5, n_per=12)
     counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
     budgets = allocate_budget(counts, ctx.budget)
-    part = build_regions(ctx, budgets)
-    for k in part.regions:
+    for k in range(ctx.num_domains):
+        if budgets[k] < 1:
+            continue
+        regions = build_regions(ctx, k, budgets[k])
         idx = ctx.unlabeled[k]
         E = formed(*ctx.model.gradient_embeddings(ctx.store[k].X[idx], k))
         gen = ctx.rng.child(f"kmeans/{k}").generator()
         labels, _, _ = ref.kmeans(E, budgets[k], gen)
-        assert [r.tolist() for r in part.regions[k]] == [
+        assert [idx[r].tolist() for r in regions] == [
             idx[labels == j].tolist() for j in range(budgets[k])
         ]

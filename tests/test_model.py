@@ -44,42 +44,43 @@ def hand_model():
 def test_forward_sums_to_one(rng):
     model = tiny_model()
     for _ in range(20):
-        p = model.forward(rng.normal(size=3), rng.integers(0, 2))
+        p = model.predict_proba_batch(rng.normal(size=(1, 3)), rng.integers(0, 2))[0]
         assert abs(p.sum() - 1.0) < 1e-9
 
 
 def test_forward_equals_zero_perturbation(rng):
     model = tiny_model()
-    x = rng.normal(size=3)
-    p = model.forward(x, 1)
-    q = model.perturbed_probs(x, 1, np.zeros((1, 4)))[0]
+    X = rng.normal(size=(1, 3))
+    p = model.predict_proba_batch(X, 1)[0]
+    q = model.perturbed_probs(model.penultimate_features(X, 1), 1, np.zeros((1, 4)))[0]
     assert np.array_equal(p, q)
 
 
 def test_forward_hand_model():
     model = hand_model()
-    x = np.array([0.4])
+    X = np.array([[0.4]])
     hs = max(0.0, 2.0 * 0.4 + 0.5)
     hp = max(0.0, -0.4 + 0.1)
     logits = np.array([hs - hp, 0.5 * hs + 2.0 * hp - 0.3])
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
-    np.testing.assert_allclose(model.forward(x, 0), expected, atol=1e-12)
+    np.testing.assert_allclose(model.predict_proba_batch(X, 0)[0], expected, atol=1e-12)
     np.testing.assert_allclose(
-        model.penultimate_features(x, 0), [hs, hp], atol=1e-15
+        model.penultimate_features(X, 0)[0], [hs, hp], atol=1e-15
     )
 
 
 def test_forward_rejects_bad_domain():
     model = tiny_model()
     with pytest.raises(ValidationError):
-        model.forward(np.zeros(3), 2)
+        model.predict_proba_batch(np.zeros((1, 3)), 2)
 
 
-def test_forward_perturbed_rejects_bad_dim():
+@pytest.mark.parametrize("shape", [(3,), (1, 4), (1, 1, 3)])
+def test_penultimate_features_takes_2d_batches_only(shape):
     model = tiny_model()
-    with pytest.raises(ShapeError):
-        model.perturbed_probs(np.zeros(3), 0, np.zeros((1, 5)))
+    with pytest.raises(ShapeError, match="incompatible with input_dim 3"):
+        model.penultimate_features(np.zeros(shape), 0)
 
 
 def test_perturbation_ignored_when_shared_weights_zero(rng):
@@ -87,21 +88,21 @@ def test_perturbation_ignored_when_shared_weights_zero(rng):
     k = 0
     S = model.config.shared_hidden
     model.classifiers[k].W[:, :S] = 0.0
-    x = rng.normal(size=3)
-    base = model.forward(x, k)
+    h = model.penultimate_features(rng.normal(size=(1, 3)), k)
+    base = model.classify(h, k)[0]
     for _ in range(5):
         delta = rng.normal(scale=3.0, size=(1, S))
-        assert np.allclose(model.perturbed_probs(x, k, delta)[0], base, atol=1e-15)
+        assert np.allclose(model.perturbed_probs(h, k, delta)[0], base, atol=1e-15)
 
 
 def test_perturbed_probs_matches_forward_perturbed_loop(rng):
     model = tiny_model()
-    x = rng.normal(size=3)
+    h = model.penultimate_features(rng.normal(size=(1, 3)), 0)
     deltas = rng.normal(scale=0.1, size=(6, 4))
-    batch = model.perturbed_probs(x, 0, deltas)
+    batch = model.perturbed_probs(h, 0, deltas)
     for t in range(6):
         np.testing.assert_allclose(
-            batch[t], model.perturbed_probs(x, 0, deltas[t : t + 1])[0], atol=1e-15
+            batch[t], model.perturbed_probs(h, 0, deltas[t : t + 1])[0], atol=1e-15
         )
 
 
@@ -111,11 +112,11 @@ def test_small_perturbation_kl_scales_quadratically(rng):
     model, store = _trained_toy(seed=2)
     kl_full, kl_half = [], []
     for i in range(10):
-        x = store[0].X[i]
+        h = model.penultimate_features(store[0].X[i : i + 1], 0)
         delta = rng.normal(scale=1e-3, size=(1, model.config.shared_hidden))
-        p0 = model.forward(x, 0)[None, :]
-        kl_full.append(kl_rows(p0, model.perturbed_probs(x, 0, delta))[0])
-        kl_half.append(kl_rows(p0, model.perturbed_probs(x, 0, delta / 2.0))[0])
+        p0 = model.classify(h, 0)
+        kl_full.append(kl_rows(p0, model.perturbed_probs(h, 0, delta))[0])
+        kl_half.append(kl_rows(p0, model.perturbed_probs(h, 0, delta / 2.0))[0])
     assert np.mean(kl_half) > 0
     assert 3.5 < np.mean(kl_full) / np.mean(kl_half) < 4.5
 
@@ -128,7 +129,9 @@ def test_predict_proba_batch_agrees_with_forward_loop(rng):
     X = rng.normal(size=(7, 3))
     batch = model.predict_proba_batch(X, 1)
     for i in range(7):
-        np.testing.assert_allclose(batch[i], model.forward(X[i], 1), atol=1e-12)
+        np.testing.assert_allclose(
+            batch[i], model.predict_proba_batch(X[i : i + 1], 1)[0], atol=1e-12
+        )
 
 
 def test_predict_proba_duplicated_rows_identical(rng):
@@ -141,11 +144,11 @@ def test_predict_proba_duplicated_rows_identical(rng):
 
 def test_penultimate_dims_and_halves(rng):
     model = tiny_model()
-    x = rng.normal(size=3)
-    h = model.penultimate_features(x, 1)
-    assert h.shape == (model.config.shared_hidden + model.config.private_hidden,)
-    hs, hp = model.features_batch(x[None, :], 1)
-    np.testing.assert_array_equal(h, np.concatenate([hs[0], hp[0]]))
+    X = rng.normal(size=(1, 3))
+    h = model.penultimate_features(X, 1)
+    assert h.shape == (1, model.config.shared_hidden + model.config.private_hidden)
+    hs, hp = relu(model.shared.forward(X)), relu(model.privates[1].forward(X))
+    np.testing.assert_array_equal(h, np.concatenate([hs, hp], axis=1))
 
 
 # ------------------------------------------------------- gradient embeddings
@@ -155,8 +158,8 @@ def test_gradient_embedding_zero_for_onehot_confidence():
     # push one logit far up so the softmax saturates
     model = hand_model()
     model.classifiers[0].b[:] = np.array([200.0, -200.0])
-    resid, h = model.gradient_embeddings(np.array([0.4]), 0)
-    assert np.abs(np.outer(resid, h)).max() < 1e-12
+    resid, h = model.gradient_embeddings(np.array([[0.4]]), 0)
+    assert np.abs(np.outer(resid[0], h[0])).max() < 1e-12
 
 
 def test_gradient_embedding_outer_product_layout():
@@ -172,13 +175,13 @@ def test_gradient_embedding_matches_backprop(rng):
     for trial in range(10):
         model = tiny_model(gen_seed=trial)
         k = int(rng.integers(0, 2))
-        x = rng.normal(size=3)
-        resid, h_row = model.gradient_embeddings(x, k)
-        E = np.outer(resid, h_row).ravel()
+        X = rng.normal(size=(1, 3))
+        resid, h_row = model.gradient_embeddings(X, k)
+        E = np.outer(resid[0], h_row[0]).ravel()
 
-        h = model.penultimate_features(x, k)[None, :]
+        h = model.penultimate_features(X, k)
         clf = model.classifiers[k]
-        yhat = int(np.argmax(model.forward(x, k)))
+        yhat = int(np.argmax(model.predict_proba_batch(X, k)[0]))
         _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [yhat])
         _, dW, _ = linear_backward(clf, h, dlogits)
         np.testing.assert_allclose(E, dW.ravel(), atol=1e-10)
@@ -297,11 +300,10 @@ def test_adversarial_training_hides_domain_from_shared_features():
         feats, doms = [], []
         held_feats, held_doms = [], []
         for k, (tr, te) in enumerate(splits):
-            hs, _ = model.features_batch(tr.X, k)
-            feats.append(hs)
+            S = config.shared_hidden
+            feats.append(model.penultimate_features(tr.X, k)[:, :S])
             doms.append(np.full(len(tr), k))
-            hs_t, _ = model.features_batch(te.X, k)
-            held_feats.append(hs_t)
+            held_feats.append(model.penultimate_features(te.X, k)[:, :S])
             held_doms.append(np.full(len(te), k))
         F = np.vstack(feats)
         d = np.concatenate(doms)
@@ -502,7 +504,7 @@ def test_evaluate_perfect_and_constant():
 def test_evaluate_hand_count():
     model = hand_model()
     X = np.array([[0.4], [0.4], [0.4], [0.4], [0.4]])
-    pred = int(np.argmax(model.forward(X[0], 0)))
+    pred = int(np.argmax(model.predict_proba_batch(X[:1], 0)[0]))
     y = np.array([pred, pred, pred, 1 - pred, 1 - pred])
     accs, macro = evaluate(model, [(X, y)])
     assert accs[0] == pytest.approx(0.6)

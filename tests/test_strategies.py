@@ -15,13 +15,14 @@ from mdalbench.strategies import (
     allocate_budget,
     badge_select,
     build_regions,
-    bvsb_select,
+    bvsb_scores,
+    center_scores,
     coreset_select,
-    egl_select,
+    egl_scores,
     kmeans,
     kmeans_pp_indices,
-    p2s_select,
     perturbation_score,
+    perturbation_scores,
     random_select,
     select,
     two_stage_variant_select,
@@ -50,14 +51,14 @@ class TableModel:
         self.embeds = embeds
 
     def _rows(self, X):
-        return np.atleast_2d(np.asarray(X))[:, 0].astype(int)
+        return X[:, 0].astype(int)
 
     def predict_proba_batch(self, X, k):
         return self.probs[k][self._rows(X)]
 
     def penultimate_features(self, X, k):
         if self.feats is None:
-            return np.atleast_2d(np.asarray(X, dtype=float))
+            return np.asarray(X, dtype=float)
         return self.feats[k][self._rows(X)]
 
     def gradient_embeddings(self, X, k):
@@ -184,7 +185,7 @@ def test_bvsb_margin_ordering():
         model=TableModel(probs=probs), store=store, labeled=[np.array([], int)],
         unlabeled=[np.arange(2)], budget=1, rng=RngStream(0),
     )
-    assert bvsb_select(ctx) == [(0, 0)]
+    assert select("bvsb", ctx) == [(0, 0)]
 
 
 def test_bvsb_uniform_first_onehot_last():
@@ -194,7 +195,7 @@ def test_bvsb_uniform_first_onehot_last():
         model=TableModel(probs=probs), store=store, labeled=[np.array([], int)],
         unlabeled=[np.arange(3)], budget=2, rng=RngStream(0),
     )
-    assert bvsb_select(ctx) == [(0, 1), (0, 2)]  # one-hot item left out
+    assert select("bvsb", ctx) == [(0, 1), (0, 2)]  # one-hot item left out
 
 
 # ----------------------------------------------------------------------- egl
@@ -213,19 +214,18 @@ def test_egl_hand_value():
 
 
 def test_egl_matches_bruteforce_backprop(rng):
-    from mdalbench.strategies import _egl_scores
     from reference_layers import linear_backward, softmax_cross_entropy
 
     for trial in range(10):
         ctx = make_real_context(trial, budget=1)
         k = trial % ctx.num_domains
-        scores = _egl_scores(ctx, k)
+        scores = egl_scores(ctx, k)
         model = ctx.model
         clf = model.classifiers[k]
         for pos, i in enumerate(ctx.unlabeled[k]):
-            x = ctx.store[k].X[int(i)]
-            h = model.penultimate_features(x, k)[None, :]
-            probs = model.forward(x, k)
+            X = ctx.store[k].X[[int(i)]]
+            h = model.penultimate_features(X, k)
+            probs = model.predict_proba_batch(X, k)[0]
             brute = 0.0
             for c in range(len(probs)):
                 _, dlogits, _ = softmax_cross_entropy(clf.forward(h), [c])
@@ -243,7 +243,7 @@ def test_egl_takes_largest():
         labeled=[np.array([], int)], unlabeled=[np.arange(2)], budget=1,
         rng=RngStream(0),
     )
-    assert egl_select(ctx) == [(0, 1)]
+    assert select("egl", ctx) == [(0, 1)]
 
 
 # -------------------------------------------------------------------- coreset
@@ -508,28 +508,24 @@ def test_build_regions_structure():
     ctx = make_real_context(31, budget=4)
     counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
     budgets = allocate_budget(counts, 4)
-    part = build_regions(ctx, budgets)
     for k in range(ctx.num_domains):
         if budgets[k] == 0:
-            assert k not in part.regions
             continue
-        regions = part.regions[k]
+        regions = build_regions(ctx, k, budgets[k])
         assert len(regions) == budgets[k]
         union = np.sort(np.concatenate(regions))
-        assert np.array_equal(union, ctx.unlabeled[k])
+        assert np.array_equal(union, np.arange(ctx.unlabeled[k].size))
         assert all(len(r) > 0 for r in regions)
 
 
 def test_build_regions_singletons_and_single_region():
     ctx = make_real_context(32)
-    counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-    part = build_regions(ctx, counts)  # B_k = |U_k| -> singletons
     for k in range(ctx.num_domains):
-        assert all(len(r) == 1 for r in part.regions[k])
-    part_one = build_regions(ctx, [1] * ctx.num_domains)
-    for k in range(ctx.num_domains):
-        assert len(part_one.regions[k]) == 1
-        assert np.array_equal(np.sort(part_one.regions[k][0]), ctx.unlabeled[k])
+        n = ctx.unlabeled[k].size
+        # B_k = |U_k| -> singletons
+        assert all(len(r) == 1 for r in build_regions(ctx, k, n))
+        (one,) = build_regions(ctx, k, 1)
+        assert np.array_equal(one, np.arange(n))
 
 
 # ------------------------------------------------------- perturbation scoring
@@ -566,9 +562,9 @@ def test_perturbation_score_monte_carlo_consistency():
     sigma = 0.05
     gen = np.random.default_rng(123)
     deltas = gen.normal(0.0, sigma, size=(10_000, model.config.shared_hidden))
-    p0 = model.forward(x, 0)
-    perturbed = model.perturbed_probs(x, 0, deltas)
-    draws = kl_rows(np.repeat(p0[None, :], len(deltas), axis=0), perturbed)
+    h = model.penultimate_features(x[None, :], 0)
+    perturbed = model.perturbed_probs(h, 0, deltas)
+    draws = kl_rows(np.repeat(model.classify(h, 0), len(deltas), axis=0), perturbed)
     big_mean = draws.mean()
     se20 = draws.std() / np.sqrt(20)
     for rep in range(100):
@@ -581,7 +577,7 @@ def test_perturbation_score_monte_carlo_consistency():
 
 def test_p2s_single_domain_b1_is_score_argmax():
     ctx = make_real_context(50, budget=1, num_domains=1, n_per=10)
-    batch = p2s_select(ctx)
+    batch = select("p2s", ctx)
     scores = {
         int(i): perturbation_score(
             ctx.model, ctx.store[0].X[int(i)], 0, ctx.sigma,
@@ -595,7 +591,7 @@ def test_p2s_single_domain_b1_is_score_argmax():
 
 def test_p2s_matches_straightline_pipeline():
     ctx = make_real_context(51, budget=4, num_domains=2, n_per=6)
-    got = p2s_select(ctx)
+    got = select("p2s", ctx)
 
     counts = [ctx.unlabeled[k].size for k in range(2)]
     budgets = reference_largest_remainder(counts, 4)
@@ -622,15 +618,15 @@ def test_p2s_matches_straightline_pipeline():
 
 
 def test_two_stage_perturbation_equals_p2s():
-    a = p2s_select(make_real_context(52, budget=3))
-    b = two_stage_variant_select(make_real_context(52, budget=3), "perturbation")
+    a = select("p2s", make_real_context(52, budget=3))
+    b = two_stage_variant_select(make_real_context(52, budget=3), perturbation_scores)
     assert a == b
 
 
 def test_two_stage_center_singleton_regions():
     ctx = make_real_context(53)
     ctx.budget = ctx.total_unlabeled()
-    batch = two_stage_variant_select(ctx, "center", region_stage=True)
+    batch = two_stage_variant_select(ctx, center_scores, region_stage=True)
     expected = sorted(
         (k, int(i)) for k in range(ctx.num_domains) for i in ctx.unlabeled[k]
     )
@@ -639,14 +635,14 @@ def test_two_stage_center_singleton_regions():
 
 def test_two_stage_bvsb_no_region_single_domain_collapses_to_bvsb():
     ctx = make_real_context(54, budget=3, num_domains=1, n_per=10)
-    a = two_stage_variant_select(ctx, "bvsb", region_stage=False)
-    b = bvsb_select(make_real_context(54, budget=3, num_domains=1, n_per=10))
+    a = two_stage_variant_select(ctx, bvsb_scores, region_stage=False)
+    b = select("bvsb", make_real_context(54, budget=3, num_domains=1, n_per=10))
     assert a == b
 
 
 def test_p2s_no_region_takes_topk_per_domain():
     ctx = make_real_context(55, budget=3, num_domains=2, n_per=5)
-    batch = two_stage_variant_select(ctx, "perturbation", region_stage=False)
+    batch = two_stage_variant_select(ctx, perturbation_scores, region_stage=False)
     counts = [ctx.unlabeled[k].size for k in range(2)]
     budgets = reference_largest_remainder(counts, 3)
     expected = []
