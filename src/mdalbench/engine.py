@@ -10,6 +10,7 @@ training, feeding the per-strategy timing comparison.
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -520,11 +521,28 @@ def run_file_stem(config_name, strategy, seed):
     return f"{config_name}__{strategy}__seed{seed}"
 
 
+def _replace_file(write, path):
+    """write(tmp) into a temp file beside path, then rename it over path.
+
+    The temp name ends in .tmp, so neither a *.csv nor a *.json scan ever
+    sees a half-written file; a failed write removes it.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def execute_run(config, strategy, seed, out_dir, train_store=None, test_sets=None):
     """Run one experiment and persist its CSV + metadata.
 
     On failure the partial records gathered so far are still written and the
-    result carries status='failed'.
+    result carries status='failed'. A sidecar left by an earlier run is
+    deleted before anything is written, and the sidecar is renamed into
+    place last, so an interrupted write never leaves a sidecar that vouches
+    for a CSV it was not written with.
     """
     out_dir = Path(out_dir)
     stem = run_file_stem(config.name, strategy, seed)
@@ -542,8 +560,10 @@ def execute_run(config, strategy, seed, out_dir, train_store=None, test_sets=Non
             status="failed",
             error=f"{type(exc).__name__}: {exc}",
         )
-    write_run_csv(result, out_dir / f"{stem}.csv")
-    write_run_metadata(result, config, out_dir / f"{stem}.json")
+    meta_path = out_dir / f"{stem}.json"
+    meta_path.unlink(missing_ok=True)
+    _replace_file(lambda tmp: write_run_csv(result, tmp), out_dir / f"{stem}.csv")
+    _replace_file(lambda tmp: write_run_metadata(result, config, tmp), meta_path)
     return result
 
 

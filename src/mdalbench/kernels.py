@@ -3,7 +3,8 @@
 Everything here is called inside per-round selection loops (pairwise
 distances for clustering and coreset cover, row softmax and row KL for
 perturbation scoring), which is where profile time concentrates once the
-models themselves are tiny MLPs.
+models themselves are tiny MLPs. The row kernels reduce over the last axis,
+so rows may be stacked along any leading axes.
 """
 
 import numpy as np
@@ -51,13 +52,13 @@ def assign_nearest(H, centers, R, sq_norms):
 
 
 def softmax_rows(Z):
-    shifted = Z - Z.max(axis=1, keepdims=True)
+    shifted = Z - Z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def kl_rows(P, Q):
     pc = np.maximum(P, PROB_FLOOR)
     qc = np.maximum(Q, PROB_FLOOR)
     terms = np.where(P > 0.0, P * np.log(pc / qc), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)

@@ -5,9 +5,11 @@ extractor and a linear classifier over the concatenated features. A linear
 domain discriminator sits behind a gradient-reversal layer on the shared
 features, pushing them toward domain invariance. Every extractor is one
 Linear followed by a ReLU, so the extracted feature IS the hidden layer.
-Reads take a 2-D batch: penultimate_features runs the extractors once and
-classify maps any feature rows to class distributions, so predictions,
-gradient embeddings and perturbed predictions all start from the same h.
+Reads take rows stacked along one or more leading axes (a 2-D batch, or a
+(n, 1, input_dim) stack that keeps each row on its own matrix-vector
+product): penultimate_features runs the extractors once and classify maps
+any feature rows to class distributions, so predictions, gradient
+embeddings and perturbed predictions all start from the same h.
 Training runs through training_step, one fused forward/backward pass that
 runs both extractors through one stacked weight [W_shared; W_private_k] and
 writes the gradients of the eight parameters a step touches into one flat
@@ -85,19 +87,20 @@ class AspMtlModel:
 
     def penultimate_features(self, X, k):
         """Concatenated shared+private features h = F_s(x) (+) F_p_k(x) of
-        the rows of a 2-D X; one sample goes in as x[None, :]."""
+        the rows of X, stacked along its leading axes (at least one); one
+        sample goes in as x[None, :]."""
         if not 0 <= k < self.config.num_domains:
             raise ValidationError(
                 f"domain id {k} out of range [0, {self.config.num_domains})"
             )
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.config.input_dim:
+        if X.ndim < 2 or X.shape[-1] != self.config.input_dim:
             raise ShapeError(
                 f"input shape {X.shape} incompatible with input_dim "
                 f"{self.config.input_dim}"
             )
         hs, hp = relu(self.shared.forward(X)), relu(self.privates[k].forward(X))
-        return np.concatenate([hs, hp], axis=1)
+        return np.concatenate([hs, hp], axis=-1)
 
     def classify(self, h, k):
         """Domain k's class distributions of the feature rows h."""
@@ -107,15 +110,17 @@ class AspMtlModel:
         return self.classify(self.penultimate_features(X, k), k)
 
     def perturbed_probs(self, h, k, deltas):
-        """Class distributions of one feature row h, of shape (1, shared +
+        """Class distributions of feature rows h, of shape (..., 1, shared +
         private), under the shared-feature perturbations deltas, of shape
-        (T, shared_hidden); returns (T, classes_k). Only the classifier runs.
+        (..., T, shared_hidden); returns (..., T, classes_k). Only the
+        classifier runs.
         """
         S = self.config.shared_hidden
-        H = np.concatenate(
-            [h[:, :S] + deltas, np.repeat(h[:, S:], deltas.shape[0], axis=0)],
-            axis=1,
-        )
+        # filled in place: np.concatenate along the last axis of a stack
+        # copies slice by slice, several times slower than these two writes
+        H = np.empty(deltas.shape[:-1] + h.shape[-1:])
+        np.add(h[..., :S], deltas, out=H[..., :S])
+        H[..., S:] = h[..., S:]
         return self.classify(H, k)
 
     def gradient_embeddings(self, X, k):

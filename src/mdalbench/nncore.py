@@ -48,7 +48,8 @@ def glorot_uniform(out_dim, in_dim, gen):
 
 
 class Linear:
-    """Affine map Y = X W^T + b with W of shape (out_dim, in_dim)."""
+    """Affine map Y = X W^T + b with W of shape (out_dim, in_dim); rows may
+    be stacked along leading axes of X."""
 
     def __init__(self, W, b):
         self.W = np.asarray(W, dtype=np.float64)
@@ -65,7 +66,7 @@ class Linear:
 
     def forward(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.W.shape[1]:
+        if X.shape[-1] != self.W.shape[1]:
             raise ShapeError(
                 f"input shape {X.shape} incompatible with weight shape "
                 f"{self.W.shape}"

@@ -140,9 +140,8 @@ def bvsb_scores(ctx, k, regions=None):
 
 def egl_scores(ctx, k, regions=None):
     """Expected last-layer gradient length."""
-    X = ctx.store[k].X[ctx.unlabeled[k]]
-    probs = ctx.model.predict_proba_batch(X, k)
-    h = ctx.model.penultimate_features(X, k)
+    h = ctx.model.penultimate_features(ctx.store[k].X[ctx.unlabeled[k]], k)
+    probs = ctx.model.classify(h, k)
     h_norm = np.sqrt(np.einsum("ij,ij->i", h, h))
     p_sq = np.einsum("ij,ij->i", probs, probs)
     # || p - e_c ||_2 = sqrt(|p|^2 - 2 p_c + 1), weighted by p_c over classes
@@ -389,34 +388,49 @@ def build_regions(ctx, k, bk):
 # ------------------------------------------------------- stage 2: the scorer
 
 
-def perturbation_score(model, x, k, sigma, num_draws, rng):
-    """Mean KL(original || perturbed) over Gaussian shared-feature noise.
+# Rows scored together by perturbation_score: one block's (b, T, shared +
+# private) perturbed features stay near a megabyte at the paper's widths.
+_PERTURBATION_BLOCK = 64
 
-    The extractors run once on the sample x; its feature row gives both the
-    original prediction and the perturbed ones.
+
+def perturbation_score(model, X, k, sigma, num_draws, rngs):
+    """Mean KL(original || perturbed) over Gaussian shared-feature noise, for
+    every row of the 2-D X; row i draws its (num_draws, shared_hidden) noise
+    from rngs[i].
+
+    A block of rows goes through the model once, as a (b, 1, input_dim)
+    stack: numpy runs a stacked matmul slice by slice with each slice's
+    shape, so every row takes the same BLAS calls, and gets the same score,
+    as when it is scored alone.
     """
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if num_draws < 1:
         raise ValidationError(f"need >= 1 perturbation draws, got {num_draws}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    deltas = gen.normal(0.0, sigma, size=(num_draws, model.config.shared_hidden))
-    h = model.penultimate_features(x[None, :], k)
-    base = np.repeat(model.classify(h, k), num_draws, axis=0)
-    return float(kl_rows(base, model.perturbed_probs(h, k, deltas)).mean())
+    n = X.shape[0]
+    if len(rngs) != n:
+        raise ValidationError(f"got {len(rngs)} random streams for {n} rows")
+    S = model.config.shared_hidden
+    scores = np.empty(n)
+    for start in range(0, n, _PERTURBATION_BLOCK):
+        stop = min(start + _PERTURBATION_BLOCK, n)
+        deltas = np.empty((stop - start, num_draws, S))
+        for j, rng in enumerate(rngs[start:stop]):
+            deltas[j] = rng.generator().normal(0.0, sigma, size=(num_draws, S))
+        h = model.penultimate_features(X[start:stop, None, :], k)
+        perturbed = model.perturbed_probs(h, k, deltas)
+        scores[start:stop] = kl_rows(model.classify(h, k), perturbed).mean(axis=-1)
+    return scores
 
 
 def perturbation_scores(ctx, k, regions=None):
     """perturbation_score of every unlabeled item of domain k, each with
     its own stream perturbation/{k}/{i}."""
-    X = ctx.store[k].X
-    return np.array([
-        perturbation_score(
-            ctx.model, X[i], k, ctx.sigma, ctx.num_perturbations,
-            ctx.rng.child(f"perturbation/{k}/{i}"),
-        )
-        for i in ctx.unlabeled[k].tolist()
-    ])
+    idx = ctx.unlabeled[k]
+    return perturbation_score(
+        ctx.model, ctx.store[k].X[idx], k, ctx.sigma, ctx.num_perturbations,
+        [ctx.rng.child(f"perturbation/{k}/{i}") for i in idx.tolist()],
+    )
 
 
 def center_scores(ctx, k, regions):

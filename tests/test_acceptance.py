@@ -187,44 +187,41 @@ def test_criterion_3_combinatorial_oracles():
 @criterion(4, "perturbation score: nonneg, decoupling, vanishing, quadratic")
 def test_criterion_4_perturbation_properties():
     gen = np.random.default_rng(4)
-    # nonnegative on 1000 random (model, x)
+    # nonnegative on 1000 random (model, x), each x a batch of one
     for trial in range(50):
         model = tiny_model(gen_seed=trial, classes=(2, 3))
         for _ in range(20):
             x = gen.normal(size=3)
             k = int(gen.integers(0, 2))
-            s = perturbation_score(
-                model, x, k, 0.1, 3, RngStream(trial, f"acc4/{k}")
+            (s,) = perturbation_score(
+                model, x[None, :], k, 0.1, 3, [RngStream(trial, f"acc4/{k}")]
             )
             assert s >= 0.0
 
     # decoupled classifier ignores the shared half entirely
     model = tiny_model(gen_seed=9)
     model.classifiers[0].W[:, : model.config.shared_hidden] = 0.0
-    for _ in range(10):
-        x = gen.normal(size=3)
-        assert perturbation_score(model, x, 0, 0.5, 20, RngStream(0, "d")) == 0.0
+    X = gen.normal(size=(10, 3))
+    scores = perturbation_score(model, X, 0, 0.5, 20, [RngStream(0, "d")] * 10)
+    assert np.all(scores == 0.0)
 
     # sigma -> 0 limit
     model = tiny_model(gen_seed=10)
-    for _ in range(10):
-        x = gen.normal(size=3)
-        s = perturbation_score(model, x, 0, 1e-9, 20, RngStream(1, "v"))
-        assert s < 1e-12
+    X = gen.normal(size=(10, 3))
+    scores = perturbation_score(model, X, 0, 1e-9, 20, [RngStream(1, "v")] * 10)
+    assert np.all(scores < 1e-12)
 
     # halving sigma divides the mean score by ~4 on a trained toy model
     from test_model import _trained_toy
 
     model, store = _trained_toy(seed=2)
-    full, half = [], []
-    for i in range(20):
-        x = store[0].X[i]
-        full.append(
-            perturbation_score(model, x, 0, 0.01, 500, RngStream(i, "q/full"))
-        )
-        half.append(
-            perturbation_score(model, x, 0, 0.005, 500, RngStream(i, "q/half"))
-        )
+    X = store[0].X[:20]
+    full = perturbation_score(
+        model, X, 0, 0.01, 500, [RngStream(i, "q/full") for i in range(20)]
+    )
+    half = perturbation_score(
+        model, X, 0, 0.005, 500, [RngStream(i, "q/half") for i in range(20)]
+    )
     ratio = np.mean(full) / np.mean(half)
     assert 3.5 <= ratio <= 4.5, f"sigma-halving ratio {ratio:.2f}"
 

@@ -136,6 +136,40 @@ def test_run_refuses_overwrite_without_force(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out), "--force"]) == 0
 
 
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
+def test_interrupted_force_rerun_is_not_reported(tmp_path, monkeypatch, capsys,
+                                                 interrupt):
+    # a --force rerun that dies (Ctrl-C, or a crash) after writing the new
+    # CSV but before its sidecar must not leave the old run's ok sidecar
+    # vouching for it
+    from mdalbench import engine
+
+    path = minimal_config(tmp_path, strategies=["random", "bvsb"])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    write_run_metadata = engine.write_run_metadata
+
+    def fail_for_bvsb(result, config, meta_path, timestamp=None):
+        if result.strategy == "bvsb":
+            raise interrupt
+        write_run_metadata(result, config, meta_path, timestamp)
+
+    monkeypatch.setattr(engine, "write_run_metadata", fail_for_bvsb)
+    try:
+        code = main(["run", "--config", str(path), "--out", str(out), "--force"])
+    except KeyboardInterrupt:
+        code = None
+    assert code == (None if interrupt is KeyboardInterrupt else 1)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "demo__bvsb__seed0.csv", "demo__random__seed0.csv",
+        "demo__random__seed0.json",
+    ]
+    capsys.readouterr()
+    assert main(["report", str(out), "--format", "csv"]) == 0
+    table = capsys.readouterr().out
+    assert "random" in table and "bvsb" not in table
+
+
 def test_run_is_byte_reproducible_outside_timing_columns(tmp_path):
     path = minimal_config(tmp_path)
     out_a = tmp_path / "a"

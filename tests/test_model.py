@@ -76,11 +76,25 @@ def test_forward_rejects_bad_domain():
         model.predict_proba_batch(np.zeros((1, 3)), 2)
 
 
-@pytest.mark.parametrize("shape", [(3,), (1, 4), (1, 1, 3)])
+@pytest.mark.parametrize("shape", [(3,), (1, 4)])
 def test_penultimate_features_takes_2d_batches_only(shape):
+    # a lone sample without its row axis, and a row of the wrong width
     model = tiny_model()
     with pytest.raises(ShapeError, match="incompatible with input_dim 3"):
         model.penultimate_features(np.zeros(shape), 0)
+
+
+def test_penultimate_features_reads_stacked_rows_like_2d_batches(rng):
+    # a (n, 1, d) stack runs each row through the BLAS call of a batch of one
+    model = tiny_model()
+    X = rng.normal(size=(5, 3))
+    h = model.penultimate_features(X[:, None, :], 1)
+    assert h.shape == (5, 1, 7)
+    for i in range(5):
+        assert np.array_equal(h[i], model.penultimate_features(X[i : i + 1], 1))
+        assert np.array_equal(
+            model.classify(h, 1)[i], model.predict_proba_batch(X[i : i + 1], 1)
+        )
 
 
 def test_perturbation_ignored_when_shared_weights_zero(rng):

@@ -27,6 +27,7 @@ from mdalbench.strategies import (
     select,
     two_stage_variant_select,
 )
+from reference_perturbation import perturbation_score_row
 
 
 # ------------------------------------------------------------------ fixtures
@@ -43,12 +44,18 @@ def index_store(sizes):
 
 
 class TableModel:
-    """Duck-typed model backed by lookup tables keyed on the index feature."""
+    """Duck-typed model backed by lookup tables keyed on the index feature.
+
+    classify(h, k) returns the probabilities of the rows that the last
+    penultimate_features call read, as the feature rows themselves need
+    not identify an item.
+    """
 
     def __init__(self, probs=None, feats=None, embeds=None):
         self.probs = probs
         self.feats = feats
         self.embeds = embeds
+        self.read_rows = None
 
     def _rows(self, X):
         return X[:, 0].astype(int)
@@ -57,9 +64,13 @@ class TableModel:
         return self.probs[k][self._rows(X)]
 
     def penultimate_features(self, X, k):
+        self.read_rows = self._rows(X)
         if self.feats is None:
             return np.asarray(X, dtype=float)
-        return self.feats[k][self._rows(X)]
+        return self.feats[k][self.read_rows]
+
+    def classify(self, h, k):
+        return self.probs[k][self.read_rows]
 
     def gradient_embeddings(self, X, k):
         E = self.embeds[k][self._rows(X)]
@@ -244,6 +255,34 @@ def test_egl_takes_largest():
         rng=RngStream(0),
     )
     assert select("egl", ctx) == [(0, 1)]
+
+
+def count_model_reads(model):
+    """Wrap the model's feature and embedding reads with call counters.
+
+    The wrappers are instance attributes, so gradient_embeddings' own
+    penultimate_features call is counted too."""
+    calls = dict.fromkeys(("penultimate_features", "gradient_embeddings"), 0)
+    for name in calls:
+        def spy(*args, _read=getattr(model, name), _name=name):
+            calls[_name] += 1
+            return _read(*args)
+        setattr(model, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("strategy, features, embeddings", [
+    ("egl", 2, 0),
+    # one feature pass inside each domain's gradient_embeddings, one for egl
+    ("2s-egl", 4, 2),
+])
+def test_egl_reads_features_once_per_domain(strategy, features, embeddings):
+    ctx = make_real_context(56, budget=4)
+    calls = count_model_reads(ctx.model)
+    select(strategy, ctx)
+    assert calls == {
+        "penultimate_features": features, "gradient_embeddings": embeddings
+    }
 
 
 # -------------------------------------------------------------------- coreset
@@ -531,10 +570,15 @@ def test_build_regions_singletons_and_single_region():
 # ------------------------------------------------------- perturbation scoring
 
 
+def score_one(model, x, k, sigma, num_draws, rng):
+    """perturbation_score of the single sample x, as a batch of one."""
+    return perturbation_score(model, x[None, :], k, sigma, num_draws, [rng])[0]
+
+
 def test_perturbation_score_vanishes_with_sigma():
     ctx = make_real_context(40)
     x = ctx.store[0].X[int(ctx.unlabeled[0][0])]
-    s = perturbation_score(ctx.model, x, 0, 1e-9, 20, RngStream(0, "p"))
+    s = score_one(ctx.model, x, 0, 1e-9, 20, RngStream(0, "p"))
     assert 0.0 <= s < 1e-12
 
 
@@ -543,16 +587,18 @@ def test_perturbation_score_zero_when_decoupled():
     S = ctx.model.config.shared_hidden
     ctx.model.classifiers[0].W[:, :S] = 0.0
     x = ctx.store[0].X[int(ctx.unlabeled[0][0])]
-    assert perturbation_score(ctx.model, x, 0, 0.5, 20, RngStream(1, "p")) == 0.0
+    assert score_one(ctx.model, x, 0, 0.5, 20, RngStream(1, "p")) == 0.0
 
 
 def test_perturbation_score_validation():
     ctx = make_real_context(42)
-    x = ctx.store[0].X[0]
+    X = ctx.store[0].X[:2]
     with pytest.raises(ValidationError):
-        perturbation_score(ctx.model, x, 0, 0.0, 5, RngStream(0))
+        perturbation_score(ctx.model, X, 0, 0.0, 5, [RngStream(0)] * 2)
     with pytest.raises(ValidationError):
-        perturbation_score(ctx.model, x, 0, 0.1, 0, RngStream(0))
+        perturbation_score(ctx.model, X, 0, 0.1, 0, [RngStream(0)] * 2)
+    with pytest.raises(ValidationError, match="2 rows"):
+        perturbation_score(ctx.model, X, 0, 0.1, 5, [RngStream(0)])
 
 
 def test_perturbation_score_monte_carlo_consistency():
@@ -568,7 +614,7 @@ def test_perturbation_score_monte_carlo_consistency():
     big_mean = draws.mean()
     se20 = draws.std() / np.sqrt(20)
     for rep in range(100):
-        est = perturbation_score(model, x, 0, sigma, 20, RngStream(rep, "mc"))
+        est = score_one(model, x, 0, sigma, 20, RngStream(rep, "mc"))
         assert abs(est - big_mean) < 5.0 * se20
 
 
@@ -579,7 +625,7 @@ def test_p2s_single_domain_b1_is_score_argmax():
     ctx = make_real_context(50, budget=1, num_domains=1, n_per=10)
     batch = select("p2s", ctx)
     scores = {
-        int(i): perturbation_score(
+        int(i): perturbation_score_row(
             ctx.model, ctx.store[0].X[int(i)], 0, ctx.sigma,
             ctx.num_perturbations, ctx.rng.child(f"perturbation/0/{int(i)}"),
         )
@@ -606,7 +652,7 @@ def test_p2s_matches_straightline_pipeline():
             members = idx[labels == j]
             best, best_score = None, -np.inf
             for i in members:
-                s = perturbation_score(
+                s = perturbation_score_row(
                     ctx.model, ctx.store[k].X[int(i)], k, ctx.sigma,
                     ctx.num_perturbations,
                     ctx.rng.child(f"perturbation/{k}/{int(i)}"),
@@ -648,7 +694,7 @@ def test_p2s_no_region_takes_topk_per_domain():
     expected = []
     for k in range(2):
         scores = {
-            int(i): perturbation_score(
+            int(i): perturbation_score_row(
                 ctx.model, ctx.store[k].X[int(i)], k, ctx.sigma,
                 ctx.num_perturbations,
                 ctx.rng.child(f"perturbation/{k}/{int(i)}"),
@@ -665,7 +711,7 @@ def test_perturbation_scores_nonnegative_many(rng):
         ctx = make_real_context(600 + trial)
         k = trial % ctx.num_domains
         for i in ctx.unlabeled[k][:3]:
-            s = perturbation_score(
+            s = score_one(
                 ctx.model, ctx.store[k].X[int(i)], k, 0.1, 5,
                 RngStream(trial, f"nn/{int(i)}"),
             )
