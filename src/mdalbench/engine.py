@@ -3,9 +3,14 @@
 One run = one (strategy, seed) pair. The loop trains from scratch each round
 (cold start by default), evaluates on held-out per-domain test sets, then
 asks the strategy for the next batch until the labeling budget is spent.
-Each round's record also carries the wall time of the selection that
-produced its labeled set (round 0 gets the initial-split time) and of its
-training, feeding the per-strategy timing comparison.
+Every run of a grid has the same round structure and step schedule, so runs
+go through the loop in groups: each round trains a group's models together
+in lockstep (model.train_round), then evaluates, selects and annotates each
+run in turn. A run draws only from its own streams, so its results do not
+depend on its group. Each round's record also carries the wall time of the
+selection that produced its labeled set (round 0 gets the initial-split
+time), its share of the group's training time and the per-epoch losses,
+feeding the per-strategy timing comparison.
 """
 
 import json
@@ -31,6 +36,9 @@ from .model import AspMtlModel, ModelConfig, evaluate, train_round
 from .nncore import RngStream
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
+# The most runs trained together in lockstep. Per run-step, a larger group
+# costs more again past about 12 runs at the paper's shapes.
+GROUP_SIZE = 8
 
 _SECTIONS = ("model", "al", "strategy_params")
 
@@ -311,6 +319,7 @@ class RoundRecord:
     labeled_frac: float
     domain_accuracies: list
     macro_accuracy: float
+    epoch_losses: list  # per epoch, [sup, adv, diff, total]
     select_seconds: float
     train_seconds: float
 
@@ -376,18 +385,38 @@ def aggregate_seeds(curves):
     )
 
 
-# ------------------------------------------------------------------ one run
+# ---------------------------------------------------------- a group of runs
 
 
-def run_experiment(config, strategy, seed, train_store=None, test_sets=None,
-                   records_sink=None):
-    """Execute the full AL loop for one (strategy, seed) pair.
+@dataclass
+class _RunState:
+    """What one run of a group carries from round to round."""
 
-    Errors propagate; records_sink (a list, when given) receives each round
-    record as it is produced so callers can persist partial progress.
+    result: RunResult
+    root: RngStream
+    pool: PoolState
+    select_seconds: float
+    model: AspMtlModel = None
+
+
+def _fail(result, exc):
+    result.status = "failed"
+    result.error = f"{type(exc).__name__}: {exc}"
+
+
+def run_experiment(config, runs, train_store=None, test_sets=None):
+    """Execute the full AL loop for a group of (strategy, seed) runs.
+
+    Each round initializes every run's model from its own stream, trains
+    them together (model.train_round), then evaluates, selects and annotates
+    each run in order. Returns one RunResult per run, in order. A run that
+    raises gets status 'failed' with the records gathered so far and leaves
+    the group; the others go on. An error before the first round (a bad
+    strategy name, a dataset that cannot be loaded) propagates.
     """
-    if strategy not in STRATEGY_NAMES:
-        raise ValidationError(f"unknown strategy {strategy!r}")
+    for strategy, _ in runs:
+        if strategy not in STRATEGY_NAMES:
+            raise ValidationError(f"unknown strategy {strategy!r}")
     if train_store is None or test_sets is None:
         train_store, test_sets = prepare_pools(config)
 
@@ -397,65 +426,98 @@ def run_experiment(config, strategy, seed, train_store=None, test_sets=None,
         num_classes=num_classes,
         **config.section("model"),
     )
-
-    root = RngStream(int(seed))
     total = sum(len(d) for d in train_store)
     step_budget = math.ceil(config.step_fraction * total)
 
-    t0 = time.perf_counter()
-    pool = init_split(train_store, config.init_fraction, root)
-    pending_select_seconds = time.perf_counter() - t0
+    results, active = [], []
+    for strategy, seed in runs:
+        result = RunResult(
+            config_name=config.name, strategy=strategy, seed=int(seed), records=[]
+        )
+        results.append(result)
+        root = RngStream(int(seed))
+        t0 = time.perf_counter()
+        try:
+            pool = init_split(train_store, config.init_fraction, root)
+        except Exception as exc:  # noqa: BLE001 - the run fails, the group goes on
+            _fail(result, exc)
+            continue
+        active.append(_RunState(result, root, pool, time.perf_counter() - t0))
 
-    records = records_sink if records_sink is not None else []
-    model = None
     round_index = 0
-    while True:
+    while active:
         t0 = time.perf_counter()
-        if model is None or not config.warm_start:
-            model = AspMtlModel.init(mconfig, root.child(f"round{round_index}/model"))
-        train_round(
-            model, train_store, pool.labeled, mconfig,
-            root.child(f"round{round_index}/train"),
-        )
-        train_seconds = time.perf_counter() - t0
-
-        accs, macro = evaluate(model, test_sets)
-        labeled_total = sum(pool.labeled_counts())
-        frac = labeled_total / total
-        records.append(
-            RoundRecord(
-                round_index=round_index,
-                labeled_per_domain=pool.labeled_counts(),
-                labeled_total=labeled_total,
-                labeled_frac=frac,
-                domain_accuracies=accs,
-                macro_accuracy=macro,
-                select_seconds=pending_select_seconds,
-                train_seconds=train_seconds,
+        try:
+            for run in active:
+                if run.model is None or not config.warm_start:
+                    run.model = AspMtlModel.init(
+                        mconfig, run.root.child(f"round{round_index}/model")
+                    )
+            outcomes = train_round(
+                [run.model for run in active], train_store,
+                [run.pool.labeled for run in active], mconfig,
+                [run.root.child(f"round{round_index}/train") for run in active],
             )
-        )
-        if frac >= config.budget_fraction:
-            break
+        except Exception as exc:  # noqa: BLE001 - every run of the round fails
+            outcomes = [exc] * len(active)
+        train_seconds = (time.perf_counter() - t0) / len(active)
 
-        remaining = sum(a.size for a in pool.unlabeled)
-        ctx = SelectionContext(
-            model=model,
-            store=train_store,
-            labeled=pool.labeled,
-            unlabeled=pool.unlabeled,
-            budget=min(step_budget, remaining),
-            rng=root.child(f"round{round_index}/select"),
-            **config.section("strategy_params"),
-        )
-        t0 = time.perf_counter()
-        batch = select(strategy, ctx)
-        pending_select_seconds = time.perf_counter() - t0
-        pool = annotate(pool, batch)
+        going = []
+        for run, logs in zip(active, outcomes):
+            try:
+                if isinstance(logs, Exception):
+                    raise logs
+                if _finish_round(
+                    run, config, train_store, test_sets, round_index, logs,
+                    train_seconds, total, step_budget,
+                ):
+                    going.append(run)
+            except Exception as exc:  # noqa: BLE001 - the run fails, the group goes on
+                _fail(run.result, exc)
+        active = going
         round_index += 1
+    return results
 
-    return RunResult(
-        config_name=config.name, strategy=strategy, seed=int(seed), records=records
+
+def _finish_round(run, config, train_store, test_sets, round_index, logs,
+                  train_seconds, total, step_budget):
+    """Evaluate and record one run's trained round, then select and annotate
+    its next batch; returns whether the run goes on to another round."""
+    pool = run.pool
+    accs, macro = evaluate(run.model, test_sets)
+    labeled_total = sum(pool.labeled_counts())
+    frac = labeled_total / total
+    run.result.records.append(
+        RoundRecord(
+            round_index=round_index,
+            labeled_per_domain=pool.labeled_counts(),
+            labeled_total=labeled_total,
+            labeled_frac=frac,
+            domain_accuracies=accs,
+            macro_accuracy=macro,
+            epoch_losses=[[e.sup, e.adv, e.diff, e.total] for e in logs],
+            select_seconds=run.select_seconds,
+            train_seconds=train_seconds,
+        )
     )
+    if frac >= config.budget_fraction:
+        return False
+
+    remaining = sum(a.size for a in pool.unlabeled)
+    ctx = SelectionContext(
+        model=run.model,
+        store=train_store,
+        labeled=pool.labeled,
+        unlabeled=pool.unlabeled,
+        budget=min(step_budget, remaining),
+        rng=run.root.child(f"round{round_index}/select"),
+        **config.section("strategy_params"),
+    )
+    t0 = time.perf_counter()
+    batch = select(run.result.strategy, ctx)
+    run.select_seconds = time.perf_counter() - t0
+    run.pool = annotate(pool, batch)
+    return True
 
 
 # ------------------------------------------------------------------- file IO
@@ -505,6 +567,7 @@ def write_run_metadata(result, config, path, timestamp=None):
         "error": result.error,
         "code_version": __version__,
         "rounds": len(result.records),
+        "epoch_losses": [r.epoch_losses for r in result.records],
         # volatile fields, excluded from reproducibility comparisons
         "timestamp": timestamp if timestamp is not None else time.time(),
         "timing": {
@@ -535,53 +598,56 @@ def _replace_file(write, path):
         tmp.unlink(missing_ok=True)
 
 
-def execute_run(config, strategy, seed, out_dir, train_store=None, test_sets=None):
-    """Run one experiment and persist its CSV + metadata.
+def execute_run(config, runs, out_dir, train_store=None, test_sets=None):
+    """Run a group of (strategy, seed) runs and persist each one's CSV +
+    metadata, in order; returns their RunResults.
 
-    On failure the partial records gathered so far are still written and the
-    result carries status='failed'. A sidecar left by an earlier run is
-    deleted before anything is written, and the sidecar is renamed into
-    place last, so an interrupted write never leaves a sidecar that vouches
-    for a CSV it was not written with.
+    A failed run's partial records are still written, with status='failed'.
+    A sidecar left by an earlier run is deleted before anything is written
+    for that run, and the sidecar is renamed into place last, so an
+    interrupted write never leaves a sidecar that vouches for a CSV it was
+    not written with.
     """
     out_dir = Path(out_dir)
-    stem = run_file_stem(config.name, strategy, seed)
-    partial = []
     try:
-        result = run_experiment(
-            config, strategy, seed, train_store, test_sets, records_sink=partial
-        )
+        results = run_experiment(config, runs, train_store, test_sets)
     except Exception as exc:  # noqa: BLE001 - report per-run failures upward
-        result = RunResult(
-            config_name=config.name,
-            strategy=strategy,
-            seed=int(seed),
-            records=partial,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    meta_path = out_dir / f"{stem}.json"
-    meta_path.unlink(missing_ok=True)
-    _replace_file(lambda tmp: write_run_csv(result, tmp), out_dir / f"{stem}.csv")
-    _replace_file(lambda tmp: write_run_metadata(result, config, tmp), meta_path)
-    return result
+        results = [RunResult(config.name, s, int(seed), []) for s, seed in runs]
+        for result in results:
+            _fail(result, exc)
+    for result in results:
+        stem = run_file_stem(config.name, result.strategy, result.seed)
+        meta_path = out_dir / f"{stem}.json"
+        meta_path.unlink(missing_ok=True)
+        _replace_file(lambda tmp: write_run_csv(result, tmp), out_dir / f"{stem}.csv")
+        _replace_file(lambda tmp: write_run_metadata(result, config, tmp), meta_path)
+    return results
 
 
-def _execute_run_worker(config_dict, strategy, seed, out_dir, train_store,
-                        test_sets):
+def _execute_run_worker(config_dict, runs, out_dir, train_store, test_sets):
     config = ExperimentConfig.from_dict(config_dict)
-    result = execute_run(config, strategy, seed, out_dir, train_store, test_sets)
-    return result.strategy, result.seed, result.status, result.error
+    results = execute_run(config, runs, out_dir, train_store, test_sets)
+    return [(r.strategy, r.seed, r.status, r.error) for r in results]
+
+
+def grid_groups(count, jobs=1):
+    """Positions 0..count-1 of a grid's runs dealt round-robin into groups
+    of at most GROUP_SIZE, and into at least `jobs` groups while there are
+    runs for them, so that the runs of one strategy spread across workers."""
+    n = max(math.ceil(count / GROUP_SIZE), min(jobs, count))
+    return [list(range(g, count, n)) for g in range(n)]
 
 
 def run_grid(config, out_dir, jobs=1, force=False):
-    """Run the full (strategy x seed) grid, optionally with a process pool.
+    """Run the full (strategy x seed) grid in groups (grid_groups),
+    optionally with a process pool; returns (strategy, seed, status, error)
+    per run, in grid order.
 
     The pools are built once, before any run starts, so a dataset that
-    cannot be loaded fails the grid whatever jobs is; every run gets them.
-    The process pool gets at most one worker per run: the default fork start
-    method launches every worker at once, whether or not it has a run to
-    take.
+    cannot be loaded fails the grid whatever jobs is; every group gets them.
+    The process pool gets at most one worker per group: the default fork
+    start method launches every worker at once, whether or not it has a
+    group to take.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -599,14 +665,15 @@ def run_grid(config, out_dir, jobs=1, force=False):
         )
 
     train_store, test_sets = prepare_pools(config)
-    outcomes = []
-    workers = min(jobs, len(pairs))
+    groups = grid_groups(len(pairs), jobs)
+    workers = min(jobs, len(groups))
     if workers <= 1:
-        for strategy, seed in pairs:
-            result = execute_run(
-                config, strategy, seed, out_dir, train_store, test_sets
-            )
-            outcomes.append((strategy, seed, result.status, result.error))
+        done = [
+            [(r.strategy, r.seed, r.status, r.error) for r in execute_run(
+                config, [pairs[i] for i in group], out_dir, train_store, test_sets
+            )]
+            for group in groups
+        ]
     else:
         import concurrent.futures
 
@@ -614,10 +681,14 @@ def run_grid(config, out_dir, jobs=1, force=False):
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _execute_run_worker, raw, strategy, seed, str(out_dir),
-                    train_store, test_sets,
+                    _execute_run_worker, raw, [pairs[i] for i in group],
+                    str(out_dir), train_store, test_sets,
                 )
-                for strategy, seed in pairs
+                for group in groups
             ]
-            outcomes = [f.result() for f in futures]
+            done = [f.result() for f in futures]
+    outcomes = [None] * len(pairs)
+    for group, group_outcomes in zip(groups, done):
+        for i, outcome in zip(group, group_outcomes):
+            outcomes[i] = outcome
     return outcomes

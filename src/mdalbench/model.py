@@ -10,10 +10,12 @@ Reads take rows stacked along one or more leading axes (a 2-D batch, or a
 product): penultimate_features runs the extractors once and classify maps
 any feature rows to class distributions, so predictions, gradient
 embeddings and perturbed predictions all start from the same h.
-Training runs through training_step, one fused forward/backward pass that
-runs both extractors through one stacked weight [W_shared; W_private_k] and
-writes the gradients of the eight parameters a step touches into one flat
-buffer per domain (StepGrads).
+Training runs a group of models in lockstep (ModelGroup: each parameter of
+the models stacked along a new first axis) through training_step, one fused
+forward/backward pass that runs both extractors through one stacked weight
+[W_shared; W_private_k] and writes the gradients of the eight parameters a
+step touches into one (models, F) buffer per domain (StepGrads). A single
+model trains as a group of one.
 """
 
 import math
@@ -168,63 +170,107 @@ class EpochLog:
     total: float
 
 
-def _xent(logits, labels, rows):
-    """Mean softmax cross-entropy and its logit gradient (probs - onehot) / n,
-    built in the probability array itself. rows is np.arange(n)."""
-    n = logits.shape[0]
+def _xent(logits, labels, at):
+    """Per-member mean softmax cross-entropy of (M, n, c) logits and its
+    logit gradient (probs - onehot) / n, built in the probability array
+    itself. at is (members, rows), the index of each member's rows."""
+    n = logits.shape[1]
     probs = softmax_rows(logits)
-    picked = np.maximum(probs[rows, labels], PROB_FLOOR)
-    loss = -(float(np.log(picked).sum()) / n)
-    probs[rows, labels] -= 1.0
+    at = (*at, labels)
+    picked = np.maximum(probs[at], PROB_FLOOR)
+    loss = -(np.log(picked).sum(axis=1) / n)
+    probs[at] -= 1.0
     probs /= n
     return loss, probs
 
 
-class StepGrads:
-    """The gradients of the eight parameters a step on domain k touches, as
-    views of one flat array.
+@dataclass
+class LayerStack:
+    """The weights (M, out, in) and biases (M, out) of one layer of M models."""
 
-    ext_W and ext_b hold the stacked extractor [shared; private_k]: the
-    shared rows first, then the private rows. pairs lists (parameter array,
-    gradient view) for shared W/b, private_k W/b, classifier_k W/b and
-    discriminator W/b, in that order. training_step overwrites every entry.
+    W: np.ndarray
+    b: np.ndarray
+
+
+def _stack_layer(linears):
+    """The LayerStack of linears; each of them then holds views of it."""
+    stack = LayerStack(np.stack([lin.W for lin in linears]),
+                       np.stack([lin.b for lin in linears]))
+    for m, lin in enumerate(linears):
+        lin.W, lin.b = stack.W[m], stack.b[m]
+    return stack
+
+
+class ModelGroup:
+    """M models of one config whose parameters live in stacked (M, ...)
+    arrays, with the layer names of AspMtlModel.
+
+    Each model's Linears hold views of the stacks (slice m is model m's
+    layer), so a step that updates a stack updates every model, and each
+    model still reads as it did alone.
     """
 
-    def __init__(self, model, k):
-        shared, private = model.shared, model.privates[k]
-        clf, disc = model.classifiers[k], model.discriminator
-        S = shared.W.shape[0]
-        ext = S + private.W.shape[0]
-        shapes = [
-            (ext, shared.W.shape[1]), (ext,),
-            clf.W.shape, clf.b.shape, disc.W.shape, disc.b.shape,
+    def __init__(self, models):
+        K = models[0].config.num_domains
+        self.shared = _stack_layer([m.shared for m in models])
+        self.privates = [
+            _stack_layer([m.privates[k] for m in models]) for k in range(K)
         ]
-        self.flat = np.empty(sum(math.prod(s) for s in shapes))
+        self.classifiers = [
+            _stack_layer([m.classifiers[k] for m in models]) for k in range(K)
+        ]
+        self.discriminator = _stack_layer([m.discriminator for m in models])
+
+
+class StepGrads:
+    """The gradients of the eight parameters a step on domain k touches, for
+    every member of a group, as views of one (M, F) array: row m holds
+    member m's gradients.
+
+    ext_W and ext_b hold the stacked extractor [shared; private_k]: the
+    shared rows first, then the private rows. pairs lists (stacked
+    parameter, gradient view) for shared W/b, private_k W/b, classifier_k
+    W/b and discriminator W/b, in that order. training_step overwrites every
+    entry.
+    """
+
+    def __init__(self, group, k):
+        shared, private = group.shared, group.privates[k]
+        clf, disc = group.classifiers[k], group.discriminator
+        M, S, input_dim = shared.W.shape
+        ext = S + private.W.shape[1]
+        shapes = [
+            (ext, input_dim), (ext,),
+            clf.W.shape[1:], clf.b.shape[1:], disc.W.shape[1:], disc.b.shape[1:],
+        ]
+        self.flat = np.empty((M, sum(math.prod(s) for s in shapes)))
         views, start = [], 0
         for shape in shapes:
             size = math.prod(shape)
-            views.append(self.flat[start : start + size].reshape(shape))
+            views.append(self.flat[:, start : start + size].reshape(M, *shape))
             start += size
         self.ext_W, self.ext_b, self.clf_W, self.clf_b, self.disc_W, self.disc_b = views
         self.pairs = [
-            (shared.W, self.ext_W[:S]), (shared.b, self.ext_b[:S]),
-            (private.W, self.ext_W[S:]), (private.b, self.ext_b[S:]),
+            (shared.W, self.ext_W[:, :S]), (shared.b, self.ext_b[:, :S]),
+            (private.W, self.ext_W[:, S:]), (private.b, self.ext_b[:, S:]),
             (clf.W, self.clf_W), (clf.b, self.clf_b),
             (disc.W, self.disc_W), (disc.b, self.disc_b),
         ]
 
 
-def training_step(model, XX, y, k, d_adv, config, grads):
-    """One step's losses, with the gradients written into grads.
+def training_step(group, XX, y, k, d_adv, config, grads):
+    """One step's losses for every member of a group, with the gradients
+    written into grads.
 
-    XX stacks the supervised batch (n = len(y) rows of domain k) over the
-    adversarial batch (n rows with domain ids d_adv). Supervised
-    cross-entropy through domain k's head, domain-id cross-entropy through
-    the discriminator behind the reversal layer (scaled by lam_adv),
-    optional shared/private orthogonality penalty. Reads the model's arrays
-    and writes only grads, a StepGrads of domain k. Returns (loss_sup,
-    loss_adv, loss_diff) with loss_adv the raw cross-entropy before
-    weighting.
+    XX (M, 2n, input_dim) stacks, per member, the supervised batch (the n
+    rows of domain k whose labels are y[m]) over the adversarial batch (n
+    rows with domain ids d_adv[m]). Supervised cross-entropy through domain
+    k's head, domain-id cross-entropy through the discriminator behind the
+    reversal layer (scaled by lam_adv), optional shared/private
+    orthogonality penalty. Reads the group's arrays and writes only grads, a
+    StepGrads of domain k. Returns (loss_sup, loss_adv, loss_diff), each
+    (M,), with loss_adv the raw cross-entropy before weighting; loss_diff
+    is 0.0 when lam_diff is 0.
 
     One matmul through the stacked weight [W_shared; W_private_k] runs both
     extractors on all 2n rows; the supervised features h and the adversarial
@@ -234,63 +280,83 @@ def training_step(model, XX, y, k, d_adv, config, grads):
     the shared rows. Every other operation is that of a layer-by-layer
     backward pass (affine, ReLU, reversal) in the same order, so the
     gradients are bit-identical to it; tests/reference_layers.py keeps that
-    pass as the reference. The gradients with respect to the inputs are
-    never formed.
+    pass as the reference. numpy runs a stacked matmul one BLAS call per
+    member, with that member's shapes, and sums each member's rows in the
+    order of a lone batch, so every member's results are those of a group
+    of one. The gradients with respect to the inputs are never formed.
     """
-    n = y.shape[0]
+    M, n = y.shape
     S = config.shared_hidden
-    shared, private = model.shared, model.privates[k]
-    clf, disc = model.classifiers[k], model.discriminator
-    rows = np.arange(n)
+    shared, private = group.shared, group.privates[k]
+    clf, disc = group.classifiers[k], group.discriminator
+    at = (np.arange(M)[:, None], np.arange(n))
 
-    Z = XX @ np.concatenate((shared.W, private.W)).T
-    Z += np.concatenate((shared.b, private.b))
+    Z = XX @ np.concatenate((shared.W, private.W), axis=1).swapaxes(1, 2)
+    Z += np.concatenate((shared.b, private.b), axis=1)[:, None]
     H = relu(Z)
-    h = H[:n]
-    loss_sup, dlogits = _xent(h @ clf.W.T + clf.b, y, rows)
-    np.matmul(dlogits.T, h, out=grads.clf_W)
-    dlogits.sum(axis=0, out=grads.clf_b)
+    h = H[:, :n]
+    loss_sup, dlogits = _xent(h @ clf.W.swapaxes(1, 2) + clf.b[:, None], y, at)
+    np.matmul(dlogits.swapaxes(1, 2), h, out=grads.clf_W)
+    dlogits.sum(axis=1, out=grads.clf_b)
     dh = dlogits @ clf.W
 
     loss_diff = 0.0
     if config.lam_diff > 0:
-        hs, hp = h[:, :S], h[:, S:]
-        M = hs.T @ hp
-        loss_diff = float((M * M).sum())
-        dh[:, :S] += config.lam_diff * 2.0 * (hp @ M.T)
-        dh[:, S:] += config.lam_diff * 2.0 * (hs @ M)
+        hs, hp = h[..., :S], h[..., S:]
+        C = hs.swapaxes(1, 2) @ hp
+        loss_diff = (C * C).sum(axis=(1, 2))
+        dh[..., :S] += config.lam_diff * 2.0 * (hp @ C.swapaxes(1, 2))
+        dh[..., S:] += config.lam_diff * 2.0 * (hs @ C)
 
-    dZ = np.where(Z[:n] > 0.0, dh, 0.0)
-    np.matmul(dZ.T, XX[:n], out=grads.ext_W)
-    dZ.sum(axis=0, out=grads.ext_b)
+    dZ = np.where(Z[:, :n] > 0.0, dh, 0.0)
+    np.matmul(dZ.swapaxes(1, 2), XX[:, :n], out=grads.ext_W)
+    dZ.sum(axis=1, out=grads.ext_b)
 
-    ha = H[n:, :S]
-    loss_adv, dla = _xent(ha @ disc.W.T + disc.b, d_adv, rows)
+    ha = H[:, n:, :S]
+    loss_adv, dla = _xent(ha @ disc.W.swapaxes(1, 2) + disc.b[:, None], d_adv, at)
     dla *= config.lam_adv
-    np.matmul(dla.T, ha, out=grads.disc_W)
-    dla.sum(axis=0, out=grads.disc_b)
-    dZa = np.where(Z[n:, :S] > 0.0, -1.0 * (dla @ disc.W), 0.0)
-    grads.ext_W[:S] += dZa.T @ XX[n:]
-    grads.ext_b[:S] += dZa.sum(axis=0)
+    np.matmul(dla.swapaxes(1, 2), ha, out=grads.disc_W)
+    dla.sum(axis=1, out=grads.disc_b)
+    dZa = np.where(Z[:, n:, :S] > 0.0, -1.0 * (dla @ disc.W), 0.0)
+    grads.ext_W[:, :S] += dZa.swapaxes(1, 2) @ XX[:, n:]
+    grads.ext_b[:, :S] += dZa.sum(axis=1)
     return loss_sup, loss_adv, loss_diff
 
 
-def train_round(model, store, labeled, config, rng):
-    """One training round over the current labeled sets.
+def train_round(models, store, labeled, config, rngs):
+    """One training round of a group of models, in lockstep.
 
-    Each step takes a supervised batch from one domain (round-robin) and an
-    adversarial domain-id batch drawn uniformly from the union of all pools,
-    gathers both with one index into the pooled inputs, then applies plain
-    SGD to the eight parameters the step touches (the others have zero
-    gradient). Returns the per-epoch mean losses.
+    Model m trains on labeled[m], its per-domain labeled index lists, with
+    batches from rngs[m]'s `batches` child, and takes exactly the steps it
+    would take alone. Each step takes a supervised batch from one domain
+    (round-robin) and an adversarial domain-id batch drawn uniformly from
+    the union of all pools, gathers every member's rows with one index into
+    the pooled inputs, runs one stacked training_step and applies plain SGD
+    to the eight parameters the step touches (the others have zero
+    gradient). The members share one step schedule, so their labeled
+    totals must be equal.
+
+    Returns, per model, its per-epoch mean losses, or the NonFiniteError of
+    the step whose losses or gradients were not finite. Such a model keeps
+    the parameters it had before that step and leaves the group; the others
+    train on.
     """
     K, B = config.num_domains, config.batch_size
-    labeled = [np.asarray(l, dtype=np.int64) for l in labeled]
     for k in range(K):
-        if labeled[k].size == 0:
-            raise ValidationError(f"domain {k} has no labeled samples")
         if store[k].X.shape[0] == 0:
             raise ValidationError(f"domain {k} pool is empty")
+    labeled = [[np.asarray(l, dtype=np.int64) for l in sets] for sets in labeled]
+    for sets in labeled:
+        for k in range(K):
+            if sets[k].size == 0:
+                raise ValidationError(f"domain {k} has no labeled samples")
+    totals = {int(sum(l.size for l in sets)) for sets in labeled}
+    if len(totals) > 1:
+        raise ValidationError(
+            f"a group needs equal labeled totals, got {sorted(totals)}"
+        )
+    if not models:
+        return []
 
     pool_X = np.concatenate([store[k].X for k in range(K)])
     pool_y = np.concatenate([store[k].y for k in range(K)])
@@ -300,53 +366,73 @@ def train_round(model, store, labeled, config, rng):
     # labeled rows of the pooled arrays; choice draws its positions from the
     # array's length alone, so the batches are those of the per-domain ids
     offsets = np.cumsum([0] + sizes[:-1])
-    labeled = [offsets[k] + labeled[k] for k in range(K)]
-    grads = [StepGrads(model, k) for k in range(K)]
+    labeled = [[offsets[k] + sets[k] for k in range(K)] for sets in labeled]
+    gens = [rng.child("batches").generator() for rng in rngs]
+    steps_per_epoch = max(1, math.ceil(totals.pop() / B))
 
-    gen = rng.child("batches").generator()
-    total_labeled = int(sum(l.size for l in labeled))
-    steps_per_epoch = max(1, math.ceil(total_labeled / B))
-
-    logs = []
+    outcomes = [[] for _ in models]
+    live = list(range(len(models)))  # members still training, in order
+    group = ModelGroup(models)
+    grads = [StepGrads(group, d) for d in range(K)]
     step_counter = 0
     for _ in range(config.epochs_per_round):
-        sum_sup = sum_adv = sum_diff = sum_total = 0.0
+        sums = np.zeros((4, len(live)))
         for _ in range(steps_per_epoch):
             k = step_counter % K
             step_counter += 1
 
-            pool = labeled[k]
-            take = gen.choice(pool, size=B, replace=pool.size < B)
-            rows = gen.choice(n_pool, size=B, replace=n_pool < B)
+            draws = []
+            for m in live:
+                pool, gen = labeled[m][k], gens[m]
+                draws.append(gen.choice(pool, size=B, replace=pool.size < B))
+                draws.append(gen.choice(n_pool, size=B, replace=n_pool < B))
+            rows = np.concatenate(draws).reshape(len(live), 2 * B)
             g = grads[k]
             loss_sup, loss_adv, loss_diff = training_step(
-                model, pool_X[np.concatenate((take, rows))], pool_y[take], k,
-                pool_domain[rows], config, g,
+                group, pool_X[rows], pool_y[rows[:, :B]], k,
+                pool_domain[rows[:, B:]], config, g,
             )
-
             total = (
                 loss_sup
                 + config.lam_adv * loss_adv
                 + config.lam_diff * loss_diff
             )
-            if not math.isfinite(total):
-                raise NonFiniteError(
-                    f"non-finite loss (sup={loss_sup}, adv={loss_adv}, "
-                    f"diff={loss_diff}) at step {step_counter}"
-                )
-            # the sum is non-finite whenever any entry is
-            if not math.isfinite(g.flat.sum()):
-                raise NonFiniteError(f"non-finite gradient at step {step_counter}")
+            # a member's gradient sum is non-finite whenever any entry is
+            grad_sums = g.flat.sum(axis=1)
+            finite = np.isfinite(total) & np.isfinite(grad_sums)
+            failed = [] if finite.all() else np.flatnonzero(~finite).tolist()
+            for j in failed:
+                if not math.isfinite(total[j]):
+                    diff = loss_diff[j] if config.lam_diff > 0 else loss_diff
+                    message = (
+                        f"non-finite loss (sup={float(loss_sup[j])}, "
+                        f"adv={float(loss_adv[j])}, diff={float(diff)}) "
+                        f"at step {step_counter}"
+                    )
+                else:
+                    message = f"non-finite gradient at step {step_counter}"
+                outcomes[live[j]] = NonFiniteError(message)
+                # a zero gradient leaves the failed member's parameters as
+                # they were before this step
+                g.flat[j] = 0.0
             g.flat *= config.lr
             for p, gp in g.pairs:
                 p -= gp
-            sum_sup += loss_sup
-            sum_adv += loss_adv
-            sum_diff += loss_diff
-            sum_total += total
+            sums[0] += loss_sup
+            sums[1] += loss_adv
+            sums[2] += loss_diff
+            sums[3] += total
+            if failed:
+                keep = finite.nonzero()[0]
+                live = [live[j] for j in keep]
+                if not live:
+                    return outcomes
+                sums = sums[:, keep]
+                group = ModelGroup([models[m] for m in live])
+                grads = [StepGrads(group, d) for d in range(K)]
 
-        logs.append(EpochLog(
-            sum_sup / steps_per_epoch, sum_adv / steps_per_epoch,
-            sum_diff / steps_per_epoch, sum_total / steps_per_epoch,
-        ))
-    return logs
+        for j, m in enumerate(live):
+            outcomes[m].append(
+                EpochLog(*(float(v) for v in sums[:, j] / steps_per_epoch))
+            )
+    return outcomes

@@ -3,11 +3,13 @@
 Five conventional baselines (random, bvsb, egl, coreset, badge) plus the
 two-stage pipeline: proportional per-domain budget allocation, k-Means region
 building over last-layer gradient embeddings, and a per-region winner picked
-by a scorer. A scorer is a function (ctx, k, regions) -> one score per
-unlabeled item of domain k, the largest winning. The full method uses the
-perturbation scorer (expected KL shift of the prediction under Gaussian
-noise on the shared feature); the ablation variants swap the scorer or drop
-the region stage. _DISPATCH binds each strategy name to its function and is
+by a scorer. A scorer is a function (ctx, k, regions, embedding) -> one
+score per unlabeled item of domain k, the largest winning; in the region
+stage it gets the gradient embedding factors that built the regions, so a
+domain's features are read once. The full method uses the perturbation
+scorer (expected KL shift of the prediction under Gaussian noise on the
+shared feature); the ablation variants swap the scorer or drop the region
+stage. _DISPATCH binds each strategy name to its function and is
 the one list of names.
 
 Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
@@ -123,24 +125,32 @@ def random_select(ctx):
     return sorted(items[i] for i in pick)
 
 
-# A scorer maps (ctx, k, regions) to one score per item of ctx.unlabeled[k];
-# the largest score wins. regions (position arrays into ctx.unlabeled[k]) is
-# None outside the region stage. Scores where the smallest value is the
-# better pick are negated, which is exact: argmax(-m) is argmin(m), ties
-# included.
+# A scorer maps (ctx, k, regions, embedding) to one score per item of
+# ctx.unlabeled[k]; the largest score wins. regions (position arrays into
+# ctx.unlabeled[k]) and embedding (the factors (resid, h) of the items'
+# gradient embeddings, h their penultimate features) are None outside the
+# region stage. Scores where the smallest value is the better pick are
+# negated, which is exact: argmax(-m) is argmin(m), ties included.
 
 
-def bvsb_scores(ctx, k, regions=None):
+def _features(ctx, k, embedding):
+    """Penultimate features of domain k's unlabeled items: the region
+    stage's h when given, else one read of the model."""
+    if embedding is not None:
+        return embedding[1]
+    return ctx.model.penultimate_features(ctx.store[k].X[ctx.unlabeled[k]], k)
+
+
+def bvsb_scores(ctx, k, regions=None, embedding=None):
     """Negated top-1 minus top-2 probability margin (most uncertain first)."""
-    X = ctx.store[k].X[ctx.unlabeled[k]]
-    probs = ctx.model.predict_proba_batch(X, k)
+    probs = ctx.model.classify(_features(ctx, k, embedding), k)
     top2 = np.partition(probs, probs.shape[1] - 2, axis=1)[:, -2:]
     return -(top2[:, 1] - top2[:, 0])
 
 
-def egl_scores(ctx, k, regions=None):
+def egl_scores(ctx, k, regions=None, embedding=None):
     """Expected last-layer gradient length."""
-    h = ctx.model.penultimate_features(ctx.store[k].X[ctx.unlabeled[k]], k)
+    h = _features(ctx, k, embedding)
     probs = ctx.model.classify(h, k)
     h_norm = np.sqrt(np.einsum("ij,ij->i", h, h))
     p_sq = np.einsum("ij,ij->i", probs, probs)
@@ -377,12 +387,15 @@ def _lloyd(R, H, norms, k, gen, max_iter):
 
 
 def build_regions(ctx, k, bk):
-    """Cluster domain k's unlabeled gradient embeddings into bk regions;
-    returns each region as positions into ctx.unlabeled[k]."""
+    """Cluster domain k's unlabeled gradient embeddings into bk regions.
+
+    Returns (regions, (resid, h)): each region as positions into
+    ctx.unlabeled[k], and the factors of the embeddings it clustered.
+    """
     X = ctx.store[k].X[ctx.unlabeled[k]]
     resid, h = ctx.model.gradient_embeddings(X, k)
     labels, _, _ = kmeans(resid, h, bk, ctx.rng.child(f"kmeans/{k}"))
-    return [np.flatnonzero(labels == j) for j in range(bk)]
+    return [np.flatnonzero(labels == j) for j in range(bk)], (resid, h)
 
 
 # ------------------------------------------------------- stage 2: the scorer
@@ -423,9 +436,11 @@ def perturbation_score(model, X, k, sigma, num_draws, rngs):
     return scores
 
 
-def perturbation_scores(ctx, k, regions=None):
+def perturbation_scores(ctx, k, regions=None, embedding=None):
     """perturbation_score of every unlabeled item of domain k, each with
-    its own stream perturbation/{k}/{i}."""
+    its own stream perturbation/{k}/{i}. It reads the model again, one
+    row per stacked slice, as its bit-identical scores need; embedding goes
+    unused."""
     idx = ctx.unlabeled[k]
     return perturbation_score(
         ctx.model, ctx.store[k].X[idx], k, ctx.sigma, ctx.num_perturbations,
@@ -433,15 +448,15 @@ def perturbation_scores(ctx, k, regions=None):
     )
 
 
-def center_scores(ctx, k, regions):
+def center_scores(ctx, k, regions, embedding):
     """Negated squared distance to the owning region's centroid: the
-    nearest wins. Needs the region stage.
+    nearest wins. Needs the region stage and its embedding.
 
     Confident samples have residuals near 1e-20, so the picks hang on
     rounding: the centroids are means of the formed embeddings, not the
     factored centers.
     """
-    resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[ctx.unlabeled[k]], k)
+    resid, h = embedding
     E = (resid[:, :, None] * h[:, None, :]).reshape(h.shape[0], -1)
     dists = np.empty(h.shape[0])
     for members in regions:
@@ -466,8 +481,8 @@ def two_stage_variant_select(ctx, scorer, region_stage=True):
             continue
         idx = ctx.unlabeled[k]
         if region_stage:
-            regions = build_regions(ctx, k, bk)
-            scores = scorer(ctx, k, regions)
+            regions, embedding = build_regions(ctx, k, bk)
+            scores = scorer(ctx, k, regions, embedding)
             picks = [members[np.argmax(scores[members])] for members in regions]
         else:
             picks = np.lexsort((idx, -scorer(ctx, k, None)))[:bk]

@@ -388,6 +388,15 @@ def test_criterion_8_determinism(tmp_path):
         # and the masked part really is just the two timing columns
         header = a.splitlines()[0].split(",")
         assert header[-2:] == ["select_seconds", "train_seconds"]
+        # the sidecars' per-epoch losses are deterministic too, float for float
+        losses = [
+            json.loads((tmp_path / out / name.replace(".csv", ".json")).read_text(
+                encoding="utf-8"))["epoch_losses"]
+            for out in ("one", "two")
+        ]
+        assert len(losses[0]) == len(a.strip().splitlines()) - 1
+        assert all(len(r) == 3 and all(len(e) == 4 for e in r) for r in losses[0])
+        assert losses[0] == losses[1]
 
 
 # --------------------------------------------------------------- criterion 9

@@ -308,19 +308,59 @@ def test_run_single_class_domain_exits_2(tmp_path, capsys, jobs):
     assert not out.exists() or not any(out.iterdir())
 
 
+def epoch_losses(csv_path):
+    """The epoch_losses of the sidecar beside a result CSV."""
+    meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    return meta["epoch_losses"]
+
+
+def assert_same_results(dir_a, dir_b, count):
+    """Same CSV names, non-timing bytes and epoch losses in both dirs."""
+    names = sorted(p.name for p in dir_a.glob("*.csv"))
+    assert names == sorted(p.name for p in dir_b.glob("*.csv"))
+    assert len(names) == count
+    for name in names:
+        text_a, text_b = (dir_a / name).read_text(), (dir_b / name).read_text()
+        assert strip_timing_columns(text_a) == strip_timing_columns(text_b)
+        losses = epoch_losses(dir_a / name)
+        assert len(losses) == len(text_a.strip().splitlines()) - 1
+        assert losses == epoch_losses(dir_b / name)
+
+
 def test_run_jobs_do_not_change_results(tmp_path):
-    """A process pool writes the same non-timing bytes as a serial grid."""
+    """A process pool writes the same non-timing bytes and epoch losses as a
+    serial grid: one group of four at --jobs 1, two groups of two at 2."""
     path = minimal_config(tmp_path, strategies=["p2s", "random"], seeds=[0, 1])
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert main(["run", "--config", str(path), "--out", str(serial), "--jobs", "1"]) == 0
     assert main(["run", "--config", str(path), "--out", str(pooled), "--jobs", "2"]) == 0
-    names = sorted(p.name for p in serial.glob("*.csv"))
-    assert names == sorted(p.name for p in pooled.glob("*.csv"))
-    assert len(names) == 4
-    for name in names:
-        text_serial = (serial / name).read_text()
-        text_pooled = (pooled / name).read_text()
-        assert strip_timing_columns(text_serial) == strip_timing_columns(text_pooled)
+    assert_same_results(serial, pooled, 4)
+
+
+def test_run_grouping_does_not_change_results(tmp_path, monkeypatch):
+    """A grid run as one lockstep group and as groups of one writes the same
+    non-timing bytes and epoch losses."""
+    from mdalbench import engine
+
+    path = minimal_config(
+        tmp_path, strategies=["p2s", "2s-center", "badge", "random"],
+        seeds=[0, 1], model={"shared_hidden": 6, "private_hidden": 4,
+                             "epochs_per_round": 2, "lr": 0.05, "lam_diff": 0.05},
+    )
+    grouped, alone = tmp_path / "grouped", tmp_path / "alone"
+    groups = []
+    execute_run = engine.execute_run
+
+    def record_groups(config, runs, *args):
+        groups.append(list(runs))
+        return execute_run(config, runs, *args)
+
+    monkeypatch.setattr(engine, "execute_run", record_groups)
+    assert main(["run", "--config", str(path), "--out", str(grouped)]) == 0
+    monkeypatch.setattr(engine, "GROUP_SIZE", 1)
+    assert main(["run", "--config", str(path), "--out", str(alone)]) == 0
+    assert [len(g) for g in groups] == [8] + [1] * 8
+    assert_same_results(grouped, alone, 8)
 
 
 def test_run_badge_with_different_class_counts(tmp_path, capsys):

@@ -17,6 +17,7 @@ from mdalbench.engine import (
     compute_aulc,
     csv_header,
     execute_run,
+    grid_groups,
     init_split,
     read_run_csv,
     run_experiment,
@@ -203,7 +204,9 @@ def test_run_round_structure_with_exact_fractions():
         budget_fraction=0.50,
         epochs_per_round=2,
     )
-    result = run_experiment(config, "random", 0, train_store=store, test_sets=tests)
+    (result,) = run_experiment(
+        config, [("random", 0)], train_store=store, test_sets=tests
+    )
     records = result.records
     assert len(records) == 9  # 8 selection rounds + initial evaluation
     assert records[0].labeled_total == 12
@@ -223,15 +226,17 @@ def test_run_stops_immediately_when_budget_met_at_init():
         name="instant", init_fraction=0.499, budget_fraction=0.5,
         epochs_per_round=2,
     )
-    result = run_experiment(config, "random", 1, train_store=store, test_sets=tests)
+    (result,) = run_experiment(
+        config, [("random", 1)], train_store=store, test_sets=tests
+    )
     assert len(result.records) == 1
     assert result.records[0].labeled_frac >= 0.5
 
 
 def test_run_experiment_deterministic():
     config = quick_config(name="det")
-    a = run_experiment(config, "bvsb", 3)
-    b = run_experiment(config, "bvsb", 3)
+    (a,) = run_experiment(config, [("bvsb", 3)])
+    (b,) = run_experiment(config, [("bvsb", 3)])
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra.labeled_total == rb.labeled_total
@@ -241,7 +246,7 @@ def test_run_experiment_deterministic():
 
 def test_run_labeled_fraction_lands_in_budget_window():
     config = quick_config(name="window", step_fraction=0.07, budget_fraction=0.33)
-    result = run_experiment(config, "random", 5)
+    (result,) = run_experiment(config, [("random", 5)])
     final = result.records[-1].labeled_frac
     assert 0.33 <= final < 0.33 + 0.07 + 1e-12
 
@@ -259,7 +264,7 @@ def test_csv_header_layout():
 
 def test_csv_round_trip(tmp_path):
     config = quick_config(name="roundtrip")
-    result = run_experiment(config, "random", 2)
+    (result,) = run_experiment(config, [("random", 2)])
     path = tmp_path / "run.csv"
     write_run_csv(result, path)
     cols = read_run_csv(path)
@@ -276,7 +281,7 @@ def test_execute_run_persists_partial_records_on_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "select", broken_select)
     config = quick_config(name="fails")
-    result = execute_run(config, "p2s", 0, tmp_path)
+    (result,) = execute_run(config, [("p2s", 0)], tmp_path)
     assert result.status == "failed"
     assert "selection broke" in result.error
     assert len(result.records) == 1  # round 0 evaluated before selection died
@@ -284,6 +289,59 @@ def test_execute_run_persists_partial_records_on_failure(tmp_path, monkeypatch):
     assert len(cols["round"]) == len(result.records)
     meta = (tmp_path / "fails__p2s__seed0.json").read_text()
     assert '"status": "failed"' in meta
+
+
+def test_failed_run_leaves_its_group_and_the_others_go_on(tmp_path, monkeypatch):
+    real_select = engine.select
+
+    def select_breaks_for_bvsb(strategy, ctx):
+        if strategy == "bvsb" and ctx.rng.label.startswith("root/round1"):
+            raise ValidationError("selection broke")
+        return real_select(strategy, ctx)
+
+    monkeypatch.setattr(engine, "select", select_breaks_for_bvsb)
+    config = quick_config(name="mixed")
+    runs = [("random", 0), ("bvsb", 0), ("random", 1)]
+    results = execute_run(config, runs, tmp_path)
+    assert [(r.strategy, r.seed, r.status) for r in results] == [
+        ("random", 0, "ok"), ("bvsb", 0, "failed"), ("random", 1, "ok"),
+    ]
+    assert "selection broke" in results[1].error
+    assert len(results[1].records) == 2  # rounds 0 and 1 trained and evaluated
+    # the runs that went on match runs made alone
+    for result in (results[0], results[2]):
+        (alone,) = run_experiment(config, [(result.strategy, result.seed)])
+        assert [r.macro_accuracy for r in result.records] == [
+            r.macro_accuracy for r in alone.records
+        ]
+        assert [r.epoch_losses for r in result.records] == [
+            r.epoch_losses for r in alone.records
+        ]
+
+
+def test_warm_started_group_matches_runs_alone():
+    config = quick_config(name="warm", warm_start=True)
+    runs = [("random", 0), ("bvsb", 1)]
+    together = run_experiment(config, runs)
+    for result, run in zip(together, runs):
+        (alone,) = run_experiment(config, [run])
+        assert result.status == alone.status == "ok"
+        assert [r.epoch_losses for r in result.records] == [
+            r.epoch_losses for r in alone.records
+        ]
+
+
+@pytest.mark.parametrize("count, jobs, expected", [
+    (6, 1, [[0, 1, 2, 3, 4, 5]]),
+    (6, 2, [[0, 2, 4], [1, 3, 5]]),
+    (3, 8, [[0], [1], [2]]),
+    (10, 1, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]),
+    (17, 2, [[0, 3, 6, 9, 12, 15], [1, 4, 7, 10, 13, 16], [2, 5, 8, 11, 14]]),
+])
+def test_grid_groups_deal_runs_round_robin(count, jobs, expected):
+    groups = grid_groups(count, jobs)
+    assert groups == expected
+    assert max(len(g) for g in groups) <= engine.GROUP_SIZE
 
 
 def test_config_validation_collects_field_messages():

@@ -117,12 +117,12 @@ def test_center_scorer_uses_means_of_formed_embeddings():
         for k in range(ctx.num_domains):
             if budgets[k] < 1:
                 continue
-            regions = build_regions(ctx, k, budgets[k])
+            regions, embedding = build_regions(ctx, k, budgets[k])
             resid, h = ctx.model.gradient_embeddings(
                 ctx.store[k].X[ctx.unlabeled[k]], k
             )
             E = formed(resid, h)
-            scores = center_scores(ctx, k, regions)
+            scores = center_scores(ctx, k, regions, embedding)
             for members in regions:
                 region = E[members]
                 np.testing.assert_array_equal(
@@ -137,7 +137,7 @@ def test_build_regions_match_reference_clustering():
     for k in range(ctx.num_domains):
         if budgets[k] < 1:
             continue
-        regions = build_regions(ctx, k, budgets[k])
+        regions, _ = build_regions(ctx, k, budgets[k])
         idx = ctx.unlabeled[k]
         E = formed(*ctx.model.gradient_embeddings(ctx.store[k].X[idx], k))
         gen = ctx.rng.child(f"kmeans/{k}").generator()

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from mdalbench.kernels import kl_rows
 from mdalbench.model import (
     AspMtlModel,
     ModelConfig,
+    ModelGroup,
     StepGrads,
     evaluate,
     train_round,
@@ -231,7 +231,7 @@ def _trained_toy(seed=0, lam_adv=0.05, epochs=40, lr=0.05):
     )
     model = AspMtlModel.init(config, RngStream(seed))
     labeled = [np.arange(len(s)) for s in store]
-    train_round(model, store, labeled, config, RngStream(seed, "train"))
+    train_round([model], store, [labeled], config, [RngStream(seed, "train")])
     return model, store
 
 
@@ -243,7 +243,7 @@ def test_train_round_reduces_loss_on_separable_data():
     )
     model = AspMtlModel.init(config, RngStream(1))
     labeled = [np.arange(len(s)) for s in store]
-    logs = train_round(model, store, labeled, config, RngStream(1, "train"))
+    (logs,) = train_round([model], store, [labeled], config, [RngStream(1, "train")])
     assert logs[-1].sup < 0.3 * logs[0].sup
 
 
@@ -252,7 +252,8 @@ def test_train_round_rejects_empty_domain():
     config = ModelConfig(input_dim=4, num_classes=(2, 2), epochs_per_round=1)
     model = AspMtlModel.init(config, RngStream(0))
     with pytest.raises(ValidationError):
-        train_round(model, store, [np.arange(5), np.array([])], config, RngStream(0))
+        train_round([model], store, [[np.arange(5), np.array([])]], config,
+                    [RngStream(0)])
 
 
 def test_zero_adv_weight_means_zero_discriminator_gradient(rng):
@@ -261,10 +262,12 @@ def test_zero_adv_weight_means_zero_discriminator_gradient(rng):
     y = rng.integers(0, 2, size=6)
     Xa = rng.normal(size=(6, 3))
     da = rng.integers(0, 2, size=6)
-    grads = StepGrads(model, 0)
-    training_step(model, np.vstack([X, Xa]), y, 0, da, model.config, grads)
+    group = ModelGroup([model])
+    grads = StepGrads(group, 0)
+    training_step(group, np.vstack([X, Xa])[None], y[None], 0, da[None],
+                  model.config, grads)
     (W, gW), (b, gb) = grads.pairs[6:]
-    assert W is model.discriminator.W and b is model.discriminator.b
+    assert W is group.discriminator.W and b is group.discriminator.b
     assert np.abs(gW).max() == 0.0
     assert np.abs(gb).max() == 0.0
 
@@ -278,7 +281,7 @@ def test_supervised_loss_non_increasing_full_batch():
     )
     model = AspMtlModel.init(config, RngStream(9))
     labeled = [np.arange(len(s)) for s in store]
-    logs = train_round(model, store, labeled, config, RngStream(9, "train"))
+    (logs,) = train_round([model], store, [labeled], config, [RngStream(9, "train")])
     assert logs[-1].sup < logs[0].sup
 
 
@@ -309,7 +312,7 @@ def test_adversarial_training_hides_domain_from_shared_features():
         )
         model = AspMtlModel.init(config, RngStream(seed))
         labeled = [np.arange(len(s)) for s in store]
-        train_round(model, store, labeled, config, RngStream(seed, "train"))
+        train_round([model], store, [labeled], config, [RngStream(seed, "train")])
 
         feats, doms = [], []
         held_feats, held_doms = [], []
@@ -393,7 +396,8 @@ def test_train_round_matches_layer_by_layer_round(classes, settings, n_labeled,
     layered = AspMtlModel.init(config, RngStream(11))
     start = [p.copy() for p in model_params(fused)]
 
-    logs = train_round(fused, store, labeled, config, RngStream(11, "train"))
+    (logs,) = train_round([fused], store, [labeled], config,
+                          [RngStream(11, "train")])
     ref_logs = reference_train_round(
         layered, store, labeled, config, RngStream(11, "train")
     )
@@ -431,16 +435,120 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
             before.extend(p.copy() for p in model_params(model))
             grads = args[-1]
             grads.pairs[poisoned][1].flat[-1] = np.nan
-            assert all(math.isfinite(v) for v in losses)
+            assert np.isfinite(losses[:2]).all() and np.isfinite(losses[2]).all()
         return losses
 
     monkeypatch.setattr(model_module, "training_step", step_with_nan)
     labeled = [np.arange(6), np.arange(6)]
-    with pytest.raises(NonFiniteError, match="gradient at step 4"):
-        train_round(model, store, labeled, config, RngStream(2, "train"))
+    (outcome,) = train_round([model], store, [labeled], config,
+                             [RngStream(2, "train")])
+    assert isinstance(outcome, NonFiniteError)
+    assert str(outcome) == "non-finite gradient at step 4"
     assert len(calls) == 4
     for p, value in zip(model_params(model), before):
         assert np.array_equal(p, value)
+
+
+# ------------------------------------------------------------ lockstep groups
+
+
+def _group_case(M, batch_size, width, lam_diff, seed=0):
+    """M models of one config, each with its own stream and its own
+    per-domain labeled sets (equal totals), on a 3-domain store."""
+    classes = (2, 3, 2)
+    config = ModelConfig(
+        input_dim=5, num_classes=classes, shared_hidden=width,
+        private_hidden=width, lam_adv=0.3, lam_diff=lam_diff, lr=0.05,
+        batch_size=batch_size, epochs_per_round=2,
+    )
+    store = _class_store(classes, n=16, dim=5, seed=seed)
+    labeled = []
+    for m in range(M):
+        shift = m % 3
+        counts = (4 + shift, 6, 8 - shift)
+        gen = np.random.default_rng(100 + m)
+        labeled.append([np.sort(gen.choice(16, size=c, replace=False))
+                        for c in counts])
+    models = [AspMtlModel.init(config, RngStream(seed + m)) for m in range(M)]
+    rngs = [RngStream(seed + m, "train") for m in range(M)]
+    return models, store, labeled, config, rngs
+
+
+def _same_run(model_a, logs_a, model_b, logs_b):
+    assert logs_a == logs_b
+    for a, b in zip(model_params(model_a), model_params(model_b)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("lam_diff", [0.0, 0.05])
+@pytest.mark.parametrize("width", [1, 3, 64])
+@pytest.mark.parametrize("batch_size", [1, 8])
+@pytest.mark.parametrize("M", [1, 2, 7])
+def test_group_member_equals_its_group_of_one(M, batch_size, width, lam_diff):
+    """Exact, no tolerance: every member of a lockstep group ends with the
+    parameters and epoch losses it gets trained alone."""
+    models, store, labeled, config, rngs = _group_case(
+        M, batch_size, width, lam_diff
+    )
+    outcomes = train_round(models, store, labeled, config, rngs)
+    alone, _, _, _, _ = _group_case(M, batch_size, width, lam_diff)
+    for m in range(M):
+        (logs,) = train_round([alone[m]], store, [labeled[m]], config, [rngs[m]])
+        assert len(logs) == config.epochs_per_round
+        _same_run(models[m], outcomes[m], alone[m], logs)
+
+
+def test_group_models_hold_views_of_the_stacks():
+    models, store, labeled, config, rngs = _group_case(3, 4, 3, 0.0)
+    group = ModelGroup(models)
+    for m, model in enumerate(models):
+        for p, stack in zip(model_params(model), model_params(group)):
+            assert np.shares_memory(p, stack) and np.array_equal(p, stack[m])
+    grads = StepGrads(group, 1)
+    for _, g in grads.pairs:
+        assert np.shares_memory(g, grads.flat)
+
+
+def test_group_rejects_unequal_labeled_totals():
+    models, store, labeled, config, rngs = _group_case(2, 4, 3, 0.0)
+    labeled[1][0] = labeled[1][0][1:]
+    with pytest.raises(ValidationError, match="equal labeled totals"):
+        train_round(models, store, labeled, config, rngs)
+
+
+@pytest.mark.parametrize("poisoned_param", [0, 5])
+def test_non_finite_member_leaves_the_group(monkeypatch, poisoned_param):
+    """Member 1's gradient turns NaN at step 4, mid-epoch: it stops with the
+    parameters it had before that step, and members 0 and 2 end bit-equal
+    to a group trained without it."""
+    M, victim = 3, 1
+    models, store, labeled, config, rngs = _group_case(M, 8, 3, 0.05)
+    real_step = model_module.training_step
+    calls, before = [], []
+
+    def step_with_nan(*args):
+        losses = real_step(*args)
+        calls.append(None)
+        if len(calls) == 4:
+            before.extend(p.copy() for p in model_params(models[victim]))
+            grads = args[-1]
+            grads.pairs[poisoned_param][1][victim].flat[-1] = np.nan
+        return losses
+
+    monkeypatch.setattr(model_module, "training_step", step_with_nan)
+    outcomes = train_round(models, store, labeled, config, rngs)
+    monkeypatch.setattr(model_module, "training_step", real_step)
+    assert isinstance(outcomes[victim], NonFiniteError)
+    assert str(outcomes[victim]) == "non-finite gradient at step 4"
+    for p, value in zip(model_params(models[victim]), before):
+        assert np.array_equal(p, value)
+
+    fresh, _, _, _, _ = _group_case(M, 8, 3, 0.05)
+    rest = [0, 2]
+    ref = train_round([fresh[m] for m in rest], store,
+                      [labeled[m] for m in rest], config, [rngs[m] for m in rest])
+    for m, logs in zip(rest, ref):
+        _same_run(models[m], outcomes[m], fresh[m], logs)
 
 
 # ------------------------------------------------------- composed-loss oracle
@@ -469,17 +577,25 @@ def check_composed_gradients(model, rng):
     Xa = rng.normal(size=(n, cfg.input_dim))
     da = rng.integers(0, cfg.num_domains, size=n)
 
-    # the step writes the gradients it computes; every other parameter must
-    # have a zero gradient
-    grads = StepGrads(model, k)
-    training_step(model, np.vstack([X, Xa]), y, k, da, cfg, grads)
-    returned = {id(p): g for p, g in grads.pairs}
-    for p in model_params(model):
-        sign = -1.0 if p is model.shared.W or p is model.shared.b else 1.0
+    # the stacked step writes the gradients it computes; every other
+    # parameter must have a zero gradient. The model is member 0 of a group
+    # of two, so its arrays are slice 0 of the group's stacks. The twin's
+    # batch has a generator of its own, so rng draws what it drew before.
+    twin_gen = np.random.default_rng(n)
+    twin = AspMtlModel.init(cfg, RngStream(n))
+    group = ModelGroup([model, twin])
+    grads = StepGrads(group, k)
+    XX = np.stack([np.vstack([X, Xa]), twin_gen.normal(size=(2 * n, cfg.input_dim))])
+    yy = np.stack([y, twin_gen.integers(0, cfg.num_classes[k], size=n)])
+    dd = np.stack([da, twin_gen.integers(0, cfg.num_domains, size=n)])
+    training_step(group, XX, yy, k, dd, cfg, grads)
+    returned = {id(p): g[0] for p, g in grads.pairs}
+    for p in model_params(group):
+        sign = -1.0 if p is group.shared.W or p is group.shared.b else 1.0
         fd = finite_difference(
-            lambda: composed_loss(model, X, y, k, Xa, da, sign), p
+            lambda: composed_loss(model, X, y, k, Xa, da, sign), p[0]
         )
-        assert_grad_close(returned.get(id(p), np.zeros_like(p)), fd)
+        assert_grad_close(returned.get(id(p), np.zeros_like(p[0])), fd)
 
 
 def test_composed_loss_gradients_match_finite_differences(rng):

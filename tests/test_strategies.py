@@ -273,8 +273,9 @@ def count_model_reads(model):
 
 @pytest.mark.parametrize("strategy, features, embeddings", [
     ("egl", 2, 0),
-    # one feature pass inside each domain's gradient_embeddings, one for egl
-    ("2s-egl", 4, 2),
+    # one feature pass inside each domain's gradient_embeddings, whose h
+    # the egl scorer reuses
+    ("2s-egl", 2, 2),
 ])
 def test_egl_reads_features_once_per_domain(strategy, features, embeddings):
     ctx = make_real_context(56, budget=4)
@@ -550,8 +551,9 @@ def test_build_regions_structure():
     for k in range(ctx.num_domains):
         if budgets[k] == 0:
             continue
-        regions = build_regions(ctx, k, budgets[k])
+        regions, (resid, h) = build_regions(ctx, k, budgets[k])
         assert len(regions) == budgets[k]
+        assert resid.shape[0] == h.shape[0] == ctx.unlabeled[k].size
         union = np.sort(np.concatenate(regions))
         assert np.array_equal(union, np.arange(ctx.unlabeled[k].size))
         assert all(len(r) > 0 for r in regions)
@@ -562,8 +564,8 @@ def test_build_regions_singletons_and_single_region():
     for k in range(ctx.num_domains):
         n = ctx.unlabeled[k].size
         # B_k = |U_k| -> singletons
-        assert all(len(r) == 1 for r in build_regions(ctx, k, n))
-        (one,) = build_regions(ctx, k, 1)
+        assert all(len(r) == 1 for r in build_regions(ctx, k, n)[0])
+        (one,), _ = build_regions(ctx, k, 1)
         assert np.array_equal(one, np.arange(n))
 
 
@@ -667,6 +669,27 @@ def test_two_stage_perturbation_equals_p2s():
     a = select("p2s", make_real_context(52, budget=3))
     b = two_stage_variant_select(make_real_context(52, budget=3), perturbation_scores)
     assert a == b
+
+
+@pytest.mark.parametrize("strategy", ["2s-center", "2s-egl", "2s-bvsb"])
+def test_two_stage_scorers_read_each_domain_once(monkeypatch, strategy):
+    """The region stage's embedding serves the scorer, so a domain's
+    features are read once, by gradient_embeddings."""
+    from mdalbench.model import AspMtlModel
+
+    ctx = make_real_context(57, budget=4)
+    counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
+    assert min(allocate_budget(counts, ctx.budget)) >= 1
+    reads = []
+    real = AspMtlModel.penultimate_features
+
+    def spy(self, X, k):
+        reads.append(k)
+        return real(self, X, k)
+
+    monkeypatch.setattr(AspMtlModel, "penultimate_features", spy)
+    select(strategy, ctx)
+    assert reads == [0, 1]
 
 
 def test_two_stage_center_singleton_regions():
