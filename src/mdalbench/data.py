@@ -250,7 +250,9 @@ def train_test_split(dataset, test_fraction, rng):
         )
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     test_idx = []
-    for c in np.unique(dataset.y):
+    # Labels are in [0, classes): the manifest loader checks it and the
+    # generator draws there. np.unique would import numpy.ma.
+    for c in np.flatnonzero(np.bincount(dataset.y)):
         members = np.flatnonzero(dataset.y == c)
         if members.size < 2:
             raise ValidationError(

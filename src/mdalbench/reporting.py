@@ -8,8 +8,8 @@ multiplied by 100, table cells formatted mean(std).
 import hashlib
 import json
 import sys
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -247,7 +247,7 @@ def render_curves_svg(curves, dataset, width=640, height=440):
         f'font-size="13" transform="rotate(-90 14 {height / 2:.1f})">'
         "macro accuracy</text>",
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="14">{escape(dataset)}</text>',
+        f'font-size="14">{escape(dataset, quote=False)}</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
@@ -275,7 +275,7 @@ def render_curves_svg(curves, dataset, width=640, height=440):
         )
         parts.append(
             f'<text x="{width - margin - 80}" y="{ly + 4}" '
-            f'font-size="12">{escape(strategy)}</text>'
+            f'font-size="12">{escape(strategy, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

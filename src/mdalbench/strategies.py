@@ -29,7 +29,7 @@ from .kernels import (
     pairwise_sq_dists,
     sq_dists_to_point,
 )
-from .nncore import RngStream
+from .nncore import RngStream, pcg64_states
 
 
 @dataclass
@@ -409,7 +409,7 @@ _PERTURBATION_BLOCK = 64
 def perturbation_score(model, X, k, sigma, num_draws, rngs):
     """Mean KL(original || perturbed) over Gaussian shared-feature noise, for
     every row of the 2-D X; row i draws its (num_draws, shared_hidden) noise
-    from rngs[i].
+    from rngs[i], seeded for all rows at once by pcg64_states.
 
     A block of rows goes through the model once, as a (b, 1, input_dim)
     stack: numpy runs a stacked matmul slice by slice with each slice's
@@ -425,11 +425,16 @@ def perturbation_score(model, X, k, sigma, num_draws, rngs):
         raise ValidationError(f"got {len(rngs)} random streams for {n} rows")
     S = model.config.shared_hidden
     scores = np.empty(n)
+    # One generator whose state is set to each row's stream in turn;
+    # PCG64(0) keeps its construction from reading OS entropy.
+    gen = np.random.Generator(np.random.PCG64(0))
+    states = pcg64_states(rngs)
     for start in range(0, n, _PERTURBATION_BLOCK):
         stop = min(start + _PERTURBATION_BLOCK, n)
         deltas = np.empty((stop - start, num_draws, S))
-        for j, rng in enumerate(rngs[start:stop]):
-            deltas[j] = rng.generator().normal(0.0, sigma, size=(num_draws, S))
+        for j, state in enumerate(states[start:stop]):
+            gen.bit_generator.state = state
+            deltas[j] = gen.normal(0.0, sigma, size=(num_draws, S))
         h = model.penultimate_features(X[start:stop, None, :], k)
         perturbed = model.perturbed_probs(h, k, deltas)
         scores[start:stop] = kl_rows(model.classify(h, k), perturbed).mean(axis=-1)

@@ -8,6 +8,7 @@ import pytest
 
 from mdalbench.cli import main
 from mdalbench.engine import read_run_csv
+from mdalbench.reporting import render_curves_svg
 
 
 def minimal_config(tmp_path, **overrides):
@@ -577,6 +578,16 @@ def test_curves_outputs_csv_and_wellformed_svg(tmp_path):
     svg_path = tmp_path / "curves_ds.svg"
     tree = ET.parse(svg_path)  # raises if not well-formed XML
     assert tree.getroot().tag.endswith("svg")
+
+
+def test_curves_svg_escapes_names_as_before():
+    name = "a&b<c>\"d'"
+    svg = render_curves_svg({(name, name): ([10, 20], [0.5, 0.6], [0.0, 0.0])}, name)
+    escaped = "a&amp;b&lt;c&gt;\"d'"
+    assert f'font-size="14">{escaped}</text>' in svg
+    assert f'font-size="12">{escaped}</text>' in svg
+    texts = [el.text for el in ET.fromstring(svg).iter() if el.text]
+    assert texts.count(name) == 2
 
 
 def test_curves_row_count_matches_rounds(tmp_path):

@@ -387,3 +387,25 @@ def test_import_defaults_blas_threads_to_one_unless_set():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "1,2,1"
+
+
+def test_cli_and_pool_building_import_no_network_stack_or_numpy_ma():
+    # Each of these costs 15-35 ms at every process start. Comparing with
+    # the modules present at start-up keeps site's own imports out of it.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from mdalbench import cli, engine\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    engine.prepare_pools(cli.ExperimentConfig.from_dict(json.load(fh)))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(engine.__file__).resolve().parent.parent
+    config = src.parent / "examples_config" / "experiment.json"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code, str(config)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    imported = set(out.split())
+    assert "mdalbench.engine" in imported
+    unwanted = {"urllib.request", "http.client", "email.parser", "ssl", "numpy.ma"}
+    assert not unwanted & imported

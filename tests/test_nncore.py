@@ -4,7 +4,7 @@ import pytest
 from conftest import assert_grad_close, finite_difference
 from mdalbench.errors import ShapeError, ValidationError
 from mdalbench.kernels import kl_rows
-from mdalbench.nncore import Linear, RngStream, relu
+from mdalbench.nncore import Linear, RngStream, pcg64_states, relu
 from reference_layers import (
     grad_reversal_backward,
     linear_backward,
@@ -36,6 +36,47 @@ def test_rng_children_are_independent():
     v = root.child("b").generator().normal(size=4)
     assert not np.array_equal(u, v)
     assert np.array_equal(u, RngStream(3, "root/a").generator().normal(size=4))
+
+
+# Seeds on each side of the 32-bit word boundaries and of the 4-word pool:
+# 2**128 + 5 has five words and is the one seed SeedSequence does not pad.
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127, 2**128 + 5)
+LABELS = ("", "root", "root" + "".join(f"/c{i}" for i in range(40)), "données/✓")
+
+
+def assert_starts_like_generator(streams, states):
+    assert len(states) == len(streams)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for stream, state in zip(streams, states):
+        want = stream.generator()
+        assert state == want.bit_generator.state, stream
+        gen.bit_generator.state = state
+        assert np.array_equal(gen.normal(0.0, 0.3, size=(20, 64)),
+                              want.normal(0.0, 0.3, size=(20, 64))), stream
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pcg64_states_equal_numpy_seeding(seed):
+    streams = [RngStream(seed, label) for label in LABELS]
+    assert_starts_like_generator(streams, pcg64_states(streams))
+
+
+def test_pcg64_states_mix_seeds_in_one_call():
+    streams = [RngStream(seed, label) for label in LABELS for seed in SEEDS]
+    assert_starts_like_generator(streams, pcg64_states(streams))
+
+
+def test_pcg64_states_of_one_stream_and_of_none():
+    stream = RngStream(11, "root/perturbation/0/7")
+    assert_starts_like_generator([stream], pcg64_states([stream]))
+    assert pcg64_states([]) == []
+
+
+def test_pcg64_states_reject_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        RngStream(-1).generator()
+    with pytest.raises(ValueError):
+        pcg64_states([RngStream(0), RngStream(-1)])
 
 
 # --------------------------------------------------------------------- linear
