@@ -20,7 +20,7 @@ from .data import (
     save_domain_csv,
     save_manifest,
 )
-from .engine import ExperimentConfig, run_grid
+from .engine import ExperimentConfig, _replace_file, run_grid
 from .errors import OverwriteRefusedError, ValidationError
 from .reporting import (
     aulc_table,
@@ -127,14 +127,20 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+def _write_text(path, text):
+    """Write text to path through a .tmp file, so that an interrupted write
+    leaves the previous file as it was."""
+    _replace_file(lambda tmp: tmp.write_text(text, encoding="utf-8"), path)
+
+
 def cmd_report(args):
     runs = scan_runs(args.results_dir)
     datasets, strategies, cells, timing = aulc_table(runs)
     csv_text = format_table_csv(datasets, strategies, cells, timing)
     txt_text = format_table_text(datasets, strategies, cells, timing)
     out_dir = Path(args.results_dir)
-    (out_dir / "aulc_table.csv").write_text(csv_text, encoding="utf-8")
-    (out_dir / "aulc_table.txt").write_text(txt_text, encoding="utf-8")
+    _write_text(out_dir / "aulc_table.csv", csv_text)
+    _write_text(out_dir / "aulc_table.txt", txt_text)
     print(csv_text if args.format == "csv" else txt_text, end="")
     return EXIT_OK
 
@@ -145,10 +151,8 @@ def cmd_curves(args):
     out_dir = Path(args.results_dir)
     datasets = sorted({d for d, _ in curves})
     for dataset in datasets:
-        csv_text = format_curves_csv(curves, dataset)
-        (out_dir / f"curves_{dataset}.csv").write_text(csv_text, encoding="utf-8")
-        svg_text = render_curves_svg(curves, dataset)
-        (out_dir / f"curves_{dataset}.svg").write_text(svg_text, encoding="utf-8")
+        _write_text(out_dir / f"curves_{dataset}.csv", format_curves_csv(curves, dataset))
+        _write_text(out_dir / f"curves_{dataset}.svg", render_curves_svg(curves, dataset))
         print(f"wrote curves_{dataset}.csv and curves_{dataset}.svg")
     return EXIT_OK
 

@@ -74,6 +74,12 @@ def _synthetic_spec(dataset):
     return SyntheticSpec(**{k: v for k, v in dataset.items() if k != "type"})
 
 
+def _repeated(values):
+    """The values of a list that it holds more than once; a grid would run
+    each of their (strategy, seed) pairs twice, into one file."""
+    return sorted({v for v in values if values.count(v) > 1}, key=values.index)
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment grid, declared key by key.
@@ -116,6 +122,12 @@ class ExperimentConfig:
         out = []
         if not isinstance(self.name, str) or not self.name:
             out.append("name: expected a non-empty string")
+        elif self.name in (".", "..") or set(self.name) & {"/", "\\", "\0"}:
+            # the name starts every result file's name
+            out.append(
+                f"name: expected no path separator or NUL and neither '.' nor "
+                f"'..', got {self.name!r}"
+            )
         ds = self.dataset if isinstance(self.dataset, dict) else {}
         if ds.get("type") == "synthetic":
             try:
@@ -136,15 +148,18 @@ class ExperimentConfig:
         if not isinstance(self.strategies, list) or not self.strategies:
             out.append(f"strategies: expected a non-empty list, got {self.strategies!r}")
         else:
-            for s in self.strategies:
-                if s not in STRATEGY_NAMES:
-                    out.append(f"strategies: unknown strategy {s!r}")
+            unknown = [s for s in self.strategies if s not in STRATEGY_NAMES]
+            out += [f"strategies: unknown strategy {s!r}" for s in unknown]
+            if not unknown and (repeated := _repeated(self.strategies)):
+                out.append(f"strategies: listed more than once: {repeated}")
         seeds = self.seeds if isinstance(self.seeds, list) else []
         if not seeds or any(type(s) is not int or s < 0 for s in seeds):
             out.append(
                 f"seeds: expected a non-empty list of non-negative integers, "
                 f"got {self.seeds!r}"
             )
+        elif repeated := _repeated(seeds):
+            out.append(f"seeds: listed more than once: {repeated}")
         for f in fields(self):
             value, meta = getattr(self, f.name), f.metadata
             if "section" not in meta:

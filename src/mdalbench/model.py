@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .kernels import PROB_FLOOR, softmax_rows
-from .nncore import Linear, relu
+from .nncore import Linear, choice_positions, relu
 
 
 @dataclass
@@ -336,6 +336,11 @@ def train_round(models, store, labeled, config, rngs):
     gradient). The members share one step schedule, so their labeled
     totals must be equal.
 
+    A step's two batches are those of gen.choice(labeled set, B) and
+    gen.choice(pool size, B) on the member's generator, with replacement
+    only when the population is below B. choice_positions draws them for
+    every member and step of an epoch at once, before the epoch starts.
+
     Returns, per model, its per-epoch mean losses, or the NonFiniteError of
     the step whose losses or gradients were not finite. Such a model keeps
     the parameters it had before that step and leaves the group; the others
@@ -363,10 +368,14 @@ def train_round(models, store, labeled, config, rngs):
     sizes = [store[k].X.shape[0] for k in range(K)]
     pool_domain = np.repeat(np.arange(K, dtype=np.int64), sizes)
     n_pool = pool_domain.shape[0]
-    # labeled rows of the pooled arrays; choice draws its positions from the
-    # array's length alone, so the batches are those of the per-domain ids
+    # every member's labeled rows of the pooled arrays, end to end: member
+    # m's domain-k set starts at starts[m, k]
     offsets = np.cumsum([0] + sizes[:-1])
-    labeled = [[offsets[k] + sets[k] for k in range(K)] for sets in labeled]
+    labeled_rows = np.concatenate(
+        [offsets[k] + sets[k] for sets in labeled for k in range(K)]
+    )
+    counts = np.array([[sets[k].size for k in range(K)] for sets in labeled])
+    starts = (np.cumsum(counts.ravel()) - counts.ravel()).reshape(counts.shape)
     gens = [rng.child("batches").generator() for rng in rngs]
     steps_per_epoch = max(1, math.ceil(totals.pop() / B))
 
@@ -377,16 +386,21 @@ def train_round(models, store, labeled, config, rngs):
     step_counter = 0
     for _ in range(config.epochs_per_round):
         sums = np.zeros((4, len(live)))
-        for _ in range(steps_per_epoch):
+        # per member, the epoch's calls alternate supervised and adversarial
+        domains = (step_counter + np.arange(steps_per_epoch)) % K
+        pops = np.full((len(live), 2 * steps_per_epoch), n_pool)
+        pops[:, 0::2] = counts[live][:, domains]
+        positions = choice_positions([gens[m] for m in live], pops, B)
+        positions = positions.reshape(len(live), steps_per_epoch, 2 * B)
+        sup = positions[..., :B]
+        sup[...] = labeled_rows[starts[live][:, domains, None] + sup]
+        # (steps, members, 2B): per step and member, B supervised rows over
+        # B adversarial rows
+        epoch_rows = np.ascontiguousarray(positions.transpose(1, 0, 2))
+        for s in range(steps_per_epoch):
+            rows = epoch_rows[s]
             k = step_counter % K
             step_counter += 1
-
-            draws = []
-            for m in live:
-                pool, gen = labeled[m][k], gens[m]
-                draws.append(gen.choice(pool, size=B, replace=pool.size < B))
-                draws.append(gen.choice(n_pool, size=B, replace=n_pool < B))
-            rows = np.concatenate(draws).reshape(len(live), 2 * B)
             g = grads[k]
             loss_sup, loss_adv, loss_diff = training_step(
                 group, pool_X[rows], pool_y[rows[:, :B]], k,
@@ -428,6 +442,7 @@ def train_round(models, store, labeled, config, rngs):
                 if not live:
                     return outcomes
                 sums = sums[:, keep]
+                epoch_rows = epoch_rows[:, keep]
                 group = ModelGroup([models[m] for m in live])
                 grads = [StepGrads(group, d) for d in range(K)]
 

@@ -67,18 +67,34 @@ def softmax_cross_entropy(logits, labels):
     return loss, dlogits, probs
 
 
+def reference_batches(store, labeled, config, rng):
+    """Each step's (k, labeled ids of domain k, pooled adversarial rows),
+    drawn as train_round draws them: two Generator.choice calls per step on
+    the stream's `batches` child, with replacement only when the population
+    is below the batch size."""
+    K, B = config.num_domains, config.batch_size
+    n_pool = sum(len(store[k]) for k in range(K))
+    gen = rng.child("batches").generator()
+    steps = max(1, math.ceil(sum(len(l) for l in labeled) / B))
+    for step in range(config.epochs_per_round * steps):
+        k = step % K
+        pool = np.asarray(labeled[k], dtype=np.int64)
+        take = gen.choice(pool, size=B, replace=pool.size < B)
+        rows = gen.choice(n_pool, size=B, replace=n_pool < B)
+        yield k, take, rows
+
+
 def reference_train_round(model, store, labeled, config, rng):
     """The training round composed from the layers above, step by step.
 
-    Same batches as train_round (the same two draws per step from the same
-    stream), gradients accumulated layer by layer into arrays kept apart
-    from the model, then one SGD update of every parameter of the model.
+    Same batches as train_round (reference_batches), gradients accumulated
+    layer by layer into arrays kept apart from the model, then one SGD
+    update of every parameter of the model.
     """
     K, S, B = config.num_domains, config.shared_hidden, config.batch_size
     pool_domain = np.concatenate([np.full(len(store[k]), k) for k in range(K)])
     pool_index = np.concatenate([np.arange(len(store[k])) for k in range(K)])
-    n_pool = pool_domain.shape[0]
-    gen = rng.child("batches").generator()
+    batches = reference_batches(store, labeled, config, rng)
     steps = max(1, math.ceil(sum(len(l) for l in labeled) / B))
     params = model_params(model)
     grads = {id(p): np.zeros_like(p) for p in params}
@@ -90,16 +106,11 @@ def reference_train_round(model, store, labeled, config, rng):
         return dX
 
     logs = []
-    step = 0
     for _ in range(config.epochs_per_round):
         sums = np.zeros(4)
         for _ in range(steps):
-            k = step % K
-            step += 1
-            pool = np.asarray(labeled[k], dtype=np.int64)
-            take = gen.choice(pool, size=B, replace=pool.size < B)
+            k, take, rows = next(batches)
             X, y = store[k].X[take], store[k].y[take]
-            rows = gen.choice(n_pool, size=B, replace=n_pool < B)
             Xa = np.array([store[pool_domain[r]].X[pool_index[r]] for r in rows])
             da = pool_domain[rows]
 

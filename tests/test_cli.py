@@ -94,6 +94,16 @@ def test_run_missing_config_exits_2(tmp_path):
             "dataset.split_seed", id="split-seed-float",
         ),
         pytest.param([], "config", id="config-not-object"),
+        # names that would put result files outside --out, or on "."
+        pytest.param({"name": "bad/name"}, "name", id="name-with-slash"),
+        pytest.param({"name": "bad\\name"}, "name", id="name-with-backslash"),
+        pytest.param({"name": "bad\0name"}, "name", id="name-with-nul"),
+        pytest.param({"name": ".."}, "name", id="name-dot-dot"),
+        pytest.param({"name": "."}, "name", id="name-dot"),
+        # one (strategy, seed) pair twice: two writers of one file
+        pytest.param({"strategies": ["random", "bvsb", "random"]}, "strategies",
+                     id="strategy-twice"),
+        pytest.param({"seeds": [0, 1, 0]}, "seeds", id="seed-twice"),
     ],
 )
 def test_run_invalid_config_exits_2(tmp_path, capsys, edits, key):
@@ -558,6 +568,38 @@ def test_report_matches_recomputation(tmp_path, capsys):
     out = capsys.readouterr().out
     # trapezoid of 0.5,0.7,0.9 over equal spacing = 0.7
     assert "70.00(0.00)" in out
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("report", "aulc_table.csv"),
+        ("report", "aulc_table.txt"),
+        ("curves", "curves_ds.csv"),
+        ("curves", "curves_ds.svg"),
+    ],
+)
+def test_failed_table_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys,
+                                                    command, target):
+    """A write that fails half-way through (here: half the text, then an
+    OSError) leaves the previous file byte for byte and no .tmp file."""
+    fake_run(tmp_path, "ds", "random", 0, [0.6, 0.7])
+    assert main([command, str(tmp_path)]) == 0
+    before = (tmp_path / target).read_bytes()
+    fake_run(tmp_path, "ds", "p2s", 0, [0.8, 0.9])
+    real_write = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        if not self.name.startswith(target):
+            return real_write(self, text, *args, **kwargs)
+        real_write(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    assert main([command, str(tmp_path)]) == 1
+    assert "OSError: no space left on device" in capsys.readouterr().err
+    assert (tmp_path / target).read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # -------------------------------------------------------------------- curves

@@ -21,6 +21,7 @@ from mdalbench.nncore import Linear, RngStream, relu
 from reference_layers import (
     linear_backward,
     model_params,
+    reference_batches,
     reference_train_round,
     softmax_cross_entropy,
 )
@@ -549,6 +550,43 @@ def test_non_finite_member_leaves_the_group(monkeypatch, poisoned_param):
                       [labeled[m] for m in rest], config, [rngs[m] for m in rest])
     for m, logs in zip(rest, ref):
         _same_run(models[m], outcomes[m], fresh[m], logs)
+
+
+def test_every_step_receives_the_batches_of_consecutive_choice_calls(monkeypatch):
+    """A group of 3 whose member 1 leaves at step 3 of a 5-step epoch: each
+    member's supervised and adversarial rows at every step it takes are
+    those of reference_batches' Generator.choice calls, bit for bit."""
+    M, victim, leaves_at = 3, 1, 3
+    models, store, labeled, config, rngs = _group_case(M, 4, 3, 0.05)
+    pool_X = np.concatenate([d.X for d in store])
+    pool_domain = np.concatenate([np.full(len(d), k) for k, d in enumerate(store)])
+    real_step = model_module.training_step
+    received = []
+
+    def recording_step(group, XX, y, k, d_adv, cfg, grads):
+        losses = real_step(group, XX, y, k, d_adv, cfg, grads)
+        received.append((k, XX.copy(), y.copy(), d_adv.copy()))
+        if len(received) == leaves_at:
+            grads.pairs[0][1][victim].flat[-1] = np.nan
+        return losses
+
+    monkeypatch.setattr(model_module, "training_step", recording_step)
+    outcomes = train_round(models, store, labeled, config, rngs)
+    assert str(outcomes[victim]) == f"non-finite gradient at step {leaves_at}"
+    steps = config.epochs_per_round * 5
+    assert len(received) == steps
+
+    for m in range(M):
+        taken = leaves_at if m == victim else steps
+        expected = list(reference_batches(store, labeled[m], config, rngs[m]))
+        for s in range(taken):
+            k, XX, y, d_adv = received[s]
+            j = m if s < leaves_at else [0, 2].index(m)
+            want_k, take, rows = expected[s]
+            assert k == want_k and XX.shape[0] == (M if s < leaves_at else M - 1)
+            assert np.array_equal(XX[j], np.vstack([store[k].X[take], pool_X[rows]]))
+            assert np.array_equal(y[j], store[k].y[take])
+            assert np.array_equal(d_adv[j], pool_domain[rows])
 
 
 # ------------------------------------------------------- composed-loss oracle

@@ -4,7 +4,8 @@ import pytest
 from conftest import assert_grad_close, finite_difference
 from mdalbench.errors import ShapeError, ValidationError
 from mdalbench.kernels import kl_rows
-from mdalbench.nncore import Linear, RngStream, pcg64_states, relu
+from mdalbench import nncore
+from mdalbench.nncore import Linear, RngStream, choice_positions, pcg64_states, relu
 from reference_layers import (
     grad_reversal_backward,
     linear_backward,
@@ -77,6 +78,133 @@ def test_pcg64_states_reject_negative_seed_as_numpy_does():
         RngStream(-1).generator()
     with pytest.raises(ValueError):
         pcg64_states([RngStream(0), RngStream(-1)])
+
+
+# ------------------------------------------------------------ batch positions
+
+
+def choice_calls(gen, pops, B):
+    """The reference: one Generator.choice call per population, in order."""
+    return np.array(
+        [gen.choice(p, size=B, replace=p < B) for p in pops], dtype=np.int64
+    ).reshape(len(pops), B)
+
+
+def assert_same_draws(gens, refs, pops, B, chunks=None):
+    """choice_positions on gens, over the calls split at chunks, equals
+    consecutive choice calls on refs; both end in the same state."""
+    pops = np.asarray(pops, dtype=np.int64).reshape(len(gens), -1)
+    cuts = [0, *(chunks or []), pops.shape[1]]
+    got = np.concatenate(
+        [choice_positions(gens, pops[:, a:b], B) for a, b in zip(cuts, cuts[1:])],
+        axis=1,
+    )
+    for m, (gen, ref) in enumerate(zip(gens, refs)):
+        assert np.array_equal(got[m], choice_calls(ref, pops[m], B))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(gen.integers(0, 1000, size=9), ref.integers(0, 1000, size=9))
+
+
+def twin_generators(seed, held=False):
+    """Two generators in one state; held leaves a 32-bit half-word pending."""
+    pair = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    if held:
+        for gen in pair:
+            gen.integers(0, 7)
+    return pair
+
+
+# (populations, batch size): p > B, p == B, p < B with p == 1, NumPy's
+# tail-shuffle branch (p > 10000 and B > p // 50), populations near 2**32
+# where about a third of the draws reject, and all of them mixed
+CHOICE_CASES = {
+    "floyd": ([900, 1500, 17, 9, 270, 4000], 8),
+    "p-equals-b": ([8, 8, 9, 8], 8),
+    "replace": ([1, 2, 5, 7, 1, 3], 8),
+    "unit-batch": ([1, 2, 900, 1, 3_000_000_000], 1),
+    "tail-20000-500": ([20000, 900, 20000], 500),
+    "tail-12000-300": ([12000, 12000, 300, 12001, 5], 300),
+    "near-2**32": ([3_000_000_000, 4_294_967_295, 2**32, 3_100_000_017], 6),
+    "mixed": ([3_000_000_001, 1, 8, 12000, 5, 900, 3_000_000_000, 2, 700], 5),
+}
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("seed", [0, 7, 123456])
+@pytest.mark.parametrize("case", sorted(CHOICE_CASES))
+def test_choice_positions_equal_consecutive_choice_calls(case, seed, held):
+    pops, B = CHOICE_CASES[case]
+    gen, ref = twin_generators(seed, held)
+    assert_same_draws([gen], [ref], [pops], B)
+
+
+@pytest.mark.parametrize("chunks", [[1], [1, 2], [2, 3], [3]])
+@pytest.mark.parametrize("held", [False, True])
+def test_choice_positions_carry_a_half_word_across_chunks(chunks, held):
+    """A Floyd call with p > B reads 2B - 1 words, an odd count, so a chunk
+    ends in the middle of a raw word; the next chunk, or any other draw,
+    starts from its unread half."""
+    gen, ref = twin_generators(3, held)
+    assert_same_draws([gen], [ref], [[900, 8, 901, 5]], 8, chunks)
+    for a, b in zip(twin_generators(4, held), twin_generators(4, held)):
+        choice_positions([a], [[900]], 8)
+        b.choice(900, size=8, replace=False)
+        assert a.random() == b.random()
+
+
+def test_choice_positions_draw_every_member_from_its_own_generator():
+    pops = [[90, 1500] * 20, [45, 1500] * 20, [7, 1500] * 20]
+    gens = [np.random.default_rng(s) for s in (5, 6, 7)]
+    refs = [np.random.default_rng(s) for s in (5, 6, 7)]
+    gens[1].random(), refs[1].random()
+    assert_same_draws(gens, refs, pops, 8, [11])
+
+
+def generator_reading(raw, ahead, inc):
+    """A PCG64 generator whose raw 64-bit draw number ahead is raw.
+
+    PCG64 steps its 128-bit state (state * mult + inc) and outputs its high
+    and low halves xor-ed, rotated right by the top 6 bits; the state raw
+    (high half 0) outputs raw. Step back ahead + 1 times from there.
+    """
+    inverse = pow(nncore._PCG64_MULT, -1, 1 << 128)
+    state = raw
+    for _ in range(ahead + 1):
+        state = (state - inc) * inverse & nncore._MASK128
+    gen = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
+@pytest.mark.parametrize("ahead", range(24))
+def test_choice_positions_replay_a_rejected_word(monkeypatch, ahead):
+    """A zero word rejects in every range that is not a power of two. Put
+    one zero raw word (two zero halves) at each position of the stream, so
+    that rejections fall on Floyd draws, shuffle draws and draws with
+    replacement, in every call; each one is replayed."""
+    inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
+    probe = generator_reading(0, ahead, inc)
+    assert probe.bit_generator.random_raw(ahead + 1)[-1] == 0
+    gen, ref = generator_reading(0, ahead, inc), generator_reading(0, ahead, inc)
+    replayed = []
+    one = nncore._choice_one
+    monkeypatch.setattr(
+        nncore, "_choice_one", lambda *args: replayed.append(args[1:]) or one(*args)
+    )
+    assert_same_draws([gen], [ref], [[900, 5, 3, 901, 6, 7, 900]], 6)
+    assert replayed
+
+
+def test_choice_positions_reject_what_choice_rejects():
+    gen = np.random.default_rng(0)
+    for pops, B in (([[0]], 3), ([[2**32 + 1]], 3), ([[5]], 0), ([5], 3)):
+        with pytest.raises(ValueError):
+            choice_positions([gen], pops, B)
+    assert choice_positions([gen], [[]], 4).shape == (1, 0, 4)
+    assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 # --------------------------------------------------------------------- linear
