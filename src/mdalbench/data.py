@@ -243,11 +243,8 @@ def generate_synthetic(spec):
 
 
 def train_test_split(dataset, test_fraction, rng):
-    """Stratified per-class split; deterministic under the stream."""
-    if not 0 < test_fraction < 1:
-        raise ValidationError(
-            f"test_fraction must lie in (0, 1), got {test_fraction}"
-        )
+    """Stratified per-class split; deterministic under the stream.
+    test_fraction lies in (0, 1), as ExperimentConfig checks at load."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     test_idx = []
     # Labels are in [0, classes): the manifest loader checks it and the

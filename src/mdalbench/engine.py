@@ -74,6 +74,19 @@ def _synthetic_spec(dataset):
     return SyntheticSpec(**{k: v for k, v in dataset.items() if k != "type"})
 
 
+def name_problem(name):
+    """Why `name` cannot name a config, or None. The name starts every result
+    file's name, so it must not lead outside the results directory."""
+    if not isinstance(name, str) or not name:
+        return f"expected a non-empty string, got {name!r}"
+    if name in (".", "..") or set(name) & {"/", "\\", "\0"}:
+        return (
+            f"expected no path separator or NUL and neither '.' nor '..', "
+            f"got {name!r}"
+        )
+    return None
+
+
 def _repeated(values):
     """The values of a list that it holds more than once; a grid would run
     each of their (strategy, seed) pairs twice, into one file."""
@@ -120,14 +133,8 @@ class ExperimentConfig:
 
     def problems(self):
         out = []
-        if not isinstance(self.name, str) or not self.name:
-            out.append("name: expected a non-empty string")
-        elif self.name in (".", "..") or set(self.name) & {"/", "\\", "\0"}:
-            # the name starts every result file's name
-            out.append(
-                f"name: expected no path separator or NUL and neither '.' nor "
-                f"'..', got {self.name!r}"
-            )
+        if problem := name_problem(self.name):
+            out.append(f"name: {problem}")
         ds = self.dataset if isinstance(self.dataset, dict) else {}
         if ds.get("type") == "synthetic":
             try:
@@ -292,15 +299,12 @@ class PoolState:
 
 
 def init_split(store, init_fraction, rng):
-    """Label ceil(init_fraction * n_k) uniform samples per domain."""
+    """Label ceil(init_fraction * n_k) uniform samples per domain; at least
+    one, since ExperimentConfig checks that 0 < init_fraction <= 1."""
     masks = []
     for k, dom in enumerate(store):
         n = len(dom)
         take = math.ceil(init_fraction * n)
-        if take < 1 or n < 1:
-            raise ValidationError(
-                f"init_fraction {init_fraction} labels nothing in domain {k}"
-            )
         gen = rng.child(f"init/{k}").generator()
         mask = np.zeros(n, dtype=bool)
         mask[gen.choice(n, size=min(take, n), replace=False)] = True
@@ -583,6 +587,7 @@ def write_run_metadata(result, config, path, timestamp=None):
         "code_version": __version__,
         "rounds": len(result.records),
         "epoch_losses": [r.epoch_losses for r in result.records],
+        "labeled_per_domain": [r.labeled_per_domain for r in result.records],
         # volatile fields, excluded from reproducibility comparisons
         "timestamp": timestamp if timestamp is not None else time.time(),
         "timing": {

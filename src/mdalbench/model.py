@@ -30,28 +30,19 @@ from .nncore import Linear, choice_positions, relu
 
 @dataclass
 class ModelConfig:
+    """The model's shape and training hyperparameters. It only carries
+    values: ExperimentConfig declares and checks the hyperparameters, and
+    the loaders check input_dim and the domains' class counts."""
+
     input_dim: int
     num_classes: tuple  # classes per domain, length = number of domains
-    shared_hidden: int = 64
-    private_hidden: int = 64
-    lam_adv: float = 0.05
-    lam_diff: float = 0.0
-    lr: float = 0.01
-    batch_size: int = 8
-    epochs_per_round: int = 30
-
-    def __post_init__(self):
-        self.num_classes = tuple(int(c) for c in self.num_classes)
-        if self.num_domains < 1:
-            raise ValidationError("need at least one domain")
-        if min(self.input_dim, self.shared_hidden, self.private_hidden) < 1:
-            raise ValidationError("dimensions must be >= 1")
-        if any(c < 2 for c in self.num_classes):
-            raise ValidationError("every domain needs >= 2 classes")
-        if self.lam_adv < 0 or self.lam_diff < 0:
-            raise ValidationError("loss weights must be >= 0")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs_per_round < 0:
-            raise ValidationError("invalid training hyperparameters")
+    shared_hidden: int
+    private_hidden: int
+    lam_adv: float
+    lam_diff: float
+    lr: float
+    batch_size: int
+    epochs_per_round: int
 
     @property
     def num_domains(self):

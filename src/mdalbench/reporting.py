@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import aggregate_seeds, read_run_csv
+from .engine import aggregate_seeds, name_problem, read_run_csv
 from .errors import ValidationError
 
 
@@ -47,16 +47,19 @@ def scan_runs(results_dir):
         config = meta["config"]
         if not (
             isinstance(config, dict)
-            and isinstance(config.get("name"), str)
             and isinstance(meta["strategy"], str)
             and type(meta.get("seed")) is int
         ):
             print(
                 f"warning: skipping {meta_path}: malformed sidecar (needs a "
-                "config object with a string name, a string strategy and an "
-                "integer seed)",
+                "config object, a string strategy and an integer seed)",
                 file=sys.stderr,
             )
+            continue
+        if problem := name_problem(config.get("name")):
+            # curves writes curves_<name>.csv: the name must stay a file name
+            print(f"warning: skipping {meta_path}: config name: {problem}",
+                  file=sys.stderr)
             continue
         csv_path = meta_path.with_suffix(".csv")
         if not csv_path.is_file():

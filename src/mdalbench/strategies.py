@@ -37,7 +37,10 @@ class SelectionContext:
     """Frozen view of everything a strategy may look at.
 
     store holds the per-domain training pools; labeled/unlabeled are sorted
-    index arrays into them. The model is treated as read-only.
+    index arrays into them. The model is treated as read-only. sigma,
+    num_perturbations and budget_counts ("unlabeled", or "pool": the full
+    pool sizes in the Eq-3 role) only carry values, which ExperimentConfig
+    declares and checks.
     """
 
     model: object
@@ -46,9 +49,9 @@ class SelectionContext:
     unlabeled: list
     budget: int
     rng: RngStream
-    sigma: float = 0.01
-    num_perturbations: int = 20
-    budget_counts: str = "unlabeled"  # or "pool": full pool sizes in Eq-3 role
+    sigma: float
+    num_perturbations: int
+    budget_counts: str
 
     def __post_init__(self):
         self.labeled = [np.asarray(a, dtype=np.int64) for a in self.labeled]
@@ -62,6 +65,7 @@ class SelectionContext:
         return int(sum(a.size for a in self.unlabeled))
 
     def validate(self):
+        """The budget, worked out each round, fits the unlabeled pool."""
         if self.budget < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
         total = self.total_unlabeled()
@@ -69,34 +73,14 @@ class SelectionContext:
             raise ValidationError(
                 f"budget {self.budget} exceeds unlabeled pool size {total}"
             )
-        if self.budget_counts not in ("unlabeled", "pool"):
-            raise ValidationError(
-                f"budget_counts must be 'unlabeled' or 'pool', "
-                f"got {self.budget_counts!r}"
-            )
-        if self.sigma <= 0 or self.num_perturbations < 1:
-            raise ValidationError("sigma must be > 0 and num_perturbations >= 1")
-
-
-def _check_batch(ctx, batch):
-    if len(batch) != ctx.budget:
-        raise ValidationError(
-            f"strategy returned {len(batch)} items, budget is {ctx.budget}"
-        )
-    if len(set(batch)) != len(batch):
-        raise ValidationError("strategy returned duplicate items")
-    free = [np.zeros(len(dom), dtype=bool) for dom in ctx.store]
-    for mask, idx in zip(free, ctx.unlabeled, strict=True):
-        mask[idx] = True
-    for k, i in batch:
-        # bounds first: a negative index would wrap to the end of the mask
-        if not (0 <= k < len(free) and 0 <= i < free[k].size and free[k][i]):
-            raise ValidationError(f"selected item ({k}, {i}) is not unlabeled")
-    return batch
 
 
 def select(name, ctx):
-    """Dispatch to the named strategy; returns a sorted list of (domain, idx)."""
+    """Dispatch to the named strategy; returns a sorted list of (domain, idx).
+
+    Only the batch's size is checked here: engine.annotate rejects an item
+    that is out of range, labeled or repeated when it labels the batch.
+    """
     ctx.validate()
     try:
         fn = _DISPATCH[name]
@@ -104,7 +88,12 @@ def select(name, ctx):
         raise ValidationError(
             f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}"
         ) from None
-    return _check_batch(ctx, fn(ctx))
+    batch = fn(ctx)
+    if len(batch) != ctx.budget:
+        raise ValidationError(
+            f"strategy returned {len(batch)} items, budget is {ctx.budget}"
+        )
+    return batch
 
 
 # ----------------------------------------------------------------- baselines
@@ -409,20 +398,15 @@ _PERTURBATION_BLOCK = 64
 def perturbation_score(model, X, k, sigma, num_draws, rngs):
     """Mean KL(original || perturbed) over Gaussian shared-feature noise, for
     every row of the 2-D X; row i draws its (num_draws, shared_hidden) noise
-    from rngs[i], seeded for all rows at once by pcg64_states.
+    from rngs[i], seeded for all rows at once by pcg64_states. sigma > 0
+    and num_draws >= 1, as ExperimentConfig checks at load.
 
     A block of rows goes through the model once, as a (b, 1, input_dim)
     stack: numpy runs a stacked matmul slice by slice with each slice's
     shape, so every row takes the same BLAS calls, and gets the same score,
     as when it is scored alone.
     """
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if num_draws < 1:
-        raise ValidationError(f"need >= 1 perturbation draws, got {num_draws}")
     n = X.shape[0]
-    if len(rngs) != n:
-        raise ValidationError(f"got {len(rngs)} random streams for {n} rows")
     S = model.config.shared_hidden
     scores = np.empty(n)
     # One generator whose state is set to each row's stream in turn;

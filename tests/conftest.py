@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mdalbench.engine import ExperimentConfig
 from mdalbench.model import AspMtlModel, ModelConfig
 from mdalbench.nncore import RngStream
 
@@ -30,9 +33,23 @@ def assert_grad_close(analytic, numeric, rel_tol=1e-4):
     assert rel.max() < rel_tol, f"max relative gradient error {rel.max():.3e}"
 
 
+def with_defaults(cls, **values):
+    """cls(**values), where each field of cls that is an ExperimentConfig key
+    and that values leaves out takes the key's default from that key's field,
+    so that no test declares a default of its own."""
+    own = {f.name for f in dataclasses.fields(cls)}
+    defaults = {
+        f.name: f.default
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name in own and "section" in f.metadata
+    }
+    return cls(**{**defaults, **values})
+
+
 def tiny_model(gen_seed=0, input_dim=3, shared=4, private=3, classes=(2, 3),
                lam_adv=0.05, lam_diff=0.0):
-    config = ModelConfig(
+    config = with_defaults(
+        ModelConfig,
         input_dim=input_dim,
         num_classes=classes,
         shared_hidden=shared,

@@ -110,6 +110,7 @@ def test_criterion_2_analytic_embedding_oracle():
         ctx = SelectionContext(
             model=model, store=[DomainDataset(X=x[None, :], y=[0], domain_id=0)],
             labeled=[[]], unlabeled=[[0]], budget=1, rng=RngStream(trial),
+            sigma=0.01, num_perturbations=20, budget_counts="unlabeled",
         )
         analytic = float(egl_scores(ctx, 0)[0])
         brute = 0.0
@@ -155,6 +156,7 @@ def test_criterion_3_combinatorial_oracles():
         ctx = SelectionContext(
             model=_Identity(), store=store, labeled=[lab], unlabeled=[unl],
             budget=b, rng=RngStream(trial),
+            sigma=0.01, num_perturbations=20, budget_counts="unlabeled",
         )
         assert coreset_select(ctx) == brute_force_farthest_first(
             [X[i] for i in unl], [X[i] for i in lab],

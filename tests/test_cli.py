@@ -66,6 +66,23 @@ def test_run_missing_config_exits_2(tmp_path):
     [
         pytest.param({"strategies": ["not-a-strategy"]}, "strategies", id="unknown-strategy"),
         pytest.param({"strategy_params.sigma": -1}, "strategy_params.sigma", id="sigma-range"),
+        # one row per ranged key: each range is checked at load, and only there
+        pytest.param({"model.lr": 0}, "model.lr", id="lr-range"),
+        pytest.param({"model.lam_adv": -0.1}, "model.lam_adv", id="lam-adv-range"),
+        pytest.param({"model.lam_diff": -0.1}, "model.lam_diff", id="lam-diff-range"),
+        pytest.param({"model.shared_hidden": 0}, "model.shared_hidden",
+                     id="shared-hidden-range"),
+        pytest.param({"model.private_hidden": 0}, "model.private_hidden",
+                     id="private-hidden-range"),
+        pytest.param({"model.batch_size": 0}, "model.batch_size", id="batch-size-range"),
+        pytest.param({"model.epochs_per_round": -1}, "model.epochs_per_round",
+                     id="epochs-range"),
+        pytest.param({"strategy_params.num_perturbations": 0},
+                     "strategy_params.num_perturbations", id="draws-range"),
+        pytest.param({"strategy_params.budget_counts": "all"},
+                     "strategy_params.budget_counts", id="budget-counts-range"),
+        pytest.param({"test_fraction": 1.0}, "test_fraction", id="test-fraction-range"),
+        pytest.param({"al.step_fraction": 0}, "al.step_fraction", id="step-fraction-range"),
         pytest.param({"model.epoch_per_round": 1}, "model.epoch_per_round", id="unknown-model-key"),
         pytest.param({"test_fracton": 0.25}, "test_fracton", id="unknown-top-key"),
         pytest.param({"al.warm_start": "no"}, "al.warm_start", id="bool-as-string"),
@@ -319,28 +336,31 @@ def test_run_single_class_domain_exits_2(tmp_path, capsys, jobs):
     assert not out.exists() or not any(out.iterdir())
 
 
-def epoch_losses(csv_path):
-    """The epoch_losses of the sidecar beside a result CSV."""
+def deterministic_sidecar(csv_path):
+    """The sidecar beside a result CSV without its wall-clock fields."""
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    return meta["epoch_losses"]
+    del meta["timestamp"], meta["timing"]
+    return meta
 
 
 def assert_same_results(dir_a, dir_b, count):
-    """Same CSV names, non-timing bytes and epoch losses in both dirs."""
+    """Same CSV names, non-timing CSV bytes and sidecar fields in both dirs."""
     names = sorted(p.name for p in dir_a.glob("*.csv"))
     assert names == sorted(p.name for p in dir_b.glob("*.csv"))
     assert len(names) == count
     for name in names:
         text_a, text_b = (dir_a / name).read_text(), (dir_b / name).read_text()
         assert strip_timing_columns(text_a) == strip_timing_columns(text_b)
-        losses = epoch_losses(dir_a / name)
-        assert len(losses) == len(text_a.strip().splitlines()) - 1
-        assert losses == epoch_losses(dir_b / name)
+        meta = deterministic_sidecar(dir_a / name)
+        totals = read_run_csv(dir_a / name)["labeled_total"]
+        assert len(meta["epoch_losses"]) == len(totals)
+        assert [sum(c) for c in meta["labeled_per_domain"]] == totals
+        assert meta == deterministic_sidecar(dir_b / name)
 
 
 def test_run_jobs_do_not_change_results(tmp_path):
-    """A process pool writes the same non-timing bytes and epoch losses as a
-    serial grid: one group of four at --jobs 1, two groups of two at 2."""
+    """A process pool writes the same non-timing bytes and sidecar fields as
+    a serial grid: one group of four at --jobs 1, two groups of two at 2."""
     path = minimal_config(tmp_path, strategies=["p2s", "random"], seeds=[0, 1])
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert main(["run", "--config", str(path), "--out", str(serial), "--jobs", "1"]) == 0
@@ -350,7 +370,7 @@ def test_run_jobs_do_not_change_results(tmp_path):
 
 def test_run_grouping_does_not_change_results(tmp_path, monkeypatch):
     """A grid run as one lockstep group and as groups of one writes the same
-    non-timing bytes and epoch losses."""
+    non-timing bytes and sidecar fields."""
     from mdalbench import engine
 
     path = minimal_config(
@@ -546,6 +566,30 @@ def test_report_skips_malformed_sidecar(tmp_path, capsys, edit):
     captured = capsys.readouterr()
     assert captured.out == clean
     assert "ds__egl__seed0.json" in captured.err
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_sidecar_name_outside_the_results_dir_is_skipped(tmp_path, capsys, command):
+    """A sidecar whose config name is not a file name (run rejects such a
+    name at load) is skipped with a warning; nothing is written outside."""
+    results = tmp_path / "r"
+    fake_run(results, "ds", "random", 0, [0.80, 0.80])
+    fake_run(results, "ds", "p2s", 0, [0.90, 0.90])
+    fake_run(results, "ds", "egl", 0, [0.5, 0.5])
+    sidecar = results / "ds__egl__seed0.json"
+    meta = json.loads(sidecar.read_text())
+    meta["config"]["name"] = "../escaped"
+    sidecar.write_text(json.dumps(meta))
+    assert main([command, str(results)]) == 0
+    err = capsys.readouterr().err
+    assert "ds__egl__seed0.json" in err and "'../escaped'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r"]
+    if command == "curves":
+        curves = (results / "curves_ds.csv").read_text()
+        assert "p2s" in curves and "egl" not in curves
+    else:
+        table = (results / "aulc_table.csv").read_text()
+        assert "p2s" in table and "egl" not in table
 
 
 def test_report_refuses_runs_of_different_configs_under_one_name(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,7 +25,9 @@ from mdalbench.engine import (
     write_run_csv,
 )
 from mdalbench.errors import ValidationError
+from mdalbench.model import ModelConfig
 from mdalbench.nncore import RngStream
+from mdalbench.strategies import SelectionContext
 
 
 def balanced_store(sizes, dim=4, seed=0):
@@ -125,12 +128,18 @@ def test_annotate_everything_empties_unlabeled():
     assert after.labeled_counts() == [6]
 
 
-@pytest.mark.parametrize("item", ["labeled", 999, -1])
+@pytest.mark.parametrize("item", ["labeled", 999, -1, "duplicate"])
 def test_annotate_rejects_already_labeled(item):
     store = balanced_store([6])
     pool = init_split(store, 0.5, RngStream(4))
-    # -1 must not wrap to the last item, which may be unlabeled
-    batch = [(0, int(pool.labeled[0][0]) if item == "labeled" else item)]
+    if item == "labeled":
+        batch = [(0, int(pool.labeled[0][0]))]
+    elif item == "duplicate":
+        # duplicate item in one batch: its second copy is labeled by then
+        batch = [(0, int(pool.unlabeled[0][0]))] * 2
+    else:
+        # -1 must not wrap to the last item, which may be unlabeled
+        batch = [(0, item)]
     with pytest.raises(ValidationError):
         annotate(pool, batch)
 
@@ -364,6 +373,20 @@ def test_config_validation_collects_field_messages():
     assert "bogus" in msg
     assert "seeds" in msg
     assert "init_fraction" in msg
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, SelectionContext])
+def test_config_keys_take_no_default_outside_experiment_config(cls):
+    """ExperimentConfig declares each key's default once; a field that
+    carries a key's value elsewhere has none of its own."""
+    keys = {
+        f.name for f in dataclasses.fields(ExperimentConfig) if "section" in f.metadata
+    }
+    carried = [f for f in dataclasses.fields(cls) if f.name in keys]
+    assert carried
+    for f in carried:
+        assert f.default is dataclasses.MISSING, f.name
+        assert f.default_factory is dataclasses.MISSING, f.name
 
 
 def test_config_round_trips_through_dict():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, finite_difference, tiny_model
+from conftest import assert_grad_close, finite_difference, tiny_model, with_defaults
 from mdalbench import model as model_module
 from mdalbench.data import DomainDataset, generate_synthetic, SyntheticSpec, train_test_split
 from mdalbench.errors import NonFiniteError, ShapeError, ValidationError
@@ -29,8 +29,8 @@ from reference_layers import (
 
 def hand_model():
     """Fully explicit 1-d model for hand-checkable forwards."""
-    config = ModelConfig(
-        input_dim=1, num_classes=(2,), shared_hidden=1, private_hidden=1
+    config = with_defaults(
+        ModelConfig, input_dim=1, num_classes=(2,), shared_hidden=1, private_hidden=1
     )
     shared = Linear(np.array([[2.0]]), np.array([0.5]))
     private = Linear(np.array([[-1.0]]), np.array([0.1]))
@@ -221,8 +221,8 @@ def _toy_store(seed=0, n=40, separation=3.0, domains=2):
 
 def _trained_toy(seed=0, lam_adv=0.05, epochs=40, lr=0.05):
     store = _toy_store(seed)
-    config = ModelConfig(
-        input_dim=4,
+    config = with_defaults(
+        ModelConfig, input_dim=4,
         num_classes=(2, 2),
         shared_hidden=4,
         private_hidden=3,
@@ -238,8 +238,8 @@ def _trained_toy(seed=0, lam_adv=0.05, epochs=40, lr=0.05):
 
 def test_train_round_reduces_loss_on_separable_data():
     store = _toy_store(seed=1)
-    config = ModelConfig(
-        input_dim=4, num_classes=(2, 2), shared_hidden=4, private_hidden=3,
+    config = with_defaults(
+        ModelConfig, input_dim=4, num_classes=(2, 2), shared_hidden=4, private_hidden=3,
         lam_adv=0.05, epochs_per_round=40, lr=0.05,
     )
     model = AspMtlModel.init(config, RngStream(1))
@@ -250,7 +250,9 @@ def test_train_round_reduces_loss_on_separable_data():
 
 def test_train_round_rejects_empty_domain():
     store = _toy_store()
-    config = ModelConfig(input_dim=4, num_classes=(2, 2), epochs_per_round=1)
+    config = with_defaults(
+        ModelConfig, input_dim=4, num_classes=(2, 2), epochs_per_round=1
+    )
     model = AspMtlModel.init(config, RngStream(0))
     with pytest.raises(ValidationError):
         train_round([model], store, [[np.arange(5), np.array([])]], config,
@@ -307,7 +309,8 @@ def test_adversarial_training_hides_domain_from_shared_features():
             for d in data
         ]
         store = [s[0] for s in splits]
-        config = ModelConfig(
+        config = with_defaults(
+            ModelConfig,
             input_dim=6, num_classes=(2, 2), shared_hidden=6, private_hidden=4,
             lam_adv=lam_adv, epochs_per_round=30, lr=0.05,
         )
@@ -421,8 +424,8 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
     """A NaN in any one of the eight gradients stops the round at its step,
     with finite losses and before any parameter moves."""
     store = _class_store((2, 3))
-    config = ModelConfig(
-        input_dim=5, num_classes=(2, 3), shared_hidden=4, private_hidden=3,
+    config = with_defaults(
+        ModelConfig, input_dim=5, num_classes=(2, 3), shared_hidden=4, private_hidden=3,
         lam_diff=0.05, batch_size=4, epochs_per_round=3,
     )
     model = AspMtlModel.init(config, RngStream(2))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import tiny_model
+from conftest import tiny_model, with_defaults
 from mdalbench.data import DomainDataset, SyntheticSpec, generate_synthetic
 from mdalbench.errors import ValidationError
 from mdalbench.kernels import kl_rows
@@ -98,7 +98,8 @@ def make_real_context(seed, budget=None, num_domains=2, n_per=8, sigma=0.05,
     total_unl = sum(u.size for u in unlabeled)
     if budget is None:
         budget = int(gen.integers(1, total_unl + 1))
-    return SelectionContext(
+    return with_defaults(
+        SelectionContext,
         model=model, store=store, labeled=labeled, unlabeled=unlabeled,
         budget=budget, rng=RngStream(seed, "select"), sigma=sigma,
         num_perturbations=draws,
@@ -125,6 +126,16 @@ def test_select_rejects_budget_above_pool():
     ctx = make_real_context(0, budget=1)
     ctx.budget = ctx.total_unlabeled() + 1
     with pytest.raises(ValidationError):
+        select("random", ctx)
+
+
+def test_select_rejects_a_batch_of_the_wrong_size(monkeypatch):
+    """select checks only the batch's size; engine.annotate checks its items."""
+    from mdalbench import strategies
+
+    ctx = make_real_context(0, budget=2)
+    monkeypatch.setitem(strategies._DISPATCH, "random", lambda c: random_select(c)[:1])
+    with pytest.raises(ValidationError, match="returned 1 items, budget is 2"):
         select("random", ctx)
 
 
@@ -175,7 +186,8 @@ def test_random_select_uniform_frequencies():
     trials = 10_000
     b = 4
     for t in range(trials):
-        ctx = SelectionContext(
+        ctx = with_defaults(
+            SelectionContext,
             model=None, store=store, labeled=labeled, unlabeled=unlabeled,
             budget=b, rng=RngStream(t, "select"),
         )
@@ -192,7 +204,8 @@ def test_random_select_uniform_frequencies():
 def test_bvsb_margin_ordering():
     probs = [np.array([[0.6, 0.4], [0.9, 0.1]])]
     store = index_store([2])
-    ctx = SelectionContext(
+    ctx = with_defaults(
+        SelectionContext,
         model=TableModel(probs=probs), store=store, labeled=[np.array([], int)],
         unlabeled=[np.arange(2)], budget=1, rng=RngStream(0),
     )
@@ -202,7 +215,8 @@ def test_bvsb_margin_ordering():
 def test_bvsb_uniform_first_onehot_last():
     probs = [np.array([[1.0, 0.0], [0.5, 0.5], [0.8, 0.2]])]
     store = index_store([3])
-    ctx = SelectionContext(
+    ctx = with_defaults(
+        SelectionContext,
         model=TableModel(probs=probs), store=store, labeled=[np.array([], int)],
         unlabeled=[np.arange(3)], budget=2, rng=RngStream(0),
     )
@@ -249,8 +263,8 @@ def test_egl_takes_largest():
     probs = [np.array([[1.0, 0.0], [0.5, 0.5]])]
     feats = [np.array([[1.0, 0.0], [1.0, 0.0]])]
     store = index_store([2])
-    ctx = SelectionContext(
-        model=TableModel(probs=probs, feats=feats), store=store,
+    ctx = with_defaults(
+        SelectionContext, model=TableModel(probs=probs, feats=feats), store=store,
         labeled=[np.array([], int)], unlabeled=[np.arange(2)], budget=1,
         rng=RngStream(0),
     )
@@ -314,8 +328,8 @@ def test_coreset_hand_trace():
     # 1-D features: labeled {0}, unlabeled {1,2,10}: picks 10 then 2
     X = np.array([[0.0], [1.0], [2.0], [10.0]])
     store = [DomainDataset(X=X, y=np.zeros(4, int), domain_id=0)]
-    ctx = SelectionContext(
-        model=TableModel(), store=store, labeled=[np.array([0])],
+    ctx = with_defaults(
+        SelectionContext, model=TableModel(), store=store, labeled=[np.array([0])],
         unlabeled=[np.array([1, 2, 3])], budget=2, rng=RngStream(0),
     )
     assert coreset_select(ctx) == [(0, 2), (0, 3)]
@@ -324,8 +338,8 @@ def test_coreset_hand_trace():
 def test_coreset_single_point():
     X = np.array([[0.0], [5.0]])
     store = [DomainDataset(X=X, y=np.zeros(2, int), domain_id=0)]
-    ctx = SelectionContext(
-        model=TableModel(), store=store, labeled=[np.array([0])],
+    ctx = with_defaults(
+        SelectionContext, model=TableModel(), store=store, labeled=[np.array([0])],
         unlabeled=[np.array([1])], budget=1, rng=RngStream(0),
     )
     assert coreset_select(ctx) == [(0, 1)]
@@ -343,7 +357,8 @@ def test_coreset_matches_bruteforce(rng):
         mask[lab] = True
         unl = np.flatnonzero(~mask)
         b = int(gen.integers(1, unl.size + 1))
-        ctx = SelectionContext(
+        ctx = with_defaults(
+            SelectionContext,
             model=TableModel(), store=store, labeled=[lab], unlabeled=[unl],
             budget=b, rng=RngStream(trial),
         )
@@ -590,17 +605,6 @@ def test_perturbation_score_zero_when_decoupled():
     ctx.model.classifiers[0].W[:, :S] = 0.0
     x = ctx.store[0].X[int(ctx.unlabeled[0][0])]
     assert score_one(ctx.model, x, 0, 0.5, 20, RngStream(1, "p")) == 0.0
-
-
-def test_perturbation_score_validation():
-    ctx = make_real_context(42)
-    X = ctx.store[0].X[:2]
-    with pytest.raises(ValidationError):
-        perturbation_score(ctx.model, X, 0, 0.0, 5, [RngStream(0)] * 2)
-    with pytest.raises(ValidationError):
-        perturbation_score(ctx.model, X, 0, 0.1, 0, [RngStream(0)] * 2)
-    with pytest.raises(ValidationError, match="2 rows"):
-        perturbation_score(ctx.model, X, 0, 0.1, 5, [RngStream(0)])
 
 
 def test_perturbation_score_monte_carlo_consistency():
