@@ -74,6 +74,12 @@ def _synthetic_spec(dataset):
     return SyntheticSpec(**{k: v for k, v in dataset.items() if k != "type"})
 
 
+def _manifest_split_seed(dataset):
+    """The seed of a manifest dataset's train/test splits: its split_seed,
+    0 by default."""
+    return dataset.get("split_seed", 0)
+
+
 def name_problem(name):
     """Why `name` cannot name a config, or None. The name starts every result
     file's name, so it must not lead outside the results directory."""
@@ -146,7 +152,7 @@ class ExperimentConfig:
         else:
             if not isinstance(ds.get("path"), str):
                 out.append(f"dataset.path: expected a string, got {ds.get('path')!r}")
-            split_seed = ds.get("split_seed", 0)
+            split_seed = _manifest_split_seed(ds)
             if type(split_seed) is not int or split_seed < 0:
                 out.append(
                     f"dataset.split_seed: expected a non-negative integer, "
@@ -238,7 +244,7 @@ def load_dataset(config):
         manifest = load_manifest(ds["path"])
         full = [load_domain(manifest, k) for k in range(manifest.num_domains)]
         default_standardize = True
-        split_seed = ds.get("split_seed", 0)
+        split_seed = _manifest_split_seed(ds)
     do_std = config.standardize
     if do_std is None:
         do_std = default_standardize

@@ -52,9 +52,11 @@ def assign_nearest(H, centers, R, sq_norms):
 
 
 def softmax_rows(Z):
-    shifted = Z - Z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # np.maximum.reduce and np.add.reduce are what .max() and .sum() call;
+    # called directly, they skip a Python wrapper each
+    e = np.exp(Z - np.maximum.reduce(Z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def kl_rows(P, Q):

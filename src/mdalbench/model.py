@@ -10,12 +10,13 @@ Reads take rows stacked along one or more leading axes (a 2-D batch, or a
 product): penultimate_features runs the extractors once and classify maps
 any feature rows to class distributions, so predictions, gradient
 embeddings and perturbed predictions all start from the same h.
-Training runs a group of models in lockstep (ModelGroup: each parameter of
-the models stacked along a new first axis) through training_step, one fused
-forward/backward pass that runs both extractors through one stacked weight
-[W_shared; W_private_k] and writes the gradients of the eight parameters a
-step touches into one (models, F) buffer per domain (StepGrads). A single
-model trains as a group of one.
+Training runs a group of models in lockstep (ModelGroup: every parameter of
+the models in one (models, P) buffer, one row per model) through
+training_step, one fused forward/backward pass that runs both extractors
+through one stacked weight [W_shared; W_private_k] and writes the gradients
+of the eight parameters a step touches into one (models, F) buffer per
+domain (StepGrads), laid out like the two stretches of the parameter buffer
+they update. A single model trains as a group of one.
 """
 
 import math
@@ -161,91 +162,130 @@ class EpochLog:
     total: float
 
 
-def _xent(logits, labels, at):
+def _xent(logits, labels, starts):
     """Per-member mean softmax cross-entropy of (M, n, c) logits and its
     logit gradient (probs - onehot) / n, built in the probability array
-    itself. at is (members, rows), the index of each member's rows."""
+    itself. starts is the (M, n) flat offset of each row of an (M, n, c)
+    array (ModelGroup.row_starts), so starts + labels indexes each label."""
     n = logits.shape[1]
     probs = softmax_rows(logits)
-    at = (*at, labels)
-    picked = np.maximum(probs[at], PROB_FLOOR)
-    loss = -(np.log(picked).sum(axis=1) / n)
-    probs[at] -= 1.0
+    flat = probs.reshape(-1)
+    at = starts + labels
+    picked = flat[at]
+    loss = np.add.reduce(np.log(np.maximum(picked, PROB_FLOOR)), axis=1) / -n
+    flat[at] = picked - 1.0
     probs /= n
     return loss, probs
 
 
-@dataclass
 class LayerStack:
-    """The weights (M, out, in) and biases (M, out) of one layer of M models."""
+    """The weights (M, out, in) and biases (M, out) of one layer of M
+    models, with the transposed weights (M, in, out) and the biases as
+    (M, 1, out) rows held as views, for the step's forward products."""
 
-    W: np.ndarray
-    b: np.ndarray
+    def __init__(self, W, b):
+        self.W, self.b = W, b
+        self.WT, self.b_rows = W.swapaxes(1, 2), b[:, None]
 
 
-def _stack_layer(linears):
-    """The LayerStack of linears; each of them then holds views of it."""
-    stack = LayerStack(np.stack([lin.W for lin in linears]),
-                       np.stack([lin.b for lin in linears]))
-    for m, lin in enumerate(linears):
-        lin.W, lin.b = stack.W[m], stack.b[m]
-    return stack
+def _carve(buf, shapes):
+    """Views of consecutive stretches of the rows of buf (M, F): one
+    (M, *shape) array per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[:, start : start + size].reshape(len(buf), *shape))
+        start += size
+    return views
+
+
+def _buffer_order(model):
+    """A model's parameter arrays in the order of a ModelGroup row (or a
+    group's stacks, in the order of its columns): the common block [disc W,
+    disc b, shared b, shared W], then for each domain k [private_k W,
+    private_k b, classifier_k W, classifier_k b]."""
+    disc, shared = model.discriminator, model.shared
+    arrays = [disc.W, disc.b, shared.b, shared.W]
+    for private, clf in zip(model.privates, model.classifiers):
+        arrays += [private.W, private.b, clf.W, clf.b]
+    return arrays
+
+
+def _layers(model):
+    return [model.shared, *model.privates, *model.classifiers, model.discriminator]
 
 
 class ModelGroup:
-    """M models of one config whose parameters live in stacked (M, ...)
-    arrays, with the layer names of AspMtlModel.
+    """M models of one config whose parameters live in one (M, P) buffer,
+    params, with the layer names of AspMtlModel.
 
-    Each model's Linears hold views of the stacks (slice m is model m's
-    layer), so a step that updates a stack updates every model, and each
-    model still reads as it did alone.
+    Row m holds model m's parameters in the order of _buffer_order, so a
+    step on domain k updates two stretches of every row: the common block
+    and domain k's block (blocks[0] and blocks[k + 1]). Each layer is a
+    LayerStack of views of the buffer, and each model's Linears hold views
+    of those (slice m is model m's layer), so a step that updates the
+    buffer updates every model, and each model still reads as it did alone.
     """
 
     def __init__(self, models):
-        K = models[0].config.num_domains
-        self.shared = _stack_layer([m.shared for m in models])
-        self.privates = [
-            _stack_layer([m.privates[k] for m in models]) for k in range(K)
-        ]
-        self.classifiers = [
-            _stack_layer([m.classifiers[k] for m in models]) for k in range(K)
-        ]
-        self.discriminator = _stack_layer([m.discriminator for m in models])
+        rows = [_buffer_order(model) for model in models]
+        self.params = np.stack([np.concatenate([a.ravel() for a in r]) for r in rows])
+        views = _carve(self.params, [a.shape for a in rows[0]])
+        # the common block, then one block per domain, four arrays each
+        blocks = [views[i : i + 4] for i in range(0, len(views), 4)]
+        disc_W, disc_b, shared_b, shared_W = blocks[0]
+        self.discriminator = LayerStack(disc_W, disc_b)
+        self.shared = LayerStack(shared_W, shared_b)
+        self.privates = [LayerStack(W, b) for W, b, _, _ in blocks[1:]]
+        self.classifiers = [LayerStack(W, b) for _, _, W, b in blocks[1:]]
+        ends = np.cumsum([sum(v[0].size for v in block) for block in blocks]).tolist()
+        self.blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        for m, model in enumerate(models):
+            for lin, stack in zip(_layers(model), _layers(self)):
+                lin.W, lin.b = stack.W[m], stack.b[m]
+        self._row_starts = {}
+
+    def row_starts(self, n, c):
+        """The flat offset of each row of an (M, n, c) array, as (M, n)."""
+        starts = self._row_starts.get((n, c))
+        if starts is None:
+            M = self.params.shape[0]
+            starts = np.arange(0, M * n * c, c).reshape(M, n)
+            self._row_starts[n, c] = starts
+        return starts
 
 
 class StepGrads:
     """The gradients of the eight parameters a step on domain k touches, for
-    every member of a group, as views of one (M, F) array: row m holds
-    member m's gradients.
+    every member of a group, as views of one (M, F) array, flat: row m holds
+    member m's gradients in the order of the group's common block, then of
+    its domain-k block.
 
-    ext_W and ext_b hold the stacked extractor [shared; private_k]: the
-    shared rows first, then the private rows. pairs lists (stacked
-    parameter, gradient view) for shared W/b, private_k W/b, classifier_k
-    W/b and discriminator W/b, in that order. training_step overwrites every
-    entry.
+    Shared W ends the common block and private_k W starts the domain block,
+    so ext_W, the gradient of the stacked extractor [shared; private_k], is
+    one view: its first S rows are shared_W, the rest private_W. updates
+    pairs the group's two stretches of parameters with their gradients.
+    training_step overwrites every entry.
     """
 
     def __init__(self, group, k):
-        shared, private = group.shared, group.privates[k]
-        clf, disc = group.classifiers[k], group.discriminator
-        M, S, input_dim = shared.W.shape
-        ext = S + private.W.shape[1]
-        shapes = [
-            (ext, input_dim), (ext,),
-            clf.W.shape[1:], clf.b.shape[1:], disc.W.shape[1:], disc.b.shape[1:],
-        ]
-        self.flat = np.empty((M, sum(math.prod(s) for s in shapes)))
-        views, start = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(self.flat[:, start : start + size].reshape(M, *shape))
-            start += size
-        self.ext_W, self.ext_b, self.clf_W, self.clf_b, self.disc_W, self.disc_b = views
-        self.pairs = [
-            (shared.W, self.ext_W[:, :S]), (shared.b, self.ext_b[:, :S]),
-            (private.W, self.ext_W[:, S:]), (private.b, self.ext_b[:, S:]),
-            (clf.W, self.clf_W), (clf.b, self.clf_b),
-            (disc.W, self.disc_W), (disc.b, self.disc_b),
+        order = _buffer_order(group)
+        arrays = order[:4] + order[4 + 4 * k : 8 + 4 * k]
+        M, S, input_dim = group.shared.W.shape
+        common, block = group.blocks[0], group.blocks[k + 1]
+        self.flat = np.empty((M, common.stop + block.stop - block.start))
+        (self.disc_W, self.disc_b, self.shared_b, self.shared_W,
+         self.private_W, self.private_b, self.clf_W, self.clf_b) = _carve(
+            self.flat, [a.shape[1:] for a in arrays]
+        )
+        start = common.stop - self.shared_W[0].size
+        ext = S + group.privates[k].W.shape[1]
+        self.ext_W = self.flat[:, start : start + ext * input_dim].reshape(
+            M, ext, input_dim
+        )
+        self.updates = [
+            (group.params[:, common], self.flat[:, : common.stop]),
+            (group.params[:, block], self.flat[:, common.stop :]),
         ]
 
 
@@ -265,52 +305,65 @@ def training_step(group, XX, y, k, d_adv, config, grads):
 
     One matmul through the stacked weight [W_shared; W_private_k] runs both
     extractors on all 2n rows; the supervised features h and the adversarial
-    shared features are views of its ReLU, and the private features of the
-    adversarial rows go unused. One dZ.T @ X gives both extractors'
-    supervised weight gradients before the adversarial part is added onto
-    the shared rows. Every other operation is that of a layer-by-layer
-    backward pass (affine, ReLU, reversal) in the same order, so the
-    gradients are bit-identical to it; tests/reference_layers.py keeps that
-    pass as the reference. numpy runs a stacked matmul one BLAS call per
-    member, with that member's shapes, and sums each member's rows in the
-    order of a lone batch, so every member's results are those of a group
-    of one. The gradients with respect to the inputs are never formed.
+    shared features are views of its ReLU, and one mask of its positive
+    entries serves both backward passes through it. The private features of
+    the adversarial rows go unused. One dZ.T @ X gives both extractors'
+    supervised weight gradients before the adversarial part is subtracted
+    from the shared rows: the reversal's factor -1 is folded into that
+    subtraction, which is exact, since a - b is a + (-b) and a product or a
+    sum of negated terms is the negated result. Every other operation is
+    that of a layer-by-layer backward pass (affine, ReLU, reversal) in the
+    same order, so the gradients are bit-identical to it;
+    tests/reference_layers.py keeps that pass as the reference. numpy runs a
+    stacked matmul one BLAS call per member, with that member's shapes, and
+    sums each member's rows in the order of a lone batch, so every member's
+    results are those of a group of one. The gradients with respect to the
+    inputs are never formed.
     """
     M, n = y.shape
     S = config.shared_hidden
     shared, private = group.shared, group.privates[k]
     clf, disc = group.classifiers[k], group.discriminator
-    at = (np.arange(M)[:, None], np.arange(n))
 
     Z = XX @ np.concatenate((shared.W, private.W), axis=1).swapaxes(1, 2)
-    Z += np.concatenate((shared.b, private.b), axis=1)[:, None]
+    Z += np.concatenate((shared.b_rows, private.b_rows), axis=2)
+    positive = Z > 0.0
     H = relu(Z)
     h = H[:, :n]
-    loss_sup, dlogits = _xent(h @ clf.W.swapaxes(1, 2) + clf.b[:, None], y, at)
+    loss_sup, dlogits = _xent(
+        h @ clf.WT + clf.b_rows, y, group.row_starts(n, clf.b.shape[1])
+    )
     np.matmul(dlogits.swapaxes(1, 2), h, out=grads.clf_W)
-    dlogits.sum(axis=1, out=grads.clf_b)
+    np.add.reduce(dlogits, axis=1, out=grads.clf_b)
     dh = dlogits @ clf.W
 
     loss_diff = 0.0
     if config.lam_diff > 0:
         hs, hp = h[..., :S], h[..., S:]
         C = hs.swapaxes(1, 2) @ hp
-        loss_diff = (C * C).sum(axis=(1, 2))
+        loss_diff = np.add.reduce(C * C, axis=(1, 2))
         dh[..., :S] += config.lam_diff * 2.0 * (hp @ C.swapaxes(1, 2))
         dh[..., S:] += config.lam_diff * 2.0 * (hs @ C)
 
-    dZ = np.where(Z[:, :n] > 0.0, dh, 0.0)
+    dZ = np.where(positive[:, :n], dh, 0.0)
     np.matmul(dZ.swapaxes(1, 2), XX[:, :n], out=grads.ext_W)
-    dZ.sum(axis=1, out=grads.ext_b)
+    # one reduction of the whole dZ, then two copies: numpy would sum the
+    # rows of a one-wide slice pairwise, not one by one as here
+    ext_b = np.add.reduce(dZ, axis=1)
+    grads.shared_b[...] = ext_b[:, :S]
+    grads.private_b[...] = ext_b[:, S:]
 
     ha = H[:, n:, :S]
-    loss_adv, dla = _xent(ha @ disc.W.swapaxes(1, 2) + disc.b[:, None], d_adv, at)
+    loss_adv, dla = _xent(
+        ha @ disc.WT + disc.b_rows, d_adv, group.row_starts(n, disc.b.shape[1])
+    )
     dla *= config.lam_adv
     np.matmul(dla.swapaxes(1, 2), ha, out=grads.disc_W)
-    dla.sum(axis=1, out=grads.disc_b)
-    dZa = np.where(Z[:, n:, :S] > 0.0, -1.0 * (dla @ disc.W), 0.0)
-    grads.ext_W[:, :S] += dZa.swapaxes(1, 2) @ XX[:, n:]
-    grads.ext_b[:, :S] += dZa.sum(axis=1)
+    np.add.reduce(dla, axis=1, out=grads.disc_b)
+    # the reversal: the shared rows take the adversarial part with sign -1
+    dZa = np.where(positive[:, n:, :S], dla @ disc.W, 0.0)
+    grads.shared_W -= dZa.swapaxes(1, 2) @ XX[:, n:]
+    grads.shared_b -= np.add.reduce(dZa, axis=1)
     return loss_sup, loss_adv, loss_diff
 
 
@@ -323,9 +376,9 @@ def train_round(models, store, labeled, config, rngs):
     (round-robin) and an adversarial domain-id batch drawn uniformly from
     the union of all pools, gathers every member's rows with one index into
     the pooled inputs, runs one stacked training_step and applies plain SGD
-    to the eight parameters the step touches (the others have zero
-    gradient). The members share one step schedule, so their labeled
-    totals must be equal.
+    to the two stretches of the group's parameter buffer that the step
+    touches (the others have zero gradient). The members share one step
+    schedule, so their labeled totals must be equal.
 
     A step's two batches are those of gen.choice(labeled set, B) and
     gen.choice(pool size, B) on the member's generator, with replacement
@@ -377,6 +430,7 @@ def train_round(models, store, labeled, config, rngs):
     step_counter = 0
     for _ in range(config.epochs_per_round):
         sums = np.zeros((4, len(live)))
+        sum_sup, sum_adv, sum_diff, sum_total = sums
         # per member, the epoch's calls alternate supervised and adversarial
         domains = (step_counter + np.arange(steps_per_epoch)) % K
         pops = np.full((len(live), 2 * steps_per_epoch), n_pool)
@@ -386,26 +440,31 @@ def train_round(models, store, labeled, config, rngs):
         sup = positions[..., :B]
         sup[...] = labeled_rows[starts[live][:, domains, None] + sup]
         # (steps, members, 2B): per step and member, B supervised rows over
-        # B adversarial rows
+        # B adversarial rows; and the labels and domain ids of those rows
         epoch_rows = np.ascontiguousarray(positions.transpose(1, 0, 2))
+        epoch_y = pool_y[epoch_rows[..., :B]]
+        epoch_d = pool_domain[epoch_rows[..., B:]]
         for s in range(steps_per_epoch):
-            rows = epoch_rows[s]
             k = step_counter % K
             step_counter += 1
             g = grads[k]
             loss_sup, loss_adv, loss_diff = training_step(
-                group, pool_X[rows], pool_y[rows[:, :B]], k,
-                pool_domain[rows[:, B:]], config, g,
+                group, pool_X[epoch_rows[s]], epoch_y[s], k, epoch_d[s], config, g
             )
             total = (
                 loss_sup
                 + config.lam_adv * loss_adv
                 + config.lam_diff * loss_diff
             )
-            # a member's gradient sum is non-finite whenever any entry is
-            grad_sums = g.flat.sum(axis=1)
-            finite = np.isfinite(total) & np.isfinite(grad_sums)
-            failed = [] if finite.all() else np.flatnonzero(~finite).tolist()
+            # a member's gradient sum is non-finite whenever any entry is,
+            # and so is the sum over members whenever any member's is; a
+            # finite member may still overflow that sum, so the members are
+            # then tested one by one
+            grad_sums = np.add.reduce(g.flat, axis=1)
+            failed = []
+            if not math.isfinite(np.add.reduce(total + grad_sums)):
+                finite = np.isfinite(total) & np.isfinite(grad_sums)
+                failed = np.flatnonzero(~finite).tolist()
             for j in failed:
                 if not math.isfinite(total[j]):
                     diff = loss_diff[j] if config.lam_diff > 0 else loss_diff
@@ -421,19 +480,21 @@ def train_round(models, store, labeled, config, rngs):
                 # they were before this step
                 g.flat[j] = 0.0
             g.flat *= config.lr
-            for p, gp in g.pairs:
+            for p, gp in g.updates:
                 p -= gp
-            sums[0] += loss_sup
-            sums[1] += loss_adv
-            sums[2] += loss_diff
-            sums[3] += total
+            sum_sup += loss_sup
+            sum_adv += loss_adv
+            sum_diff += loss_diff
+            sum_total += total
             if failed:
                 keep = finite.nonzero()[0]
                 live = [live[j] for j in keep]
                 if not live:
                     return outcomes
                 sums = sums[:, keep]
+                sum_sup, sum_adv, sum_diff, sum_total = sums
                 epoch_rows = epoch_rows[:, keep]
+                epoch_y, epoch_d = epoch_y[:, keep], epoch_d[:, keep]
                 group = ModelGroup([models[m] for m in live])
                 grads = [StepGrads(group, d) for d in range(K)]
 

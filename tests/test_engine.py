@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -70,6 +71,37 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# ------------------------------------------------------------------- datasets
+
+
+def _manifest_config(tmp_path, **dataset):
+    """quick_config over a 2-domain manifest of 24 rows a domain."""
+    gen = np.random.default_rng(3)
+    domains = []
+    for k in range(2):
+        lines = [
+            ",".join([str(i % 2), *(f"{v:.6f}" for v in gen.normal(size=4))])
+            for i in range(24)
+        ]
+        (tmp_path / f"d{k}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        domains.append({"name": f"d{k}", "file": f"d{k}.csv", "classes": 2})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"name": "m", "dim": 4, "domains": domains}))
+    return quick_config(
+        dataset={"type": "manifest", "path": str(manifest), **dataset}
+    )
+
+
+def test_manifest_split_seed_defaults_to_zero(tmp_path):
+    def pools(**dataset):
+        store, tests = engine.prepare_pools(_manifest_config(tmp_path, **dataset))
+        return [d.X for d in store] + [d.y for d in store] + [a for t in tests for a in t]
+
+    implicit, explicit, other = pools(), pools(split_seed=0), pools(split_seed=1)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(implicit, explicit))
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(implicit, other))
 
 
 # ----------------------------------------------------------------- init split

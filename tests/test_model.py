@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ from reference_layers import (
     reference_train_round,
     softmax_cross_entropy,
 )
+
+
+# a step's eight gradients by name, in the order of the parameters they
+# belong to: shared, private_k, classifier_k, discriminator, each W then b
+GRAD_NAMES = ["shared_W", "shared_b", "private_W", "private_b",
+              "clf_W", "clf_b", "disc_W", "disc_b"]
+
+
+def grad_pairs(group, grads, k):
+    """(stacked parameter, gradient view) for each parameter a step on
+    domain k touches, in the order of GRAD_NAMES."""
+    layers = [group.shared, group.privates[k], group.classifiers[k], group.discriminator]
+    params = [p for layer in layers for p in (layer.W, layer.b)]
+    return [(p, getattr(grads, name)) for p, name in zip(params, GRAD_NAMES)]
 
 
 def hand_model():
@@ -269,10 +284,8 @@ def test_zero_adv_weight_means_zero_discriminator_gradient(rng):
     grads = StepGrads(group, 0)
     training_step(group, np.vstack([X, Xa])[None], y[None], 0, da[None],
                   model.config, grads)
-    (W, gW), (b, gb) = grads.pairs[6:]
-    assert W is group.discriminator.W and b is group.discriminator.b
-    assert np.abs(gW).max() == 0.0
-    assert np.abs(gb).max() == 0.0
+    assert np.abs(grads.disc_W).max() == 0.0
+    assert np.abs(grads.disc_b).max() == 0.0
 
 
 def test_supervised_loss_non_increasing_full_batch():
@@ -438,7 +451,7 @@ def test_train_round_rejects_non_finite_gradient_before_updating(monkeypatch,
         if len(calls) == 4:
             before.extend(p.copy() for p in model_params(model))
             grads = args[-1]
-            grads.pairs[poisoned][1].flat[-1] = np.nan
+            getattr(grads, GRAD_NAMES[poisoned]).flat[-1] = np.nan
             assert np.isfinite(losses[:2]).all() and np.isfinite(losses[2]).all()
         return losses
 
@@ -508,9 +521,11 @@ def test_group_models_hold_views_of_the_stacks():
     for m, model in enumerate(models):
         for p, stack in zip(model_params(model), model_params(group)):
             assert np.shares_memory(p, stack) and np.array_equal(p, stack[m])
+            assert np.shares_memory(stack, group.params)
+    assert group.params.size == sum(p.size for p in model_params(group))
     grads = StepGrads(group, 1)
-    for _, g in grads.pairs:
-        assert np.shares_memory(g, grads.flat)
+    for name in GRAD_NAMES:
+        assert np.shares_memory(getattr(grads, name), grads.flat)
 
 
 def test_group_rejects_unequal_labeled_totals():
@@ -536,7 +551,7 @@ def test_non_finite_member_leaves_the_group(monkeypatch, poisoned_param):
         if len(calls) == 4:
             before.extend(p.copy() for p in model_params(models[victim]))
             grads = args[-1]
-            grads.pairs[poisoned_param][1][victim].flat[-1] = np.nan
+            getattr(grads, GRAD_NAMES[poisoned_param])[victim].flat[-1] = np.nan
         return losses
 
     monkeypatch.setattr(model_module, "training_step", step_with_nan)
@@ -570,7 +585,7 @@ def test_every_step_receives_the_batches_of_consecutive_choice_calls(monkeypatch
         losses = real_step(group, XX, y, k, d_adv, cfg, grads)
         received.append((k, XX.copy(), y.copy(), d_adv.copy()))
         if len(received) == leaves_at:
-            grads.pairs[0][1][victim].flat[-1] = np.nan
+            grads.shared_W[victim].flat[-1] = np.nan
         return losses
 
     monkeypatch.setattr(model_module, "training_step", recording_step)
@@ -590,6 +605,123 @@ def test_every_step_receives_the_batches_of_consecutive_choice_calls(monkeypatch
             assert np.array_equal(XX[j], np.vstack([store[k].X[take], pool_X[rows]]))
             assert np.array_equal(y[j], store[k].y[take])
             assert np.array_equal(d_adv[j], pool_domain[rows])
+
+
+# (shared_hidden, private_hidden, batch_size, lam_diff) -> sha256 of a group
+# of two's trained parameters and epoch logs, first 16 hex digits. Generated
+# before the group's parameters moved into one buffer, and unchanged by it.
+# A one-wide extractor at a batch of 8 or more is where numpy would sum a
+# bias gradient's rows in another order if its slice were reduced alone.
+TRAINED_GOLDEN = {
+    (64, 64, 8, 0.0): "c906931210441ce6",
+    (1, 3, 16, 0.05): "7b2aae41206fdd8b",
+    (3, 1, 16, 0.05): "7543c6fe4a61bdf9",
+    (1, 1, 8, 0.0): "9c69f6acc6966609",
+}
+
+
+@pytest.mark.parametrize("case", list(TRAINED_GOLDEN), ids=str)
+def test_train_round_matches_golden_parameter_digests(case):
+    shared, private, batch_size, lam_diff = case
+    classes = (2, 3, 2)
+    config = ModelConfig(
+        input_dim=5, num_classes=classes, shared_hidden=shared,
+        private_hidden=private, lam_adv=0.3, lam_diff=lam_diff, lr=0.05,
+        batch_size=batch_size, epochs_per_round=3,
+    )
+    store = _class_store(classes, n=40)
+    models = [AspMtlModel.init(config, RngStream(m)) for m in range(2)]
+    labeled = [[np.arange(0, 40, 3) for _ in classes] for _ in range(2)]
+    logs = train_round(models, store, labeled, config,
+                       [RngStream(m, "train") for m in range(2)])
+    digest = hashlib.sha256()
+    for model in models:
+        for p in model_params(model):
+            digest.update(p.tobytes())
+    digest.update(repr(logs).encode())
+    assert digest.hexdigest()[:16] == TRAINED_GOLDEN[case]
+
+
+def test_step_on_one_domain_leaves_every_other_domain_block_bit_equal():
+    """A round of one step trains on domain 0 only: the common block and
+    domain 0's block of the parameter buffer move, and the blocks of domains
+    1 and 2 keep every bit."""
+    models, store, labeled, config, rngs = _group_case(3, 32, 3, 0.05)
+    config = dataclasses.replace(config, epochs_per_round=1)
+    group = ModelGroup(models)
+    before = group.params.copy()
+    outcomes = train_round(models, store, labeled, config, rngs)
+    assert all(len(logs) == 1 for logs in outcomes)
+    after = ModelGroup(models).params
+    common, *domains = group.blocks
+    assert not np.array_equal(after[:, common], before[:, common])
+    assert not np.array_equal(after[:, domains[0]], before[:, domains[0]])
+    for block in domains[1:]:
+        assert after[:, block].tobytes() == before[:, block].tobytes()
+
+
+def test_extractor_gradient_is_the_shared_and_private_views_end_to_end():
+    models, store, labeled, config, rngs = _group_case(2, 4, 3, 0.0)
+    group = ModelGroup(models)
+    S = config.shared_hidden
+    for k in range(config.num_domains):
+        grads = StepGrads(group, k)
+        grads.flat[:] = np.arange(grads.flat.size).reshape(grads.flat.shape)
+        assert np.shares_memory(grads.ext_W[:, :S], grads.shared_W)
+        assert np.shares_memory(grads.ext_W[:, S:], grads.private_W)
+        assert np.array_equal(
+            grads.ext_W, np.concatenate([grads.shared_W, grads.private_W], axis=1)
+        )
+
+
+def _step_then(edit):
+    """A wrapper of training_step that applies edit(grads) after each step."""
+    real_step = model_module.training_step
+
+    def step(*args):
+        losses = real_step(*args)
+        edit(args[-1])
+        return losses
+
+    return step
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_gradient_sum_overflowing_across_members_fails_no_member(monkeypatch):
+    """Each member's gradient sum is near 1e308, finite, so their sum over
+    the group overflows: the per-member test decides, and every member takes
+    the step."""
+    models, store, labeled, config, rngs = _group_case(2, 32, 3, 0.0)
+    config = dataclasses.replace(config, epochs_per_round=1)
+    before = [m.discriminator.W[0, 0] for m in models]
+
+    def huge(grads):
+        grads.flat[:, 0] = 1e308
+
+    monkeypatch.setattr(model_module, "training_step", _step_then(huge))
+    outcomes = train_round(models, store, labeled, config, rngs)
+    assert all(len(logs) == 1 for logs in outcomes)
+    for model, w in zip(models, before):
+        assert model.discriminator.W[0, 0] == w - config.lr * 1e308
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_member_whose_gradient_sum_overflows_fails(monkeypatch):
+    """Member 1's gradient entries are finite, but their sum overflows: it
+    fails and keeps its parameters, while member 0 trains on."""
+    models, store, labeled, config, rngs = _group_case(2, 32, 3, 0.0)
+    config = dataclasses.replace(config, epochs_per_round=1)
+    before = [p.copy() for p in model_params(models[1])]
+
+    def overflow(grads):
+        grads.flat[1, :2] = 1e308
+
+    monkeypatch.setattr(model_module, "training_step", _step_then(overflow))
+    outcomes = train_round(models, store, labeled, config, rngs)
+    assert len(outcomes[0]) == 1
+    assert str(outcomes[1]) == "non-finite gradient at step 1"
+    for p, value in zip(model_params(models[1]), before):
+        assert np.array_equal(p, value)
 
 
 # ------------------------------------------------------- composed-loss oracle
@@ -630,7 +762,7 @@ def check_composed_gradients(model, rng):
     yy = np.stack([y, twin_gen.integers(0, cfg.num_classes[k], size=n)])
     dd = np.stack([da, twin_gen.integers(0, cfg.num_domains, size=n)])
     training_step(group, XX, yy, k, dd, cfg, grads)
-    returned = {id(p): g[0] for p, g in grads.pairs}
+    returned = {id(p): g[0] for p, g in grad_pairs(group, grads, k)}
     for p in model_params(group):
         sign = -1.0 if p is group.shared.W or p is group.shared.b else 1.0
         fd = finite_difference(

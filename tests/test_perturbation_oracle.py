@@ -73,3 +73,20 @@ def test_stacked_matmul_repeats_each_slice_call(d_in, d_out, rows):
         assert (flat[:, None, :] @ W.T)[:, 0].tobytes() == b"".join(
             (x[None, :] @ W.T).tobytes() for x in flat
         )
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_negated_operand_negates_stacked_matmul_and_row_sums(M):
+    # The premise of the training step's folded reversal: it subtracts
+    # dZa.T @ X and the row sums of dZa where the layers add those of -dZa.
+    # A product or a sum of negated terms is the negated result, byte for
+    # byte, at the step's stacked shape (M, 64, 8) @ (M, 8, 20) with the
+    # left operand a transposed view; a numpy or BLAS that broke this would
+    # move every trained model, and fails here first.
+    gen = np.random.default_rng(M)
+    A = gen.normal(size=(M, 8, 64)).swapaxes(1, 2)
+    X = gen.normal(size=(M, 8, 20))
+    assert ((-A) @ X).tobytes() == (-(A @ X)).tobytes()
+    rows = A.swapaxes(1, 2)
+    sums = np.add.reduce(rows, axis=1)
+    assert np.add.reduce(-rows, axis=1).tobytes() == (-sums).tobytes()
