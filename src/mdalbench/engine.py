@@ -650,8 +650,9 @@ def execute_run(config, runs, out_dir, train_store=None, test_sets=None):
     return results
 
 
-def _execute_run_worker(config_dict, runs, out_dir, train_store, test_sets):
-    config = ExperimentConfig.from_dict(config_dict)
+def _execute_run_worker(config, runs, out_dir, train_store, test_sets):
+    # the worker looks execute_run up as a module global, so a wrapper bound
+    # to that name, which the pool could not pickle, still runs
     results = execute_run(config, runs, out_dir, train_store, test_sets)
     return [(r.strategy, r.seed, r.status, r.error) for r in results]
 
@@ -703,11 +704,10 @@ def run_grid(config, out_dir, jobs=1, force=False):
     else:
         import concurrent.futures
 
-        raw = config.to_dict()
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _execute_run_worker, raw, [pairs[i] for i in group],
+                    _execute_run_worker, config, [pairs[i] for i in group],
                     str(out_dir), train_store, test_sets,
                 )
                 for group in groups

@@ -2,8 +2,11 @@
 
 pcg64_states seeds many streams at once, for the perturbation scorer's one
 stream per row; a single stream is seeded by its own generator().
-choice_positions draws many Generator.choice batches at once, for a
-training epoch's batches.
+choice_positions makes many Generator.choice calls at once, for a training
+epoch's batches: NumPy draws the integers and it computes the picks. It
+relies on choice's layout, Floyd's sampler and then a shuffle, and on
+Generator.integers making one random_bounded_uint64 draw per element of an
+int64 array of upper bounds.
 
 Everything is float64. A Linear holds its weight and bias as plain arrays
 and its forward pass keeps no cache: training runs through the fused step in
@@ -165,126 +168,41 @@ def pcg64_states(streams):
 
 
 # Generator.choice(p, B, replace=p < B) without probabilities, as the
-# installed NumPy implements it: Floyd's sampler for p >= B, then a shuffle
-# of the B picks; NumPy's shuffle of the last B of range(p) when p > 10000
-# and B > p // 50; B bounded integers when p < B. Every draw in [0, r)
-# takes Lemire's bounded method on one 32-bit word (none when r == 1), and
-# redraws on a rejection, which has a chance of (2**32 mod r) / 2**32.
-# NEP 19 does not freeze this algorithm; tests/test_nncore.py checks
-# choice_positions against the installed NumPy.
+# installed NumPy implements it: B draws in [0, p) when p < B; NumPy's
+# shuffle of the last B of range(p) when p > 10000 and B > p // 50; else
+# Floyd's sampler, B draws in [0, p - B + i], then a shuffle of the B picks,
+# draws in [0, i] for i = B - 1, ..., 1. Each draw is one
+# random_bounded_uint64 call, which Generator.integers also makes for each
+# element of an int64 array of upper bounds, in order; an upper bound of 1
+# reads nothing and yields 0. So NumPy makes every draw here, and only the
+# picks are encoded. NEP 19 freezes neither algorithm; tests/test_nncore.py
+# checks both against the installed NumPy.
 _TAIL_MIN_POP, _TAIL_DIVISOR = 10000, 50
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
-class _Words:
-    """A Generator's 32-bit draws (next_uint32): the half-word its bit
-    generator holds over, if any, then each raw 64-bit word low half first.
+def _choice_bulk(gens, pops, B):
+    """The (members, calls, B) positions of every member's calls, none of
+    which takes the tail-shuffle branch.
 
-    Words are drawn only when read, so the stream never runs ahead; close()
-    hands a half-word left unread back to the generator.
-    """
-
-    def __init__(self, gen):
-        self.bit_generator = gen.bit_generator
-        self.state = self.bit_generator.state
-        held = [self.state["uinteger"]] if self.state["has_uint32"] else []
-        self.buf = np.array(held, dtype=np.uint32)
-        self.pos = 0
-
-    def take(self, n):
-        """The next n words, as uint32."""
-        short = self.pos + n - self.buf.size
-        if short > 0:
-            raw = self.bit_generator.random_raw((short + 1) // 2)
-            halves = raw.astype("<u8", copy=False).view("<u4")
-            self.buf = np.concatenate([self.buf[self.pos :], halves])
-            self.pos = 0
-        self.pos += n
-        return self.buf[self.pos - n : self.pos]
-
-    def bounded(self, r):
-        """One Lemire draw in [0, r), redrawing on a rejection."""
-        if r == 1:
-            return 0
-        threshold = (1 << 32) % r
-        while True:
-            m = int(self.take(1)[0]) * r
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    def close(self):
-        # next_uint32 keeps the high half of the last raw word it split,
-        # and keeps it after handing it out
-        last = int(self.buf[-1]) if self.buf.size else self.state["uinteger"]
-        held = (int(self.pos < self.buf.size), last)
-        if held != (self.state["has_uint32"], self.state["uinteger"]):
-            state = self.bit_generator.state
-            state["has_uint32"], state["uinteger"] = held
-            self.bit_generator.state = state
-
-
-def _choice_one(words, p, B):
-    """One Generator.choice(p, B, replace=p < B), draw by draw."""
-    if p < B:
-        return [words.bounded(p) for _ in range(B)]
-    if p > _TAIL_MIN_POP and B > p // _TAIL_DIVISOR:
-        moved = {}  # the entries of range(p) that the shuffle has moved
-        for i in range(p - 1, max(p - B, 1) - 1, -1):
-            j = words.bounded(i + 1)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return [moved.get(i, i) for i in range(p - B, p)]
-    picks, seen = [], set()
-    for j in range(p - B, p):
-        t = words.bounded(j + 1)
-        picks.append(j if t in seen else t)
-        seen.add(picks[-1])
-    for i in range(B - 1, 0, -1):
-        r = words.bounded(i + 1)
-        picks[i], picks[r] = picks[r], picks[i]
-    return picks
-
-
-def _choice_bulk(words, pops, B, out):
-    """Fill out[m, :n[m]] with the leading calls of member m, for every
-    member at once, and return n: each member stops before its first call
-    that would reject a word or that takes the tail-shuffle branch, and
-    hands the words of that call and of the calls after it back.
-
-    pops is (members, calls); words[m] reads member m's generator. Column c
-    of the draw table lists call c's ranges in stream order: Floyd's B
-    draws in [0, p - B + i], then the shuffle's in [0, B - 1 - i]; or, when
-    p < B, B draws in [0, p) and no shuffle. A range of 1 takes no word.
-    Calls run along the last axis, so every operation reads whole rows.
+    Each call has 2B - 1 draws in stream order: Floyd's B, then the
+    shuffle's B - 1; or, when p < B, B draws in [0, p), then B - 1 in
+    [0, 1), which read nothing. Each member draws its (calls, 2B - 1) table
+    of upper bounds in one integers call. Column c of the draw table t lists
+    call c's draws; calls run along the last axis, so every operation below
+    reads whole rows.
     """
     M, C = pops.shape
     p = pops.ravel()
     floyd = p >= B
-    tail = floyd & (p > _TAIL_MIN_POP) & (B > p // _TAIL_DIVISOR)
     i = np.arange(B)[:, None]
-    ranges = np.ones((2 * B - 1, M * C), dtype=np.uint64)
-    ranges[:B] = np.where(floyd, p - B + 1 + i, p)
-    ranges[B:, floyd] = i[:0:-1] + 1
-    ranges[:, tail] = 1
-    used = ranges > 1
-    per_call = used.sum(axis=0).reshape(M, C)
-    # Lemire: word * r, whose high half is the draw; words fill in stream
-    # order, call by call
-    prod = np.zeros(ranges.shape, dtype=np.uint64)
-    prod.T[used.T] = np.concatenate(
-        [w.take(int(n)) for w, n in zip(words, per_call.sum(axis=1))]
-    )
-    prod *= ranges
-    # a draw rejects when its low half is below 2**32 mod r, which is below
-    # r: only the rare low halves below r need the modulo
-    low32 = prod & _LOW32
-    rejected = low32 < ranges
-    rejected[rejected] = low32[rejected] < np.uint64(1 << 32) % ranges[rejected]
-    stop = rejected.any(axis=0) | tail
-    stop = stop.reshape(M, C)
-    n = np.where(stop.any(axis=1), stop.argmax(axis=1), C)
-    for j in np.flatnonzero(n < C):
-        words[j].pos -= int(per_call[j, n[j] :].sum())
-    t = (prod >> np.uint64(32)).astype(np.int64)
+    bounds = np.ones((M * C, 2 * B - 1), dtype=np.int64)
+    bounds[:, :B] = np.where(floyd, p - B + 1 + i, p).T
+    bounds[floyd, B:] = np.arange(B, 1, -1)
+    draws = [
+        gen.integers(0, b, dtype=np.int64)
+        for gen, b in zip(gens, bounds.reshape(M, -1))
+    ]
+    t = np.concatenate(draws).reshape(M * C, -1).T.copy()
     low = p - B
     cols = np.arange(M * C)
 
@@ -311,9 +229,7 @@ def _choice_bulk(words, pops, B, out):
         row = picks[pos].copy()
         picks[pos] = flat[at]
         flat[at] = row
-    # rows from a member's stop on are rewritten by the caller
-    out[...] = picks.T.reshape(M, C, B)
-    return n
+    return picks.T.reshape(M, C, B)
 
 
 def choice_positions(gens, pops, B):
@@ -321,12 +237,10 @@ def choice_positions(gens, pops, B):
     [gens[m].choice(p, B, replace=p < B) for p in pops[m]], and each
     generator ends where those calls leave it.
 
-    The calls of every member are computed together from the generators'
-    raw words. A call that would reject a word, or that takes the
-    tail-shuffle branch, is replayed draw by draw, and the member's calls
-    after it are again computed together. Populations above 2**32 take
-    NumPy's 64-bit draws, which are not encoded here: they raise, as do
-    populations below 1 and batch sizes below 1.
+    NumPy draws every member's integers (_choice_bulk), and the picks of all
+    members' calls are computed together. A member with any call in the
+    tail-shuffle branch makes its calls with Generator.choice itself.
+    Populations below 1 and batch sizes below 1 raise, as choice does.
     """
     pops = np.asarray(pops, dtype=np.int64)
     if pops.ndim != 2 or pops.shape[0] != len(gens):
@@ -335,22 +249,17 @@ def choice_positions(gens, pops, B):
         )
     if B < 1:
         raise ValueError(f"expected a batch size >= 1, got {B}")
-    if pops.size and (pops.min() < 1 or pops.max() > 1 << 32):
-        raise ValueError("populations must lie in [1, 2**32]")
-    C = pops.shape[1]
-    out = np.empty((len(gens), C, B), dtype=np.int64)
+    if pops.size and pops.min() < 1:
+        raise ValueError("populations must be >= 1")
+    out = np.empty((*pops.shape, B), dtype=np.int64)
     if not pops.size:
         return out
-    words = [_Words(gen) for gen in gens]
-    for j, c in enumerate(_choice_bulk(words, pops, B, out).tolist()):
-        while c < C:
-            out[j, c] = _choice_one(words[j], int(pops[j, c]), B)
-            c += 1
-            if c < C:
-                rest = (words[j : j + 1], pops[j : j + 1, c:], B, out[j : j + 1, c:])
-                c += int(_choice_bulk(*rest)[0])
-    for w in words:
-        w.close()
+    tail = ((pops >= B) & (pops > _TAIL_MIN_POP) & (B > pops // _TAIL_DIVISOR)).any(1)
+    for m in np.flatnonzero(tail):
+        out[m] = [gens[m].choice(p, size=B, replace=p < B) for p in pops[m].tolist()]
+    bulk = np.flatnonzero(~tail)
+    if bulk.size:
+        out[bulk] = _choice_bulk([gens[m] for m in bulk], pops[bulk], B)
     return out
 
 

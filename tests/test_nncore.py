@@ -116,7 +116,8 @@ def twin_generators(seed, held=False):
 
 # (populations, batch size): p > B, p == B, p < B with p == 1, NumPy's
 # tail-shuffle branch (p > 10000 and B > p // 50), populations near 2**32
-# where about a third of the draws reject, and all of them mixed
+# where about a third of the draws reject, populations beyond 2**32 that
+# take 64-bit draws, and all of them mixed
 CHOICE_CASES = {
     "floyd": ([900, 1500, 17, 9, 270, 4000], 8),
     "p-equals-b": ([8, 8, 9, 8], 8),
@@ -125,6 +126,7 @@ CHOICE_CASES = {
     "tail-20000-500": ([20000, 900, 20000], 500),
     "tail-12000-300": ([12000, 12000, 300, 12001, 5], 300),
     "near-2**32": ([3_000_000_000, 4_294_967_295, 2**32, 3_100_000_017], 6),
+    "beyond-2**32": ([2**32 + 1, 2**40 + 7, 900, 2**33, 3], 6),
     "mixed": ([3_000_000_001, 1, 8, 12000, 5, 900, 3_000_000_000, 2, 700], 5),
 }
 
@@ -180,27 +182,43 @@ def generator_reading(raw, ahead, inc):
 
 
 @pytest.mark.parametrize("ahead", range(24))
-def test_choice_positions_replay_a_rejected_word(monkeypatch, ahead):
-    """A zero word rejects in every range that is not a power of two. Put
-    one zero raw word (two zero halves) at each position of the stream, so
-    that rejections fall on Floyd draws, shuffle draws and draws with
-    replacement, in every call; each one is replayed."""
+def test_choice_positions_replay_a_rejected_word(ahead):
+    """Output equal to NumPy's through rejected words. A zero word rejects
+    in every range that is not a power of two. Put one zero raw word (two
+    zero halves) at each position of the stream, so that rejections fall on
+    Floyd draws, shuffle draws and draws with replacement, in every call."""
     inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
     probe = generator_reading(0, ahead, inc)
     assert probe.bit_generator.random_raw(ahead + 1)[-1] == 0
     gen, ref = generator_reading(0, ahead, inc), generator_reading(0, ahead, inc)
-    replayed = []
-    one = nncore._choice_one
-    monkeypatch.setattr(
-        nncore, "_choice_one", lambda *args: replayed.append(args[1:]) or one(*args)
-    )
     assert_same_draws([gen], [ref], [[900, 5, 3, 901, 6, 7, 900]], 6)
-    assert replayed
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_choice_positions_split_tail_members_from_bulk_members(held):
+    """A member with a tail-shuffle call makes its calls with choice itself,
+    while the other members of the same call are drawn in bulk."""
+    pops = [[900, 12000, 900, 5], [900, 901, 7, 5], [3, 300, 12001, 1]]
+    pairs = [twin_generators(seed, held) for seed in (8, 9, 10)]
+    gens, refs = zip(*pairs)
+    assert_same_draws(list(gens), list(refs), pops, 300)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_integers_over_a_bound_array_make_one_choice_draw_per_bound(held):
+    """The premise of choice_positions: integers over an int64 array of
+    upper bounds makes, per element, the draw a one-item choice makes."""
+    bounds = [1, 2, 7, 900, 2**31 + 1, 2**32, 2**32 + 1, 2**40]
+    for seed in range(20):
+        gen, ref = twin_generators(seed, held)
+        got = gen.integers(0, np.array(bounds, dtype=np.int64), dtype=np.int64)
+        assert got.tolist() == [int(ref.choice(h, 1)[0]) for h in bounds]
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def test_choice_positions_reject_what_choice_rejects():
     gen = np.random.default_rng(0)
-    for pops, B in (([[0]], 3), ([[2**32 + 1]], 3), ([[5]], 0), ([5], 3)):
+    for pops, B in (([[0]], 3), ([[5]], 0), ([5], 3)):
         with pytest.raises(ValueError):
             choice_positions([gen], pops, B)
     assert choice_positions([gen], [[]], 4).shape == (1, 0, 4)
