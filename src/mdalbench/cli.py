@@ -27,9 +27,9 @@ from .reporting import (
     format_curves_csv,
     format_table_csv,
     format_table_text,
-    mean_curves,
     render_curves_svg,
     scan_runs,
+    summaries,
 )
 
 EXIT_OK = 0
@@ -147,7 +147,10 @@ def cmd_report(args):
 
 def cmd_curves(args):
     runs = scan_runs(args.results_dir)
-    curves = mean_curves(runs)
+    curves = {
+        key: (s.mean_curve_x, s.mean_curve_y, s.std_curve_y)
+        for key, s in summaries(runs).items()
+    }
     out_dir = Path(args.results_dir)
     datasets = sorted({d for d, _ in curves})
     for dataset in datasets:

@@ -245,7 +245,7 @@ def generate_synthetic(spec):
 def train_test_split(dataset, test_fraction, rng):
     """Stratified per-class split; deterministic under the stream.
     test_fraction lies in (0, 1), as ExperimentConfig checks at load."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     test_idx = []
     # Labels are in [0, classes): the manifest loader checks it and the
     # generator draws there. np.unique would import numpy.ma.

@@ -70,6 +70,13 @@ def _path(f):
     return f"{section}.{f.name}" if section else f.name
 
 
+# the keys each dataset type reads; any other key is an error
+_DATASET_KEYS = {
+    "synthetic": {"type", *(f.name for f in fields(SyntheticSpec))},
+    "manifest": {"type", "path", "split_seed"},
+}
+
+
 def _synthetic_spec(dataset):
     return SyntheticSpec(**{k: v for k, v in dataset.items() if k != "type"})
 
@@ -142,13 +149,17 @@ class ExperimentConfig:
         if problem := name_problem(self.name):
             out.append(f"name: {problem}")
         ds = self.dataset if isinstance(self.dataset, dict) else {}
-        if ds.get("type") == "synthetic":
+        ds_type = ds.get("type")
+        known = _DATASET_KEYS.get(ds_type) if isinstance(ds_type, str) else None
+        if known is None:
+            out.append("dataset.type: expected 'synthetic' or 'manifest'")
+        elif unknown := [k for k in ds if k not in known]:
+            out += [f"dataset.{k}: unknown key" for k in unknown]
+        elif ds_type == "synthetic":
             try:
                 _synthetic_spec(ds)
-            except (TypeError, ValidationError) as exc:
+            except ValidationError as exc:
                 out.append(f"dataset: {exc}")
-        elif ds.get("type") != "manifest":
-            out.append("dataset.type: expected 'synthetic' or 'manifest'")
         else:
             if not isinstance(ds.get("path"), str):
                 out.append(f"dataset.path: expected a string, got {ds.get('path')!r}")
@@ -379,9 +390,9 @@ class AulcSummary:
     aulcs: list
     mean: float
     std: float
-    mean_curve_x: list = field(default_factory=list)
-    mean_curve_y: list = field(default_factory=list)
-    std_curve_y: list = field(default_factory=list)
+    mean_curve_x: list
+    mean_curve_y: list
+    std_curve_y: list
 
 
 def aggregate_seeds(curves):
@@ -429,22 +440,16 @@ def _fail(result, exc):
     result.error = f"{type(exc).__name__}: {exc}"
 
 
-def run_experiment(config, runs, train_store=None, test_sets=None):
+def run_experiment(config, runs, train_store, test_sets):
     """Execute the full AL loop for a group of (strategy, seed) runs.
 
     Each round initializes every run's model from its own stream, trains
     them together (model.train_round), then evaluates, selects and annotates
     each run in order. Returns one RunResult per run, in order. A run that
     raises gets status 'failed' with the records gathered so far and leaves
-    the group; the others go on. An error before the first round (a bad
-    strategy name, a dataset that cannot be loaded) propagates.
+    the group; the others go on. On prepare_pools' pools only a fault in
+    this code can raise before the first round, and it propagates.
     """
-    for strategy, _ in runs:
-        if strategy not in STRATEGY_NAMES:
-            raise ValidationError(f"unknown strategy {strategy!r}")
-    if train_store is None or test_sets is None:
-        train_store, test_sets = prepare_pools(config)
-
     num_classes = tuple(int(d.y.max()) + 1 for d in train_store)
     mconfig = ModelConfig(
         input_dim=train_store[0].X.shape[1],
@@ -624,23 +629,18 @@ def _replace_file(write, path):
         tmp.unlink(missing_ok=True)
 
 
-def execute_run(config, runs, out_dir, train_store=None, test_sets=None):
-    """Run a group of (strategy, seed) runs and persist each one's CSV +
-    metadata, in order; returns their RunResults.
+def execute_run(config, runs, out_dir, train_store, test_sets):
+    """Run a group of (strategy, seed) runs on prepare_pools' pools and
+    persist each one's CSV + metadata, in order; returns their RunResults.
 
-    A failed run's partial records are still written, with status='failed'.
-    A sidecar left by an earlier run is deleted before anything is written
-    for that run, and the sidecar is renamed into place last, so an
-    interrupted write never leaves a sidecar that vouches for a CSV it was
-    not written with.
+    A failed run's partial records are still written, with status='failed';
+    a fault outside any run propagates before anything is written. A sidecar
+    left by an earlier run is deleted before anything is written for that
+    run, and the sidecar is renamed into place last, so an interrupted write
+    never leaves a sidecar that vouches for a CSV it was not written with.
     """
     out_dir = Path(out_dir)
-    try:
-        results = run_experiment(config, runs, train_store, test_sets)
-    except Exception as exc:  # noqa: BLE001 - report per-run failures upward
-        results = [RunResult(config.name, s, int(seed), []) for s, seed in runs]
-        for result in results:
-            _fail(result, exc)
+    results = run_experiment(config, runs, train_store, test_sets)
     for result in results:
         stem = run_file_stem(config.name, result.strategy, result.seed)
         meta_path = out_dir / f"{stem}.json"
@@ -651,8 +651,9 @@ def execute_run(config, runs, out_dir, train_store=None, test_sets=None):
 
 
 def _execute_run_worker(config, runs, out_dir, train_store, test_sets):
-    # the worker looks execute_run up as a module global, so a wrapper bound
-    # to that name, which the pool could not pickle, still runs
+    # both paths of run_grid call this; it looks execute_run up as a module
+    # global, so a wrapper bound to that name, which the pool could not
+    # pickle, still runs
     results = execute_run(config, runs, out_dir, train_store, test_sets)
     return [(r.strategy, r.seed, r.status, r.error) for r in results]
 
@@ -680,11 +681,8 @@ def run_grid(config, out_dir, jobs=1, force=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = [(s, int(seed)) for s in config.strategies for seed in config.seeds]
 
-    existing = [
-        out_dir / f"{run_file_stem(config.name, s, seed)}.csv"
-        for s, seed in pairs
-        if (out_dir / f"{run_file_stem(config.name, s, seed)}.csv").exists()
-    ]
+    csvs = (out_dir / f"{run_file_stem(config.name, s, seed)}.csv" for s, seed in pairs)
+    existing = [path for path in csvs if path.exists()]
     if existing and not force:
         raise OverwriteRefusedError(
             f"{len(existing)} result file(s) already exist under {out_dir} "
@@ -696,9 +694,9 @@ def run_grid(config, out_dir, jobs=1, force=False):
     workers = min(jobs, len(groups))
     if workers <= 1:
         done = [
-            [(r.strategy, r.seed, r.status, r.error) for r in execute_run(
+            _execute_run_worker(
                 config, [pairs[i] for i in group], out_dir, train_store, test_sets
-            )]
+            )
             for group in groups
         ]
     else:

@@ -86,15 +86,16 @@ def scan_runs(results_dir):
     return runs
 
 
-def _grouped(runs):
-    groups = {}
-    for run in runs:
-        groups.setdefault((run["dataset"], run["strategy"]), []).append(run)
-    return groups
-
-
-def _curve(columns):
-    return columns["labeled_total"], columns["acc_macro"]
+def summaries(runs):
+    """aggregate_seeds over the runs of each (dataset, strategy), in seed
+    order; the AULC table and the mean curves both read these."""
+    curves = {}
+    for run in sorted(runs, key=lambda r: r["seed"]):
+        columns = run["columns"]
+        curves.setdefault((run["dataset"], run["strategy"]), []).append(
+            (columns["labeled_total"], columns["acc_macro"])
+        )
+    return {key: aggregate_seeds(group) for key, group in curves.items()}
 
 
 def aulc_table(runs):
@@ -103,26 +104,17 @@ def aulc_table(runs):
     Also averages per-round selection seconds (rounds >= 1, i.e. strategy
     calls rather than the initial split) per strategy.
     """
-    datasets = sorted({r["dataset"] for r in runs})
-    strategies = sorted({r["strategy"] for r in runs})
-    cells = {}
-    for (dataset, strategy), group in _grouped(runs).items():
-        group = sorted(group, key=lambda r: r["seed"])
-        summary = aggregate_seeds([_curve(r["columns"]) for r in group])
-        cells[(dataset, strategy)] = (
-            100.0 * summary.mean,
-            100.0 * summary.std,
-            len(group),
-        )
-    timing = {}
-    for strategy in strategies:
-        times = []
-        for run in runs:
-            if run["strategy"] != strategy:
-                continue
-            times.extend(run["columns"]["select_seconds"][1:])
-        timing[strategy] = float(np.mean(times)) if times else float("nan")
-    return datasets, strategies, cells, timing
+    cells = {
+        key: (100.0 * summary.mean, 100.0 * summary.std)
+        for key, summary in summaries(runs).items()
+    }
+    times = {}
+    for run in runs:
+        seconds = run["columns"]["select_seconds"][1:]
+        times.setdefault(run["strategy"], []).extend(seconds)
+    timing = {s: float(np.mean(t)) if t else float("nan") for s, t in times.items()}
+    datasets = sorted({d for d, _ in cells})
+    return datasets, sorted(timing), cells, timing
 
 
 def format_table_csv(datasets, strategies, cells, timing):
@@ -130,7 +122,7 @@ def format_table_csv(datasets, strategies, cells, timing):
     for s in strategies:
         row = [s]
         for d in datasets:
-            mean, std, _ = cells.get((d, s), (float("nan"), float("nan"), 0))
+            mean, std = cells.get((d, s), (float("nan"), float("nan")))
             row.append(f"{mean:.2f}({std:.2f})")
         row.append(f"{timing[s]:.4f}")
         lines.append(",".join(row))
@@ -152,7 +144,7 @@ def format_table_text(datasets, strategies, cells, timing):
         row = [s]
         for d in datasets:
             if (d, s) in cells:
-                mean, std, _ = cells[(d, s)]
+                mean, std = cells[(d, s)]
                 mark = "*" if best.get(d) == s else " "
                 row.append(f"{mean:6.2f}({std:.2f}){mark}")
             else:
@@ -169,20 +161,6 @@ def format_table_text(datasets, strategies, cells, timing):
 
 
 # -------------------------------------------------------------------- curves
-
-
-def mean_curves(runs):
-    """Pointwise mean/std macro-accuracy curves keyed (dataset, strategy)."""
-    curves = {}
-    for (dataset, strategy), group in _grouped(runs).items():
-        group = sorted(group, key=lambda r: r["seed"])
-        summary = aggregate_seeds([_curve(r["columns"]) for r in group])
-        curves[(dataset, strategy)] = (
-            summary.mean_curve_x,
-            summary.mean_curve_y,
-            summary.std_curve_y,
-        )
-    return curves
 
 
 def format_curves_csv(curves, dataset):

@@ -162,13 +162,11 @@ def _take_global(ctx, scorer):
 def coreset_select(ctx):
     """Greedy farthest-first cover in penultimate-feature space."""
     feats = []
-    items = []
     labeled_feats = []
     for k in range(ctx.num_domains):
         if ctx.unlabeled[k].size:
             X = ctx.store[k].X[ctx.unlabeled[k]]
             feats.append(ctx.model.penultimate_features(X, k))
-            items.extend((k, int(i)) for i in ctx.unlabeled[k])
         if ctx.labeled[k].size:
             XL = ctx.store[k].X[ctx.labeled[k]]
             labeled_feats.append(ctx.model.penultimate_features(XL, k))
@@ -178,6 +176,7 @@ def coreset_select(ctx):
     L = np.ascontiguousarray(np.vstack(labeled_feats))
     # squared distances preserve the argmax of Euclidean farthest-first
     min_d = pairwise_sq_dists(U, L).min(axis=1)
+    items = _all_items(ctx)
     picked = []
     for _ in range(ctx.budget):
         j = int(np.argmax(min_d))
@@ -243,7 +242,7 @@ def badge_select(ctx):
     Domains with fewer classes have their residuals zero-padded to the
     largest class count, so every embedding lives in one space.
     """
-    resids, feats, items = [], [], []
+    resids, feats = [], []
     for k in range(ctx.num_domains):
         if ctx.unlabeled[k].size == 0:
             continue
@@ -251,11 +250,11 @@ def badge_select(ctx):
         resid, h = ctx.model.gradient_embeddings(X, k)
         resids.append(resid)
         feats.append(h)
-        items.extend((k, int(i)) for i in ctx.unlabeled[k])
     c = max(r.shape[1] for r in resids)
     R = np.vstack([np.pad(r, ((0, 0), (0, c - r.shape[1]))) for r in resids])
     gen = ctx.rng.child("badge").generator()
     chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)
+    items = _all_items(ctx)
     return sorted(items[j] for j in chosen)
 
 
@@ -312,12 +311,12 @@ def allocate_budget(counts, budget, capacities=None):
 
 def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     """k-Means++ seeding plus Lloyd iterations over the points r_i (x) h_i,
-    best of n_init restarts.
+    best of n_init restarts, every draw from the stream rng.
 
     R is (n, c) and H is (n, d); plain points are R = ones((n, 1)). Each
     restart stops when assignments stop changing or after max_iter rounds;
-    the restart with the lowest final SSE wins. An empty cluster seizes the
-    point farthest from its own center (never draining a singleton).
+    the first restart with the lowest final SSE wins. An empty cluster seizes
+    the point farthest from its own center (never draining a singleton).
     Returns (labels, centers, sse_history) for the winning restart; centers,
     of shape (k, c, d), are the means of the returned clusters and
     sse_history interleaves the SSE after each assignment and each
@@ -327,14 +326,10 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"cannot form {k} clusters from {n} points")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     norms = factor_sq_norms(R, H)
-    best = None
-    for _ in range(max(1, n_init)):
-        result = _lloyd(R, H, norms, k, gen, max_iter)
-        if best is None or result[2][-1] < best[2][-1]:
-            best = result
-    return best
+    restarts = (_lloyd(R, H, norms, k, gen, max_iter) for _ in range(n_init))
+    return min(restarts, key=lambda result: result[2][-1])
 
 
 def _lloyd(R, H, norms, k, gen, max_iter):

@@ -89,7 +89,8 @@ def test_run_missing_config_exits_2(tmp_path):
         pytest.param({"model.epochs_per_round": 1.5}, "model.epochs_per_round", id="int-as-float"),
         pytest.param({"model.batch_size": 2.5}, "model.batch_size", id="batch-size-float"),
         pytest.param({"model": 3}, "model", id="section-not-object"),
-        pytest.param({"dataset.num_domain": 2}, "dataset", id="unknown-synthetic-key"),
+        pytest.param({"dataset.num_domain": 2}, "dataset.num_domain",
+                     id="unknown-synthetic-key"),
         pytest.param({"dataset.num_domains": 0}, "dataset", id="synthetic-range"),
         pytest.param({"dataset.num_domains": 2.5}, "num_domains", id="synthetic-int-as-float"),
         pytest.param(
@@ -97,6 +98,10 @@ def test_run_missing_config_exits_2(tmp_path):
             id="synthetic-samples-float",
         ),
         pytest.param({"dataset": {"type": "manifest"}}, "dataset.path", id="manifest-no-path"),
+        pytest.param(
+            {"dataset": {"type": "manifest", "path": "m.json", "splitseed": 3}},
+            "dataset.splitseed", id="unknown-manifest-key",
+        ),
         pytest.param({"strategies": "random"}, "strategies", id="strategies-string"),
         pytest.param({"seeds": ["a"]}, "seeds", id="seed-string"),
         pytest.param({"seeds": [1.5]}, "seeds", id="seed-float"),

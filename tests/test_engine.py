@@ -276,8 +276,8 @@ def test_run_stops_immediately_when_budget_met_at_init():
 
 def test_run_experiment_deterministic():
     config = quick_config(name="det")
-    (a,) = run_experiment(config, [("bvsb", 3)])
-    (b,) = run_experiment(config, [("bvsb", 3)])
+    (a,) = run_experiment(config, [("bvsb", 3)], *engine.prepare_pools(config))
+    (b,) = run_experiment(config, [("bvsb", 3)], *engine.prepare_pools(config))
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra.labeled_total == rb.labeled_total
@@ -287,7 +287,7 @@ def test_run_experiment_deterministic():
 
 def test_run_labeled_fraction_lands_in_budget_window():
     config = quick_config(name="window", step_fraction=0.07, budget_fraction=0.33)
-    (result,) = run_experiment(config, [("random", 5)])
+    (result,) = run_experiment(config, [("random", 5)], *engine.prepare_pools(config))
     final = result.records[-1].labeled_frac
     assert 0.33 <= final < 0.33 + 0.07 + 1e-12
 
@@ -305,7 +305,7 @@ def test_csv_header_layout():
 
 def test_csv_round_trip(tmp_path):
     config = quick_config(name="roundtrip")
-    (result,) = run_experiment(config, [("random", 2)])
+    (result,) = run_experiment(config, [("random", 2)], *engine.prepare_pools(config))
     path = tmp_path / "run.csv"
     write_run_csv(result, path)
     cols = read_run_csv(path)
@@ -322,7 +322,9 @@ def test_execute_run_persists_partial_records_on_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "select", broken_select)
     config = quick_config(name="fails")
-    (result,) = execute_run(config, [("p2s", 0)], tmp_path)
+    (result,) = execute_run(
+        config, [("p2s", 0)], tmp_path, *engine.prepare_pools(config)
+    )
     assert result.status == "failed"
     assert "selection broke" in result.error
     assert len(result.records) == 1  # round 0 evaluated before selection died
@@ -330,6 +332,20 @@ def test_execute_run_persists_partial_records_on_failure(tmp_path, monkeypatch):
     assert len(cols["round"]) == len(result.records)
     meta = (tmp_path / "fails__p2s__seed0.json").read_text()
     assert '"status": "failed"' in meta
+
+
+def test_fault_outside_any_run_propagates_and_writes_nothing(tmp_path, monkeypatch):
+    # nothing before the first round can fail for a config that loads, so a
+    # fault there is a bug: it must surface, not be written as failed runs
+    def broken_model_config(**kwargs):
+        raise RuntimeError("model config broke")
+
+    monkeypatch.setattr(engine, "ModelConfig", broken_model_config)
+    config = quick_config(name="bug")
+    pools = engine.prepare_pools(config)
+    with pytest.raises(RuntimeError, match="model config broke"):
+        execute_run(config, [("random", 0), ("bvsb", 1)], tmp_path, *pools)
+    assert not list(tmp_path.iterdir())
 
 
 def test_failed_run_leaves_its_group_and_the_others_go_on(tmp_path, monkeypatch):
@@ -343,7 +359,7 @@ def test_failed_run_leaves_its_group_and_the_others_go_on(tmp_path, monkeypatch)
     monkeypatch.setattr(engine, "select", select_breaks_for_bvsb)
     config = quick_config(name="mixed")
     runs = [("random", 0), ("bvsb", 0), ("random", 1)]
-    results = execute_run(config, runs, tmp_path)
+    results = execute_run(config, runs, tmp_path, *engine.prepare_pools(config))
     assert [(r.strategy, r.seed, r.status) for r in results] == [
         ("random", 0, "ok"), ("bvsb", 0, "failed"), ("random", 1, "ok"),
     ]
@@ -351,7 +367,9 @@ def test_failed_run_leaves_its_group_and_the_others_go_on(tmp_path, monkeypatch)
     assert len(results[1].records) == 2  # rounds 0 and 1 trained and evaluated
     # the runs that went on match runs made alone
     for result in (results[0], results[2]):
-        (alone,) = run_experiment(config, [(result.strategy, result.seed)])
+        (alone,) = run_experiment(
+            config, [(result.strategy, result.seed)], *engine.prepare_pools(config)
+        )
         assert [r.macro_accuracy for r in result.records] == [
             r.macro_accuracy for r in alone.records
         ]
@@ -363,9 +381,9 @@ def test_failed_run_leaves_its_group_and_the_others_go_on(tmp_path, monkeypatch)
 def test_warm_started_group_matches_runs_alone():
     config = quick_config(name="warm", warm_start=True)
     runs = [("random", 0), ("bvsb", 1)]
-    together = run_experiment(config, runs)
+    together = run_experiment(config, runs, *engine.prepare_pools(config))
     for result, run in zip(together, runs):
-        (alone,) = run_experiment(config, [run])
+        (alone,) = run_experiment(config, [run], *engine.prepare_pools(config))
         assert result.status == alone.status == "ok"
         assert [r.epoch_losses for r in result.records] == [
             r.epoch_losses for r in alone.records

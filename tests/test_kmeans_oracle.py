@@ -12,6 +12,7 @@ import pytest
 
 import reference_kmeans as ref
 from mdalbench.kernels import sq_dists_to_point
+from mdalbench.nncore import RngStream
 from mdalbench.strategies import (
     allocate_budget,
     build_regions,
@@ -75,10 +76,10 @@ def test_factored_kmeans_matches_reference(name, R, H, k, max_iter):
         assert np.array_equal(seeds, expected)
 
         labels, centers, history = kmeans(
-            R, H, k, np.random.default_rng(seed), max_iter=max_iter, n_init=3
+            R, H, k, RngStream(seed, "km"), max_iter=max_iter, n_init=3
         )
         ref_labels, ref_centers, ref_history = ref.kmeans(
-            E, k, np.random.default_rng(seed), max_iter=max_iter, n_init=3
+            E, k, RngStream(seed, "km").generator(), max_iter=max_iter, n_init=3
         )
         assert np.array_equal(labels, ref_labels)
         assert len(set(labels.tolist())) == k
