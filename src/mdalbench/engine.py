@@ -588,7 +588,7 @@ def read_run_csv(path):
     return cols
 
 
-def write_run_metadata(result, config, path, timestamp=None):
+def write_run_metadata(result, config, path):
     doc = {
         "config": config.to_dict(),
         "strategy": result.strategy,
@@ -600,7 +600,7 @@ def write_run_metadata(result, config, path, timestamp=None):
         "epoch_losses": [r.epoch_losses for r in result.records],
         "labeled_per_domain": [r.labeled_per_domain for r in result.records],
         # volatile fields, excluded from reproducibility comparisons
-        "timestamp": timestamp if timestamp is not None else time.time(),
+        "timestamp": time.time(),
         "timing": {
             "select_seconds": [r.select_seconds for r in result.records],
             "train_seconds": [r.train_seconds for r in result.records],

@@ -16,7 +16,11 @@ training_step, one fused forward/backward pass that runs both extractors
 through one stacked weight [W_shared; W_private_k] and writes the gradients
 of the eight parameters a step touches into one (models, F) buffer per
 domain (StepGrads), laid out like the two stretches of the parameter buffer
-they update. A single model trains as a group of one.
+they update. The backward pass through a ReLU ANDs the gradient's bits with
+an int8 mask of 0 or -1 (all bits set) per entry: every bit kept where the
+pre-activation is positive, the bits of +0.0 elsewhere, which is np.where's
+result bit for bit without its per-element branches. A single model trains
+as a group of one.
 """
 
 import math
@@ -178,6 +182,25 @@ def _xent(logits, labels, starts):
     return loss, probs
 
 
+def relu_keep(Z):
+    """The int8 mask of Z's positive entries for relu_backward_inplace: -1,
+    every bit set, where Z > 0, and 0 elsewhere, NaN included."""
+    return np.negative(np.greater(Z, 0.0).view(np.int8))
+
+
+def relu_backward_inplace(dY, keep):
+    """dY, float64, through the ReLU of Z whose relu_keep is keep, in place.
+
+    Exactly np.where(Z > 0, dY, 0.0), bit for bit: the AND of dY's bits with
+    keep sign-extended to 64 bits keeps all of them where keep is -1 (NaN
+    payloads, infinities, -0.0 and subnormals included) and leaves the bits
+    of +0.0 where it is 0. np.where branches per element, and a ReLU's mask
+    is random enough to mispredict those branches; the AND has none.
+    """
+    np.bitwise_and(dY.view(np.int64), keep, out=dY.view(np.int64))
+    return dY
+
+
 class LayerStack:
     """The weights (M, out, in) and biases (M, out) of one layer of M
     models, with the transposed weights (M, in, out) and the biases as
@@ -264,7 +287,7 @@ class StepGrads:
     Shared W ends the common block and private_k W starts the domain block,
     so ext_W, the gradient of the stacked extractor [shared; private_k], is
     one view: its first S rows are shared_W, the rest private_W. updates
-    pairs the group's two stretches of parameters with their gradients.
+    pairs each member's two stretches of parameters with their gradients.
     training_step overwrites every entry.
     """
 
@@ -283,10 +306,12 @@ class StepGrads:
         self.ext_W = self.flat[:, start : start + ext * input_dim].reshape(
             M, ext, input_dim
         )
-        self.updates = [
-            (group.params[:, common], self.flat[:, : common.stop]),
-            (group.params[:, block], self.flat[:, common.stop :]),
-        ]
+        # one pair per member and stretch: numpy subtracts a (M, F) view of
+        # rows of a wider buffer several times slower than its M rows one
+        # by one once M >= 4, and the result is the same elementwise
+        self.updates = []
+        for p, gp in zip(group.params, self.flat):
+            self.updates += [(p[common], gp[: common.stop]), (p[block], gp[common.stop :])]
 
 
 def training_step(group, XX, y, k, d_adv, config, grads):
@@ -306,12 +331,16 @@ def training_step(group, XX, y, k, d_adv, config, grads):
     One matmul through the stacked weight [W_shared; W_private_k] runs both
     extractors on all 2n rows; the supervised features h and the adversarial
     shared features are views of its ReLU, and one mask of its positive
-    entries serves both backward passes through it. The private features of
-    the adversarial rows go unused. One dZ.T @ X gives both extractors'
-    supervised weight gradients before the adversarial part is subtracted
-    from the shared rows: the reversal's factor -1 is folded into that
-    subtraction, which is exact, since a - b is a + (-b) and a product or a
-    sum of negated terms is the negated result. Every other operation is
+    entries serves both backward passes through it. The mask is an int8 0
+    or -1 per entry (relu_keep), ANDed into the bits of the incoming
+    gradient in place (relu_backward_inplace): all 64 bits kept or none, so
+    the result is exactly np.where(Z > 0, dY, 0.0), NaN, inf and -0.0
+    included. The private features of the adversarial rows go unused. One
+    dZ.T @ X gives both extractors' supervised weight gradients before the
+    adversarial part is subtracted from the shared rows: the reversal's
+    factor -1 is folded into that subtraction, which is exact, since a - b
+    is a + (-b) and a product or a sum of negated terms is the negated
+    result. Every other operation is
     that of a layer-by-layer backward pass (affine, ReLU, reversal) in the
     same order, so the gradients are bit-identical to it;
     tests/reference_layers.py keeps that pass as the reference. numpy runs a
@@ -327,7 +356,7 @@ def training_step(group, XX, y, k, d_adv, config, grads):
 
     Z = XX @ np.concatenate((shared.W, private.W), axis=1).swapaxes(1, 2)
     Z += np.concatenate((shared.b_rows, private.b_rows), axis=2)
-    positive = Z > 0.0
+    keep = relu_keep(Z)
     H = relu(Z)
     h = H[:, :n]
     loss_sup, dlogits = _xent(
@@ -345,7 +374,7 @@ def training_step(group, XX, y, k, d_adv, config, grads):
         dh[..., :S] += config.lam_diff * 2.0 * (hp @ C.swapaxes(1, 2))
         dh[..., S:] += config.lam_diff * 2.0 * (hs @ C)
 
-    dZ = np.where(positive[:, :n], dh, 0.0)
+    dZ = relu_backward_inplace(dh, keep[:, :n])
     np.matmul(dZ.swapaxes(1, 2), XX[:, :n], out=grads.ext_W)
     # one reduction of the whole dZ, then two copies: numpy would sum the
     # rows of a one-wide slice pairwise, not one by one as here
@@ -361,7 +390,7 @@ def training_step(group, XX, y, k, d_adv, config, grads):
     np.matmul(dla.swapaxes(1, 2), ha, out=grads.disc_W)
     np.add.reduce(dla, axis=1, out=grads.disc_b)
     # the reversal: the shared rows take the adversarial part with sign -1
-    dZa = np.where(positive[:, n:, :S], dla @ disc.W, 0.0)
+    dZa = relu_backward_inplace(dla @ disc.W, keep[:, n:, :S])
     grads.shared_W -= dZa.swapaxes(1, 2) @ XX[:, n:]
     grads.shared_b -= np.add.reduce(dZa, axis=1)
     return loss_sup, loss_adv, loss_diff

@@ -37,7 +37,7 @@ class SelectionContext:
     """Frozen view of everything a strategy may look at.
 
     store holds the per-domain training pools; labeled/unlabeled are sorted
-    index arrays into them. The model is treated as read-only. sigma,
+    int64 index arrays into them. The model is treated as read-only. sigma,
     num_perturbations and budget_counts ("unlabeled", or "pool": the full
     pool sizes in the Eq-3 role) only carry values, which ExperimentConfig
     declares and checks.
@@ -52,10 +52,6 @@ class SelectionContext:
     sigma: float
     num_perturbations: int
     budget_counts: str
-
-    def __post_init__(self):
-        self.labeled = [np.asarray(a, dtype=np.int64) for a in self.labeled]
-        self.unlabeled = [np.asarray(a, dtype=np.int64) for a in self.unlabeled]
 
     @property
     def num_domains(self):
@@ -261,15 +257,15 @@ def badge_select(ctx):
 # ------------------------------------------------------------ stage 1: setup
 
 
-def allocate_budget(counts, budget, capacities=None):
+def allocate_budget(counts, budget, capacities):
     """Largest-remainder proportional split of `budget` across domains.
 
-    counts drive the proportions; capacities (default: counts) cap each
-    domain's share, with overflow re-handed to the largest remainders that
-    still have room. Exact integer arithmetic, ties broken by domain id.
+    counts drive the proportions; capacities cap each domain's share, with
+    overflow re-handed to the largest remainders that still have room.
+    Exact integer arithmetic, ties broken by domain id.
     """
     counts = [int(c) for c in counts]
-    caps = counts if capacities is None else [int(c) for c in capacities]
+    caps = [int(c) for c in capacities]
     if len(caps) != len(counts):
         raise ValidationError("counts and capacities length mismatch")
     if budget < 1:
@@ -457,7 +453,7 @@ def two_stage_variant_select(ctx, scorer, region_stage=True):
         for k in range(ctx.num_domains)
     ]
     caps = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-    budgets = allocate_budget(counts, ctx.budget, capacities=caps)
+    budgets = allocate_budget(counts, ctx.budget, caps)
 
     batch = []
     for k, bk in enumerate(budgets):

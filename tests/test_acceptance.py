@@ -109,7 +109,7 @@ def test_criterion_2_analytic_embedding_oracle():
         # the EGL score the egl strategy ranks by vs per-class backprop norms
         ctx = SelectionContext(
             model=model, store=[DomainDataset(X=x[None, :], y=[0], domain_id=0)],
-            labeled=[[]], unlabeled=[[0]], budget=1, rng=RngStream(trial),
+            labeled=[np.array([], np.int64)], unlabeled=[np.array([0])], budget=1, rng=RngStream(trial),
             sigma=0.01, num_perturbations=20, budget_counts="unlabeled",
         )
         analytic = float(egl_scores(ctx, 0)[0])
@@ -133,7 +133,7 @@ def test_criterion_3_combinatorial_oracles():
         if sum(counts) == 0:
             counts[0] = 1
         budget = int(gen.integers(1, sum(counts) + 1))
-        got = allocate_budget(counts, budget)
+        got = allocate_budget(counts, budget, counts)
         assert got == reference_largest_remainder(counts, budget)
         assert sum(got) == budget
 

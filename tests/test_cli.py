@@ -182,10 +182,10 @@ def test_interrupted_force_rerun_is_not_reported(tmp_path, monkeypatch, capsys,
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     write_run_metadata = engine.write_run_metadata
 
-    def fail_for_bvsb(result, config, meta_path, timestamp=None):
+    def fail_for_bvsb(result, config, meta_path):
         if result.strategy == "bvsb":
             raise interrupt
-        write_run_metadata(result, config, meta_path, timestamp)
+        write_run_metadata(result, config, meta_path)
 
     monkeypatch.setattr(engine, "write_run_metadata", fail_for_bvsb)
     try:

@@ -114,7 +114,7 @@ def test_center_scorer_uses_means_of_formed_embeddings():
     for seed in (31, 32, 33):
         ctx = make_real_context(seed, budget=4)
         counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-        budgets = allocate_budget(counts, ctx.budget)
+        budgets = allocate_budget(counts, ctx.budget, counts)
         for k in range(ctx.num_domains):
             if budgets[k] < 1:
                 continue
@@ -134,7 +134,7 @@ def test_center_scorer_uses_means_of_formed_embeddings():
 def test_build_regions_match_reference_clustering():
     ctx = make_real_context(34, budget=5, n_per=12)
     counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-    budgets = allocate_budget(counts, ctx.budget)
+    budgets = allocate_budget(counts, ctx.budget, counts)
     for k in range(ctx.num_domains):
         if budgets[k] < 1:
             continue

@@ -15,6 +15,8 @@ from mdalbench.model import (
     ModelGroup,
     StepGrads,
     evaluate,
+    relu_backward_inplace,
+    relu_keep,
     train_round,
     training_step,
 )
@@ -429,6 +431,74 @@ def test_train_round_matches_layer_by_layer_round(classes, settings, n_labeled,
     # softmax over a single domain is constant
     still = [np.array_equal(p, v) for p, v in zip(model_params(fused), start)]
     assert sum(still) == (2 if len(classes) == 1 else 0)
+
+
+def test_step_through_exact_zero_pre_activations_matches_layer_by_layer_step():
+    """Zero input rows through zero extractor biases give pre-activations of
+    exactly 0, where the step's mask and relu_backward both take the
+    subgradient 0: one step, bit for bit."""
+    classes = (2, 3)
+    config = ModelConfig(
+        input_dim=5, num_classes=classes, shared_hidden=6, private_hidden=4,
+        lam_adv=0.3, lam_diff=0.05, lr=0.05, batch_size=8, epochs_per_round=1,
+    )
+    store = _class_store(classes)
+    for d in store:
+        d.X[::2] = 0.0
+    labeled = [np.arange(4), np.arange(4)]  # a total of 8: one step
+    models = [AspMtlModel.init(config, RngStream(3)) for _ in range(2)]
+    for model in models:
+        for lin in (model.shared, *model.privates):
+            lin.b[...] = 0.0
+    ((k, take, rows),) = reference_batches(store, labeled, config, RngStream(3, "train"))
+    pool_X = np.concatenate([d.X for d in store])
+    assert (store[k].X[take] == 0.0).all(axis=1).any()
+    assert (pool_X[rows] == 0.0).all(axis=1).any()
+
+    fused, layered = models
+    (logs,) = train_round([fused], store, [labeled], config, [RngStream(3, "train")])
+    assert logs == reference_train_round(
+        layered, store, labeled, config, RngStream(3, "train")
+    )
+    for a, b in zip(model_params(fused), model_params(layered)):
+        assert a.tobytes() == b.tobytes()
+
+
+# NaN of both signs (one with a payload), both zeros, both infinities, the
+# smallest subnormals, the largest finite magnitudes and ordinary values
+SPECIAL_FLOATS = np.concatenate([
+    [np.nan, -np.nan],
+    np.array([0x7FF0_0000_0000_0001], dtype=np.int64).view(np.float64),
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -1e-310,
+     1e308, -1e308, 1.5, -2.25],
+])
+
+
+def test_relu_mask_equals_where_bit_for_bit():
+    """Every pair of (pre-activation, upstream gradient) special values, also
+    through a strided slice of the mask as in the step's reversal pass."""
+    Z, x = np.meshgrid(SPECIAL_FLOATS, SPECIAL_FLOATS, indexing="ij")
+    want = np.where(Z > 0, x, 0.0).view(np.int64)
+    got = relu_backward_inplace(x.copy(), relu_keep(Z))
+    assert np.array_equal(got.view(np.int64), want)
+
+    wide = np.concatenate([Z, np.ones_like(Z)], axis=1)[None]
+    got = relu_backward_inplace(x[None].copy(), relu_keep(wide)[..., : Z.shape[1]])
+    assert np.array_equal(got[0].view(np.int64), want)
+
+
+def test_bitwise_and_sign_extends_an_int8_minus_one():
+    """The premise of relu_backward_inplace: an int8 -1 ANDed with int64
+    values is all 64 bits set, and an int8 0 is none."""
+    values = np.concatenate([
+        SPECIAL_FLOATS.view(np.int64),
+        [-1, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 1 << 62],
+    ])
+    keep = np.array([-1, 0], dtype=np.int8)
+    got = np.bitwise_and(values[:, None], keep)
+    assert got.dtype == np.int64
+    assert np.array_equal(got[:, 0], values)
+    assert not got[:, 1].any()
 
 
 @pytest.mark.parametrize("poisoned", range(8))

@@ -423,9 +423,9 @@ def reference_largest_remainder(counts, budget):
 
 
 def test_allocate_budget_spec_examples():
-    assert allocate_budget([100, 300], 4) == [1, 3]
-    assert allocate_budget([9], 7) == [7]
-    assert allocate_budget([5, 5, 10], 5) == [1, 1, 3]
+    assert allocate_budget([100, 300], 4, [100, 300]) == [1, 3]
+    assert allocate_budget([9], 7, [9]) == [7]
+    assert allocate_budget([5, 5, 10], 5, [5, 5, 10]) == [1, 1, 3]
 
 
 def test_allocate_budget_matches_reference_on_random_instances():
@@ -436,7 +436,7 @@ def test_allocate_budget_matches_reference_on_random_instances():
         if sum(counts) == 0:
             counts[0] = 1
         budget = int(gen.integers(1, sum(counts) + 1))
-        got = allocate_budget(counts, budget)
+        got = allocate_budget(counts, budget, counts)
         ref = reference_largest_remainder(counts, budget)
         assert got == ref, (counts, budget)
         assert sum(got) == budget
@@ -456,9 +456,10 @@ def test_allocate_budget_permutation_equivariant():
         fracs = [(budget * c) % total for c in counts]
         if len(set(fracs)) != K:
             continue  # equivariance only promised for distinct remainders
-        base = allocate_budget(counts, budget)
+        base = allocate_budget(counts, budget, counts)
         perm = gen.permutation(K)
-        permuted = allocate_budget([counts[p] for p in perm], budget)
+        permuted_counts = [counts[p] for p in perm]
+        permuted = allocate_budget(permuted_counts, budget, permuted_counts)
         assert permuted == [base[p] for p in perm]
 
 
@@ -471,11 +472,11 @@ def test_allocate_budget_respects_capacities():
 
 def test_allocate_budget_validation():
     with pytest.raises(ValidationError):
-        allocate_budget([3, 3], 7)
+        allocate_budget([3, 3], 7, [3, 3])
     with pytest.raises(ValidationError):
-        allocate_budget([3], 0)
+        allocate_budget([3], 0, [3])
     with pytest.raises(ValidationError):
-        allocate_budget([-1, 5], 2)
+        allocate_budget([-1, 5], 2, [-1, 5])
 
 
 # -------------------------------------------------------------------- kmeans
@@ -562,7 +563,7 @@ def test_kmeans_no_empty_clusters_with_duplicates():
 def test_build_regions_structure():
     ctx = make_real_context(31, budget=4)
     counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-    budgets = allocate_budget(counts, 4)
+    budgets = allocate_budget(counts, 4, counts)
     for k in range(ctx.num_domains):
         if budgets[k] == 0:
             continue
@@ -683,7 +684,7 @@ def test_two_stage_scorers_read_each_domain_once(monkeypatch, strategy):
 
     ctx = make_real_context(57, budget=4)
     counts = [ctx.unlabeled[k].size for k in range(ctx.num_domains)]
-    assert min(allocate_budget(counts, ctx.budget)) >= 1
+    assert min(allocate_budget(counts, ctx.budget, counts)) >= 1
     reads = []
     real = AspMtlModel.penultimate_features
 
