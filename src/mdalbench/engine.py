@@ -578,13 +578,25 @@ def write_run_csv(result, path):
 
 
 def read_run_csv(path):
-    """Parse a result CSV back into column arrays."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    """Parse a result CSV back into column arrays. A row whose cell count is
+    not the header's, or a cell that is not a number, raises ValidationError
+    naming path:line."""
+    lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
     header = lines[0].split(",")
     cols = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            cols[name].append(float(cell))
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{path}:{number}: {len(cells)} cells, the header has {len(header)}"
+            )
+        for name, cell in zip(header, cells):
+            try:
+                cols[name].append(float(cell))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{number}: {name} is not a number: {cell!r}"
+                ) from None
     return cols
 
 

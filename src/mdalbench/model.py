@@ -20,7 +20,8 @@ they update. The backward pass through a ReLU ANDs the gradient's bits with
 an int8 mask of 0 or -1 (all bits set) per entry: every bit kept where the
 pre-activation is positive, the bits of +0.0 elsewhere, which is np.where's
 result bit for bit without its per-element branches. A single model trains
-as a group of one.
+as a group of one, and a member whose step goes non-finite stays in its
+group until the round ends, its parameters frozen.
 """
 
 import math
@@ -415,9 +416,11 @@ def train_round(models, store, labeled, config, rngs):
     every member and step of an epoch at once, before the epoch starts.
 
     Returns, per model, its per-epoch mean losses, or the NonFiniteError of
-    the step whose losses or gradients were not finite. Such a model keeps
-    the parameters it had before that step and leaves the group; the others
-    train on.
+    the first step whose losses or gradients were not finite. Such a model
+    stays in the group, frozen: from that step on its gradient row is zeroed,
+    so it keeps the parameters it had before that step, while the others
+    train on, each bit for bit as without it. The call returns once every
+    member has failed; the engine drops a failed run after the round.
     """
     K, B = config.num_domains, config.batch_size
     for k in range(K):
@@ -453,21 +456,22 @@ def train_round(models, store, labeled, config, rngs):
     steps_per_epoch = max(1, math.ceil(totals.pop() / B))
 
     outcomes = [[] for _ in models]
-    live = list(range(len(models)))  # members still training, in order
+    failed = np.zeros(len(models), dtype=bool)
+    frozen = False  # whether any member has failed: only then are rows zeroed
     group = ModelGroup(models)
     grads = [StepGrads(group, d) for d in range(K)]
     step_counter = 0
     for _ in range(config.epochs_per_round):
-        sums = np.zeros((4, len(live)))
+        sums = np.zeros((4, len(models)))
         sum_sup, sum_adv, sum_diff, sum_total = sums
         # per member, the epoch's calls alternate supervised and adversarial
         domains = (step_counter + np.arange(steps_per_epoch)) % K
-        pops = np.full((len(live), 2 * steps_per_epoch), n_pool)
-        pops[:, 0::2] = counts[live][:, domains]
-        positions = choice_positions([gens[m] for m in live], pops, B)
-        positions = positions.reshape(len(live), steps_per_epoch, 2 * B)
+        pops = np.full((len(models), 2 * steps_per_epoch), n_pool)
+        pops[:, 0::2] = counts[:, domains]
+        positions = choice_positions(gens, pops, B)
+        positions = positions.reshape(len(models), steps_per_epoch, 2 * B)
         sup = positions[..., :B]
-        sup[...] = labeled_rows[starts[live][:, domains, None] + sup]
+        sup[...] = labeled_rows[starts[:, domains, None] + sup]
         # (steps, members, 2B): per step and member, B supervised rows over
         # B adversarial rows; and the labels and domain ids of those rows
         epoch_rows = np.ascontiguousarray(positions.transpose(1, 0, 2))
@@ -490,24 +494,27 @@ def train_round(models, store, labeled, config, rngs):
             # finite member may still overflow that sum, so the members are
             # then tested one by one
             grad_sums = np.add.reduce(g.flat, axis=1)
-            failed = []
             if not math.isfinite(np.add.reduce(total + grad_sums)):
-                finite = np.isfinite(total) & np.isfinite(grad_sums)
-                failed = np.flatnonzero(~finite).tolist()
-            for j in failed:
-                if not math.isfinite(total[j]):
-                    diff = loss_diff[j] if config.lam_diff > 0 else loss_diff
-                    message = (
-                        f"non-finite loss (sup={float(loss_sup[j])}, "
-                        f"adv={float(loss_adv[j])}, diff={float(diff)}) "
-                        f"at step {step_counter}"
-                    )
-                else:
-                    message = f"non-finite gradient at step {step_counter}"
-                outcomes[live[j]] = NonFiniteError(message)
-                # a zero gradient leaves the failed member's parameters as
-                # they were before this step
-                g.flat[j] = 0.0
+                new = ~(np.isfinite(total) & np.isfinite(grad_sums) | failed)
+                for j in np.flatnonzero(new).tolist():
+                    if not math.isfinite(total[j]):
+                        diff = loss_diff[j] if config.lam_diff > 0 else loss_diff
+                        message = (
+                            f"non-finite loss (sup={float(loss_sup[j])}, "
+                            f"adv={float(loss_adv[j])}, diff={float(diff)}) "
+                            f"at step {step_counter}"
+                        )
+                    else:
+                        message = f"non-finite gradient at step {step_counter}"
+                    outcomes[j] = NonFiniteError(message)
+                failed |= new
+                if failed.all():
+                    return outcomes
+                frozen = bool(failed.any())
+            if frozen:
+                # a zero gradient leaves a failed member's parameters as
+                # they were before its failing step
+                g.flat[failed] = 0.0
             g.flat *= config.lr
             for p, gp in g.updates:
                 p -= gp
@@ -515,20 +522,9 @@ def train_round(models, store, labeled, config, rngs):
             sum_adv += loss_adv
             sum_diff += loss_diff
             sum_total += total
-            if failed:
-                keep = finite.nonzero()[0]
-                live = [live[j] for j in keep]
-                if not live:
-                    return outcomes
-                sums = sums[:, keep]
-                sum_sup, sum_adv, sum_diff, sum_total = sums
-                epoch_rows = epoch_rows[:, keep]
-                epoch_y, epoch_d = epoch_y[:, keep], epoch_d[:, keep]
-                group = ModelGroup([models[m] for m in live])
-                grads = [StepGrads(group, d) for d in range(K)]
 
-        for j, m in enumerate(live):
+        for m in np.flatnonzero(~failed).tolist():
             outcomes[m].append(
-                EpochLog(*(float(v) for v in sums[:, j] / steps_per_epoch))
+                EpochLog(*(float(v) for v in sums[:, m] / steps_per_epoch))
             )
     return outcomes

@@ -597,6 +597,37 @@ def test_sidecar_name_outside_the_results_dir_is_skipped(tmp_path, capsys, comma
         assert "p2s" in table and "egl" not in table
 
 
+def _edit_csv_row(path, row, edit):
+    """Rewrite line row + 2 of a result CSV (row 0 is the line after the
+    header) as edit(its cells)."""
+    lines = path.read_text().splitlines()
+    lines[row + 1] = ",".join(edit(lines[row + 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_truncated_csv_row_exits_2_naming_its_line(tmp_path, capsys, command):
+    """Read on, a row one cell short would pair its cells with the wrong
+    column names and leave the columns of unequal length."""
+    fake_run(tmp_path, "ds", "random", 0, [0.5, 0.6, 0.7])
+    csv = tmp_path / "ds__random__seed0.csv"
+    _edit_csv_row(csv, 1, lambda cells: cells[:-1])
+    assert main([command, str(tmp_path)]) == 2
+    assert f"{csv}:3: 6 cells, the header has 7" in capsys.readouterr().err
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_non_numeric_csv_cell_exits_2_naming_its_line(tmp_path, capsys, command):
+    fake_run(tmp_path, "ds", "random", 0, [0.5, 0.6, 0.7])
+    csv = tmp_path / "ds__random__seed0.csv"
+    _edit_csv_row(csv, 2, lambda cells: cells[:4] + ["oops"] + cells[5:])
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{csv}:4: acc_macro is not a number: 'oops'" in err
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
+
 def test_report_refuses_runs_of_different_configs_under_one_name(tmp_path, capsys):
     # seeds and strategies may differ: --seeds and --strategies vary them
     fake_run(tmp_path, "t", "random", 0, [0.8, 0.8], seeds=[0], model={"epochs_per_round": 1})

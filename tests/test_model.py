@@ -640,11 +640,70 @@ def test_non_finite_member_leaves_the_group(monkeypatch, poisoned_param):
         _same_run(models[m], outcomes[m], fresh[m], logs)
 
 
+def test_member_non_finite_on_every_later_step_keeps_its_first_failure(monkeypatch):
+    """Member 1's gradient is NaN at step 4 and at every step after it, so
+    the guard's group sum trips on each of them: the member keeps the first
+    failing step's message and its parameters from before that step, and
+    members 0 and 2 end bit-equal to a group trained without it."""
+    M, victim = 3, 1
+    models, store, labeled, config, rngs = _group_case(M, 8, 3, 0.05)
+    real_step = model_module.training_step
+    calls, before = [], []
+
+    def step_with_nans(*args):
+        losses = real_step(*args)
+        calls.append(None)
+        if len(calls) == 4:
+            before.extend(p.copy() for p in model_params(models[victim]))
+        if len(calls) >= 4:
+            args[-1].flat[victim, -1] = np.nan
+        return losses
+
+    monkeypatch.setattr(model_module, "training_step", step_with_nans)
+    outcomes = train_round(models, store, labeled, config, rngs)
+    monkeypatch.setattr(model_module, "training_step", real_step)
+    assert len(calls) > 5
+    assert str(outcomes[victim]) == "non-finite gradient at step 4"
+    for p, value in zip(model_params(models[victim]), before):
+        assert np.array_equal(p, value)
+
+    fresh, _, _, _, _ = _group_case(M, 8, 3, 0.05)
+    rest = [0, 2]
+    ref = train_round([fresh[m] for m in rest], store,
+                      [labeled[m] for m in rest], config, [rngs[m] for m in rest])
+    for m, logs in zip(rest, ref):
+        _same_run(models[m], outcomes[m], fresh[m], logs)
+
+
+def test_failed_member_leaves_every_member_on_the_first_buffer(monkeypatch):
+    """After member 1 fails at step 2, every step still gets the group the
+    call built, and every member's layers stay views of its one buffer."""
+    models, store, labeled, config, rngs = _group_case(3, 8, 3, 0.0)
+    real_step = model_module.training_step
+    groups = []
+
+    def step_with_nan(group, *args):
+        losses = real_step(group, *args)
+        groups.append(group)
+        if len(groups) == 2:
+            args[-1].flat[1, 0] = np.nan
+        return losses
+
+    monkeypatch.setattr(model_module, "training_step", step_with_nan)
+    outcomes = train_round(models, store, labeled, config, rngs)
+    assert isinstance(outcomes[1], NonFiniteError)
+    assert len(groups) > 2 and all(g is groups[0] for g in groups)
+    for model in models:
+        for p in model_params(model):
+            assert np.shares_memory(p, groups[0].params)
+
+
 def test_every_step_receives_the_batches_of_consecutive_choice_calls(monkeypatch):
-    """A group of 3 whose member 1 leaves at step 3 of a 5-step epoch: each
-    member's supervised and adversarial rows at every step it takes are
-    those of reference_batches' Generator.choice calls, bit for bit."""
-    M, victim, leaves_at = 3, 1, 3
+    """A group of 3 whose member 1 fails at step 3 of a 5-step epoch: every
+    member, the failed one included, keeps its row of the step's stacks and
+    receives, at every step of the round, the supervised and adversarial
+    rows of reference_batches' Generator.choice calls, bit for bit."""
+    M, victim, fails_at = 3, 1, 3
     models, store, labeled, config, rngs = _group_case(M, 4, 3, 0.05)
     pool_X = np.concatenate([d.X for d in store])
     pool_domain = np.concatenate([np.full(len(d), k) for k, d in enumerate(store)])
@@ -654,27 +713,25 @@ def test_every_step_receives_the_batches_of_consecutive_choice_calls(monkeypatch
     def recording_step(group, XX, y, k, d_adv, cfg, grads):
         losses = real_step(group, XX, y, k, d_adv, cfg, grads)
         received.append((k, XX.copy(), y.copy(), d_adv.copy()))
-        if len(received) == leaves_at:
+        if len(received) == fails_at:
             grads.shared_W[victim].flat[-1] = np.nan
         return losses
 
     monkeypatch.setattr(model_module, "training_step", recording_step)
     outcomes = train_round(models, store, labeled, config, rngs)
-    assert str(outcomes[victim]) == f"non-finite gradient at step {leaves_at}"
+    assert str(outcomes[victim]) == f"non-finite gradient at step {fails_at}"
     steps = config.epochs_per_round * 5
     assert len(received) == steps
 
     for m in range(M):
-        taken = leaves_at if m == victim else steps
         expected = list(reference_batches(store, labeled[m], config, rngs[m]))
-        for s in range(taken):
+        for s in range(steps):
             k, XX, y, d_adv = received[s]
-            j = m if s < leaves_at else [0, 2].index(m)
             want_k, take, rows = expected[s]
-            assert k == want_k and XX.shape[0] == (M if s < leaves_at else M - 1)
-            assert np.array_equal(XX[j], np.vstack([store[k].X[take], pool_X[rows]]))
-            assert np.array_equal(y[j], store[k].y[take])
-            assert np.array_equal(d_adv[j], pool_domain[rows])
+            assert k == want_k and XX.shape[0] == M
+            assert np.array_equal(XX[m], np.vstack([store[k].X[take], pool_X[rows]]))
+            assert np.array_equal(y[m], store[k].y[take])
+            assert np.array_equal(d_adv[m], pool_domain[rows])
 
 
 # (shared_hidden, private_hidden, batch_size, lam_diff) -> sha256 of a group
