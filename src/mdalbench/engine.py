@@ -298,18 +298,11 @@ class PoolState:
     labeled/unlabeled are the sorted index arrays the masks imply.
     """
 
-    store: list
     masks: list
 
     def __post_init__(self):
-        self.check()
         self.labeled = [np.flatnonzero(m) for m in self.masks]
         self.unlabeled = [np.flatnonzero(~m) for m in self.masks]
-
-    def check(self):
-        for k, (dom, mask) in enumerate(zip(self.store, self.masks, strict=True)):
-            if mask.dtype != bool or mask.shape != (len(dom),):
-                raise ValidationError(f"domain {k}: mask does not cover the store")
 
     def labeled_counts(self):
         return [int(a.size) for a in self.labeled]
@@ -326,7 +319,7 @@ def init_split(store, init_fraction, rng):
         mask = np.zeros(n, dtype=bool)
         mask[gen.choice(n, size=min(take, n), replace=False)] = True
         masks.append(mask)
-    return PoolState(store=store, masks=masks)
+    return PoolState(masks)
 
 
 def annotate(pool, batch):
@@ -341,7 +334,7 @@ def annotate(pool, batch):
             stray.append((int(k), int(i)))
     if stray:
         raise ValidationError(f"annotating items that are not unlabeled: {stray}")
-    return PoolState(store=pool.store, masks=masks)
+    return PoolState(masks)
 
 
 # ------------------------------------------------------------------- records
@@ -371,16 +364,13 @@ class RunResult:
 
 
 def compute_aulc(labeled_counts, accuracies):
-    """Trapezoidal area under the curve, normalized to the x span."""
+    """Trapezoidal area under the curve, normalized to the x span.
+    labeled_counts is non-empty and increasing, as read_run_csv checks."""
     x = np.asarray(labeled_counts, dtype=np.float64)
     y = np.asarray(accuracies, dtype=np.float64)
-    if x.size < 1:
-        raise ValidationError("need at least one round record")
     if x.size == 1:
         return float(y[0])
     span = x[-1] - x[0]
-    if span <= 0:
-        raise ValidationError("labeled counts must be strictly increasing")
     segments = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
     return float(segments.sum() / span)
 
@@ -435,11 +425,6 @@ class _RunState:
     model: AspMtlModel = None
 
 
-def _fail(result, exc):
-    result.status = "failed"
-    result.error = f"{type(exc).__name__}: {exc}"
-
-
 def run_experiment(config, runs, train_store, test_sets):
     """Execute the full AL loop for a group of (strategy, seed) runs.
 
@@ -467,11 +452,7 @@ def run_experiment(config, runs, train_store, test_sets):
         results.append(result)
         root = RngStream(int(seed))
         t0 = time.perf_counter()
-        try:
-            pool = init_split(train_store, config.init_fraction, root)
-        except Exception as exc:  # noqa: BLE001 - the run fails, the group goes on
-            _fail(result, exc)
-            continue
+        pool = init_split(train_store, config.init_fraction, root)
         active.append(_RunState(result, root, pool, time.perf_counter() - t0))
 
     round_index = 0
@@ -503,7 +484,8 @@ def run_experiment(config, runs, train_store, test_sets):
                 ):
                     going.append(run)
             except Exception as exc:  # noqa: BLE001 - the run fails, the group goes on
-                _fail(run.result, exc)
+                run.result.status = "failed"
+                run.result.error = f"{type(exc).__name__}: {exc}"
         active = going
         round_index += 1
     return results
@@ -577,13 +559,27 @@ def write_run_csv(result, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the columns report and curves read
+_READ_COLUMNS = ("labeled_total", "acc_macro", "select_seconds")
+
+
 def read_run_csv(path):
-    """Parse a result CSV back into column arrays. A row whose cell count is
-    not the header's, or a cell that is not a number, raises ValidationError
-    naming path:line."""
+    """Parse a result CSV back into column arrays. A file without a header,
+    without a column that report and curves read or without a row raises
+    ValidationError naming the path; a row whose cell count is not the
+    header's, a cell that is not a number or a labeled_total that does not
+    increase raises it naming path:line."""
     lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")
+    missing = [name for name in _READ_COLUMNS if name not in header]
+    if missing:
+        raise ValidationError(f"{path}: header lacks {', '.join(missing)}")
+    if len(lines) == 1:
+        raise ValidationError(f"{path}: no round records")
     cols = {name: [] for name in header}
+    totals = cols["labeled_total"]
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -597,6 +593,11 @@ def read_run_csv(path):
                 raise ValidationError(
                     f"{path}:{number}: {name} is not a number: {cell!r}"
                 ) from None
+        if len(totals) > 1 and totals[-1] <= totals[-2]:
+            raise ValidationError(
+                f"{path}:{number}: labeled_total {totals[-1]:g} does not "
+                f"increase on {totals[-2]:g}"
+            )
     return cols
 
 

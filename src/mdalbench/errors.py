@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Input violates a documented precondition."""
 
 
-class ShapeError(ValidationError):
-    """Array dimensions are incompatible; message names both shapes."""
-
-
 class NonFiniteError(RuntimeError):
     """A loss or gradient went NaN/Inf; carries diagnostics in the message."""
 

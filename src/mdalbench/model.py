@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError, ValidationError
+from .errors import NonFiniteError, ValidationError
 from .kernels import PROB_FLOOR, softmax_rows
 from .nncore import Linear, choice_positions, relu
 
@@ -88,16 +88,6 @@ class AspMtlModel:
         """Concatenated shared+private features h = F_s(x) (+) F_p_k(x) of
         the rows of X, stacked along its leading axes (at least one); one
         sample goes in as x[None, :]."""
-        if not 0 <= k < self.config.num_domains:
-            raise ValidationError(
-                f"domain id {k} out of range [0, {self.config.num_domains})"
-            )
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim < 2 or X.shape[-1] != self.config.input_dim:
-            raise ShapeError(
-                f"input shape {X.shape} incompatible with input_dim "
-                f"{self.config.input_dim}"
-            )
         hs, hp = relu(self.shared.forward(X)), relu(self.privates[k].forward(X))
         return np.concatenate([hs, hp], axis=-1)
 
@@ -141,16 +131,8 @@ def evaluate(model, test_sets):
 
     test_sets is a list of (X, y) pairs, one per domain.
     """
-    if len(test_sets) != model.config.num_domains:
-        raise ValidationError(
-            f"got {len(test_sets)} test sets for "
-            f"{model.config.num_domains} domains"
-        )
     accs = []
     for k, (X, y) in enumerate(test_sets):
-        y = np.asarray(y, dtype=np.int64)
-        if y.size == 0:
-            raise ValidationError(f"test set for domain {k} is empty")
         pred = np.argmax(model.predict_proba_batch(X, k), axis=1)
         accs.append(float((pred == y).mean()))
     return accs, float(np.mean(accs))
@@ -423,21 +405,11 @@ def train_round(models, store, labeled, config, rngs):
     member has failed; the engine drops a failed run after the round.
     """
     K, B = config.num_domains, config.batch_size
-    for k in range(K):
-        if store[k].X.shape[0] == 0:
-            raise ValidationError(f"domain {k} pool is empty")
-    labeled = [[np.asarray(l, dtype=np.int64) for l in sets] for sets in labeled]
-    for sets in labeled:
-        for k in range(K):
-            if sets[k].size == 0:
-                raise ValidationError(f"domain {k} has no labeled samples")
     totals = {int(sum(l.size for l in sets)) for sets in labeled}
     if len(totals) > 1:
         raise ValidationError(
             f"a group needs equal labeled totals, got {sorted(totals)}"
         )
-    if not models:
-        return []
 
     pool_X = np.concatenate([store[k].X for k in range(K)])
     pool_y = np.concatenate([store[k].y for k in range(K)])

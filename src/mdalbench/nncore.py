@@ -20,8 +20,6 @@ import hashlib
 
 import numpy as np
 
-from .errors import ShapeError
-
 
 def _label_digest(label):
     """The 16 bytes of a label's sha256 that key its stream: read as four
@@ -273,25 +271,13 @@ class Linear:
     be stacked along leading axes of X."""
 
     def __init__(self, W, b):
-        self.W = np.asarray(W, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.b.shape != (self.W.shape[0],):
-            raise ShapeError(
-                f"bias shape {self.b.shape} does not match weight rows "
-                f"{self.W.shape}"
-            )
+        self.W, self.b = W, b
 
     @classmethod
     def init(cls, in_dim, out_dim, gen):
         return cls(glorot_uniform(out_dim, in_dim, gen), np.zeros(out_dim))
 
     def forward(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[-1] != self.W.shape[1]:
-            raise ShapeError(
-                f"input shape {X.shape} incompatible with weight shape "
-                f"{self.W.shape}"
-            )
         return X @ self.W.T + self.b
 
 

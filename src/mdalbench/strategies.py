@@ -57,34 +57,15 @@ class SelectionContext:
     def num_domains(self):
         return len(self.unlabeled)
 
-    def total_unlabeled(self):
-        return int(sum(a.size for a in self.unlabeled))
-
-    def validate(self):
-        """The budget, worked out each round, fits the unlabeled pool."""
-        if self.budget < 1:
-            raise ValidationError(f"budget must be >= 1, got {self.budget}")
-        total = self.total_unlabeled()
-        if self.budget > total:
-            raise ValidationError(
-                f"budget {self.budget} exceeds unlabeled pool size {total}"
-            )
-
 
 def select(name, ctx):
     """Dispatch to the named strategy; returns a sorted list of (domain, idx).
 
-    Only the batch's size is checked here: engine.annotate rejects an item
-    that is out of range, labeled or repeated when it labels the batch.
+    Only the batch's size is checked here: ExperimentConfig checks the name
+    at load, and engine.annotate rejects an item that is out of range,
+    labeled or repeated when it labels the batch.
     """
-    ctx.validate()
-    try:
-        fn = _DISPATCH[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}"
-        ) from None
-    batch = fn(ctx)
+    batch = _DISPATCH[name](ctx)
     if len(batch) != ctx.budget:
         raise ValidationError(
             f"strategy returned {len(batch)} items, budget is {ctx.budget}"
@@ -95,19 +76,18 @@ def select(name, ctx):
 # ----------------------------------------------------------------- baselines
 
 
-def _all_items(ctx):
-    """Global unlabeled pool as (domain, index) pairs, lexicographic order."""
-    items = []
-    for k in range(ctx.num_domains):
-        items.extend((k, int(i)) for i in ctx.unlabeled[k])
-    return items
+def _pool_index(ctx):
+    """The unlabeled pool in (domain, index) order, as two int64 arrays:
+    each item's domain id and its index into that domain's pool."""
+    sizes = [a.size for a in ctx.unlabeled]
+    return np.repeat(np.arange(ctx.num_domains), sizes), np.concatenate(ctx.unlabeled)
 
 
 def random_select(ctx):
-    items = _all_items(ctx)
+    dom, idx = _pool_index(ctx)
     gen = ctx.rng.child("random").generator()
-    pick = gen.choice(len(items), size=ctx.budget, replace=False)
-    return sorted(items[i] for i in pick)
+    pick = gen.choice(idx.size, size=ctx.budget, replace=False)
+    return sorted(zip(dom[pick].tolist(), idx[pick].tolist()))
 
 
 # A scorer maps (ctx, k, regions, embedding) to one score per item of
@@ -149,8 +129,7 @@ def _take_global(ctx, scorer):
     to the lower (domain, index)."""
     doms = [k for k in range(ctx.num_domains) if ctx.unlabeled[k].size]
     keys = np.concatenate([-scorer(ctx, k) for k in doms])
-    dom = np.concatenate([np.full(ctx.unlabeled[k].size, k) for k in doms])
-    idx = np.concatenate([ctx.unlabeled[k] for k in doms])
+    dom, idx = _pool_index(ctx)
     top = np.lexsort((idx, dom, keys))[: ctx.budget]
     return sorted(zip(dom[top].tolist(), idx[top].tolist()))
 
@@ -166,21 +145,19 @@ def coreset_select(ctx):
         if ctx.labeled[k].size:
             XL = ctx.store[k].X[ctx.labeled[k]]
             labeled_feats.append(ctx.model.penultimate_features(XL, k))
-    if not labeled_feats:
-        raise ValidationError("coreset needs at least one labeled item")
-    U = np.ascontiguousarray(np.vstack(feats))
-    L = np.ascontiguousarray(np.vstack(labeled_feats))
+    U = np.vstack(feats)
+    L = np.vstack(labeled_feats)
     # squared distances preserve the argmax of Euclidean farthest-first
     min_d = pairwise_sq_dists(U, L).min(axis=1)
-    items = _all_items(ctx)
     picked = []
     for _ in range(ctx.budget):
         j = int(np.argmax(min_d))
-        picked.append(items[j])
+        picked.append(j)
         d_new = sq_dists_to_point(U, U[j])
         np.minimum(min_d, d_new, out=min_d)
         min_d[j] = -np.inf
-    return sorted(picked)
+    dom, idx = _pool_index(ctx)
+    return sorted(zip(dom[picked].tolist(), idx[picked].tolist()))
 
 
 # Below this fraction of |E_i|^2 + |E_p|^2, a squared distance from the
@@ -189,22 +166,15 @@ def coreset_select(ctx):
 _ROUNDING = 1e-12
 
 
-def _factors(R, H):
-    return (np.ascontiguousarray(R, dtype=np.float64),
-            np.ascontiguousarray(H, dtype=np.float64))
-
-
 def kmeans_pp_indices(R, H, k, gen):
     """k-Means++ seeding over the points r_i (x) h_i; returns the chosen rows.
 
-    R is (n, c) and H is (n, d); plain points are R = ones((n, 1)). Each
-    pick's distances are |E_i|^2 + |E_p|^2 - 2 (r_i . r_p)(h_i . h_p), which
-    costs O(n (c + d)) and never forms the outer products.
+    R is (n, c) and H is (n, d), with 1 <= k <= n; plain points are
+    R = ones((n, 1)). Each pick's distances are |E_i|^2 + |E_p|^2 -
+    2 (r_i . r_p)(h_i . h_p), which costs O(n (c + d)) and never forms the
+    outer products.
     """
-    R, H = _factors(R, H)
     n = H.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"cannot seed {k} centers from {n} points")
     norms = factor_sq_norms(R, H)
 
     def sq_dists_to(p):
@@ -250,8 +220,8 @@ def badge_select(ctx):
     R = np.vstack([np.pad(r, ((0, 0), (0, c - r.shape[1]))) for r in resids])
     gen = ctx.rng.child("badge").generator()
     chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)
-    items = _all_items(ctx)
-    return sorted(items[j] for j in chosen)
+    dom, idx = _pool_index(ctx)
+    return sorted(zip(dom[chosen].tolist(), idx[chosen].tolist()))
 
 
 # ------------------------------------------------------------ stage 1: setup
@@ -262,23 +232,15 @@ def allocate_budget(counts, budget, capacities):
 
     counts drive the proportions; capacities cap each domain's share, with
     overflow re-handed to the largest remainders that still have room.
-    Exact integer arithmetic, ties broken by domain id.
+    Exact integer arithmetic, ties broken by domain id. counts sum to at
+    least 1; a budget above the total capacity raises, as the overflow
+    loop would never end.
     """
-    counts = [int(c) for c in counts]
-    caps = [int(c) for c in capacities]
-    if len(caps) != len(counts):
-        raise ValidationError("counts and capacities length mismatch")
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-    if any(c < 0 for c in counts):
-        raise ValidationError("counts must be >= 0")
-    if budget > sum(caps):
+    if budget > sum(capacities):
         raise ValidationError(
-            f"budget {budget} exceeds total capacity {sum(caps)}"
+            f"budget {budget} exceeds total capacity {sum(capacities)}"
         )
     total = sum(counts)
-    if total == 0:
-        raise ValidationError("cannot allocate from all-zero counts")
 
     floors = [budget * n // total for n in counts]
     rems = [budget * n % total for n in counts]
@@ -289,19 +251,15 @@ def allocate_budget(counts, budget, capacities):
         alloc[k] += 1
 
     # capacity clamp; push overflow to largest remainders with room
-    overflow = sum(max(0, a - c) for a, c in zip(alloc, caps))
-    alloc = [min(a, c) for a, c in zip(alloc, caps)]
+    overflow = sum(max(0, a - c) for a, c in zip(alloc, capacities))
+    alloc = [min(a, c) for a, c in zip(alloc, capacities)]
     while overflow > 0:
-        progressed = False
         for k in order:
             if overflow == 0:
                 break
-            if alloc[k] < caps[k]:
+            if alloc[k] < capacities[k]:
                 alloc[k] += 1
                 overflow -= 1
-                progressed = True
-        if not progressed:
-            raise ValidationError("insufficient capacity for budget")
     return alloc
 
 
@@ -309,19 +267,16 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     """k-Means++ seeding plus Lloyd iterations over the points r_i (x) h_i,
     best of n_init restarts, every draw from the stream rng.
 
-    R is (n, c) and H is (n, d); plain points are R = ones((n, 1)). Each
-    restart stops when assignments stop changing or after max_iter rounds;
-    the first restart with the lowest final SSE wins. An empty cluster seizes
-    the point farthest from its own center (never draining a singleton).
+    R is (n, c) and H is (n, d), with 1 <= k <= n; plain points are
+    R = ones((n, 1)). Each restart stops when assignments stop changing or
+    after max_iter rounds; the first restart with the lowest final SSE
+    wins. An empty cluster seizes the point farthest from its own center
+    (never draining a singleton).
     Returns (labels, centers, sse_history) for the winning restart; centers,
     of shape (k, c, d), are the means of the returned clusters and
     sse_history interleaves the SSE after each assignment and each
     recentering.
     """
-    R, H = _factors(R, H)
-    n = H.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"cannot form {k} clusters from {n} points")
     gen = rng.generator()
     norms = factor_sq_norms(R, H)
     restarts = (_lloyd(R, H, norms, k, gen, max_iter) for _ in range(n_init))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from mdalbench.errors import ShapeError, ValidationError
+from mdalbench.errors import ValidationError
 from mdalbench.kernels import PROB_FLOOR, softmax_rows
 from mdalbench.model import EpochLog
 from mdalbench.nncore import relu
@@ -50,7 +50,7 @@ def softmax_cross_entropy(logits, labels):
     labels = np.asarray(labels, dtype=np.int64).ravel()
     n, c = logits.shape
     if labels.shape[0] != n:
-        raise ShapeError(
+        raise ValidationError(
             f"labels length {labels.shape[0]} does not match batch size {n}"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= c):

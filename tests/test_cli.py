@@ -317,12 +317,26 @@ def test_run_missing_manifest_exits_2(tmp_path, capsys, jobs):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_run_single_class_domain_exits_2(tmp_path, capsys, jobs):
-    """A domain whose training labels are all 0 fails before any run."""
+@pytest.mark.parametrize(
+    "jobs, d1_labels, named",
+    [
+        pytest.param(jobs, labels, named, id=case + jobs)
+        for case, labels, named in [
+            ("", np.zeros(30), "domain 1 'd1': every training label is 0"),
+            (
+                "one-sample-class-", np.arange(30) == 29,
+                "class 1 in domain 1 has 1 sample(s); need >= 2 to split",
+            ),
+        ]
+        for jobs in ["1", "2"]
+    ],
+)
+def test_run_single_class_domain_exits_2(tmp_path, capsys, jobs, d1_labels, named):
+    """A domain whose training labels are all 0, or with a class of one
+    sample, fails before any run."""
     gen = np.random.default_rng(3)
     domains = []
-    for k, labels in enumerate((np.arange(30) % 2, np.zeros(30, dtype=int))):
+    for k, labels in enumerate((np.arange(30) % 2, d1_labels.astype(int))):
         X = gen.normal(size=(30, 4))
         lines = [
             ",".join([str(label), *(f"{v:.6f}" for v in row)])
@@ -337,7 +351,7 @@ def test_run_single_class_domain_exits_2(tmp_path, capsys, jobs):
     )
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
-    assert "domain 1 'd1': every training label is 0" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -614,6 +628,46 @@ def test_truncated_csv_row_exits_2_naming_its_line(tmp_path, capsys, command):
     _edit_csv_row(csv, 1, lambda cells: cells[:-1])
     assert main([command, str(tmp_path)]) == 2
     assert f"{csv}:3: 6 cells, the header has 7" in capsys.readouterr().err
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
+
+def _drop_csv_column(name):
+    def edit(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        at = rows[0].index(name)
+        return "".join(",".join(r[:at] + r[at + 1 :]) + "\n" for r in rows)
+
+    return edit
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(lambda text: "", ": empty file", id="zero-bytes"),
+        pytest.param(
+            lambda text: text.splitlines()[0] + "\n", ": no round records",
+            id="header-only",
+        ),
+        *(
+            pytest.param(_drop_csv_column(name), f": header lacks {name}", id=f"no-{name}")
+            for name in ("labeled_total", "acc_macro", "select_seconds")
+        ),
+        pytest.param(
+            lambda text: text.replace("\n1,20,", "\n1,999999,"),
+            ":4: labeled_total 30 does not increase on 999999",
+            id="labeled-total-falls",
+        ),
+    ],
+)
+def test_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, command, edit, named):
+    """Read on, these would fail with an IndexError or KeyError naming no
+    file, or print the AULC of a curve that runs backwards."""
+    fake_run(tmp_path, "ds", "random", 0, [0.5, 0.6, 0.7])
+    csv = tmp_path / "ds__random__seed0.csv"
+    csv.write_text(edit(csv.read_text()))
+    assert main([command, str(tmp_path)]) == 2
+    assert f"{csv}{named}" in capsys.readouterr().err
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
 
 

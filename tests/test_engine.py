@@ -148,7 +148,6 @@ def test_annotate_grows_by_batch_size():
     batch = [(0, int(pool.unlabeled[0][0])), (1, int(pool.unlabeled[1][0]))]
     after = annotate(pool, batch)
     assert sum(after.labeled_counts()) == sum(pool.labeled_counts()) + 2
-    after.check()
 
 
 def test_annotate_everything_empties_unlabeled():

@@ -1,9 +1,9 @@
 """Every definition in the package has a caller inside the package.
 
-A function, class or method that only tests call belongs in the tests: the
-package holds what the CLI runs. The check is by name, so a definition
-counts as used when its name is read anywhere in src/mdalbench outside the
-definition itself (as a variable or as an attribute).
+A function, class, method or module-level name that only tests read belongs
+in the tests: the package holds what the CLI runs. The check is by name, so
+a definition counts as used when its name is read anywhere in src/mdalbench
+outside the definition itself (as a variable or as an attribute).
 """
 
 import ast
@@ -12,18 +12,25 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "mdalbench"
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """(qualified name, node) for top-level functions and classes and for
-    every non-dunder method."""
+    """(qualified name, name, node) for top-level functions, classes and
+    assigned names, and for every method; dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    yield f"{node.name}.{item.name}", item
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _dunder(target.id):
+                    yield target.id, target.id, node
 
 
 def _names_read(node):
@@ -42,10 +49,10 @@ def dead_definitions(src_dir):
     reads = [pair for tree in trees.values() for pair in _names_read(tree)]
     dead = []
     for filename, tree in trees.items():
-        for qualname, node in _definitions(tree):
+        for qualname, defined, node in _definitions(tree):
             inside = {id(sub) for sub in ast.walk(node)}
             if not any(
-                name == node.name and id(sub) not in inside for sub, name in reads
+                name == defined and id(sub) not in inside for sub, name in reads
             ):
                 dead.append(f"{filename}: {qualname}")
     return dead
@@ -58,12 +65,13 @@ def test_every_src_definition_is_named_outside_itself():
 
 def test_dead_definition_check_names_an_uncalled_function(tmp_path):
     (tmp_path / "a.py").write_text(
-        "def used():\n    return 1\n\n"
+        "__all__ = []\nLIMIT = 1\nUNREAD: int = 2\n\n"
+        "def used():\n    return LIMIT\n\n"
         "def unused():\n    return used()\n\n"
         "class K:\n    def m(self):\n        return self.m\n"
         "    def __repr__(self):\n        return ''\n\n"
         "K().m()\n",
         encoding="utf-8",
     )
-    assert dead_definitions(tmp_path) == ["a.py: unused"]
+    assert dead_definitions(tmp_path) == ["a.py: UNREAD", "a.py: unused"]
 

