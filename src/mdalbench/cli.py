@@ -20,7 +20,7 @@ from .data import (
     save_domain_csv,
     save_manifest,
 )
-from .engine import ExperimentConfig, _replace_file, run_grid
+from .engine import ExperimentConfig, run_grid
 from .errors import OverwriteRefusedError, ValidationError
 from .reporting import (
     aulc_table,
@@ -28,9 +28,9 @@ from .reporting import (
     format_table_csv,
     format_table_text,
     render_curves_svg,
-    scan_runs,
     summaries,
 )
+from .results import replace_file, scan_runs
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -114,15 +114,19 @@ def cmd_synth(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datasets = generate_synthetic(spec)
+    # the old manifest goes first and the new one comes last, so an
+    # interrupted rerun leaves no manifest vouching for a domain file
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     domains = []
     for dom in datasets:
         fname = f"{dom.name}.csv"
-        save_domain_csv(dom, out / fname)
+        replace_file(lambda tmp: save_domain_csv(dom, tmp), out / fname)
         domains.append(DomainSpec(name=dom.name, file=fname, classes=spec.num_classes))
     manifest = DatasetManifest(
         name=raw.get("name", "synthetic"), dim=spec.input_dim, domains=domains
     )
-    save_manifest(manifest, out / "manifest.json")
+    replace_file(lambda tmp: save_manifest(manifest, tmp), manifest_path)
     print(f"wrote {len(domains)} domain CSV(s) + manifest.json under {out}")
     return EXIT_OK
 
@@ -130,7 +134,7 @@ def cmd_synth(args):
 def _write_text(path, text):
     """Write text to path through a .tmp file, so that an interrupted write
     leaves the previous file as it was."""
-    _replace_file(lambda tmp: tmp.write_text(text, encoding="utf-8"), path)
+    replace_file(lambda tmp: tmp.write_text(text, encoding="utf-8"), path)
 
 
 def cmd_report(args):

@@ -13,16 +13,13 @@ time), its share of the group's training time and the per-epoch losses,
 feeding the per-strategy timing comparison.
 """
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -34,6 +31,8 @@ from .data import (
 from .errors import OverwriteRefusedError, ValidationError
 from .model import AspMtlModel, ModelConfig, evaluate, train_round
 from .nncore import RngStream
+from .results import name_problem, replace_file, run_paths
+from .results import write_run_csv, write_run_metadata
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
 # The most runs trained together in lockstep. Per run-step, a larger group
@@ -85,19 +84,6 @@ def _manifest_split_seed(dataset):
     """The seed of a manifest dataset's train/test splits: its split_seed,
     0 by default."""
     return dataset.get("split_seed", 0)
-
-
-def name_problem(name):
-    """Why `name` cannot name a config, or None. The name starts every result
-    file's name, so it must not lead outside the results directory."""
-    if not isinstance(name, str) or not name:
-        return f"expected a non-empty string, got {name!r}"
-    if name in (".", "..") or set(name) & {"/", "\\", "\0"}:
-        return (
-            f"expected no path separator or NUL and neither '.' nor '..', "
-            f"got {name!r}"
-        )
-    return None
 
 
 def _repeated(values):
@@ -355,60 +341,11 @@ class RoundRecord:
 
 @dataclass
 class RunResult:
-    config_name: str
     strategy: str
     seed: int
     records: list
     status: str = "ok"
     error: str = ""
-
-
-def compute_aulc(labeled_counts, accuracies):
-    """Trapezoidal area under the curve, normalized to the x span.
-    labeled_counts is non-empty and increasing, as read_run_csv checks."""
-    x = np.asarray(labeled_counts, dtype=np.float64)
-    y = np.asarray(accuracies, dtype=np.float64)
-    if x.size == 1:
-        return float(y[0])
-    span = x[-1] - x[0]
-    segments = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    return float(segments.sum() / span)
-
-
-@dataclass
-class AulcSummary:
-    aulcs: list
-    mean: float
-    std: float
-    mean_curve_x: list
-    mean_curve_y: list
-    std_curve_y: list
-
-
-def aggregate_seeds(curves):
-    """Mean/population-std of AULC plus the pointwise mean curve.
-
-    curves is a list of (labeled_counts, accuracies), one per seed, with
-    identical round structure.
-    """
-    if not curves:
-        raise ValidationError("no curves to aggregate")
-    base_x = list(curves[0][0])
-    for x, _ in curves[1:]:
-        if list(x) != base_x:
-            raise ValidationError(
-                f"curves have mismatched round structure: {base_x} vs {list(x)}"
-            )
-    aulcs = [compute_aulc(x, y) for x, y in curves]
-    ys = np.asarray([y for _, y in curves], dtype=np.float64)
-    return AulcSummary(
-        aulcs=aulcs,
-        mean=float(np.mean(aulcs)),
-        std=float(np.std(aulcs)),
-        mean_curve_x=base_x,
-        mean_curve_y=ys.mean(axis=0).tolist(),
-        std_curve_y=ys.std(axis=0).tolist(),
-    )
 
 
 # ---------------------------------------------------------- a group of runs
@@ -446,9 +383,7 @@ def run_experiment(config, runs, train_store, test_sets):
 
     results, active = [], []
     for strategy, seed in runs:
-        result = RunResult(
-            config_name=config.name, strategy=strategy, seed=int(seed), records=[]
-        )
+        result = RunResult(strategy=strategy, seed=int(seed), records=[])
         results.append(result)
         root = RngStream(int(seed))
         t0 = time.perf_counter()
@@ -532,114 +467,7 @@ def _finish_round(run, config, train_store, test_sets, round_index, logs,
     return True
 
 
-# ------------------------------------------------------------------- file IO
-
-
-def csv_header(num_domains):
-    cols = ["round", "labeled_total", "labeled_frac"]
-    cols += [f"acc_domain_{k}" for k in range(num_domains)]
-    cols += ["acc_macro", "select_seconds", "train_seconds"]
-    return ",".join(cols)
-
-
-def write_run_csv(result, path):
-    num_domains = len(result.records[0].domain_accuracies) if result.records else 0
-    lines = [csv_header(num_domains)]
-    for r in result.records:
-        cells = [
-            str(r.round_index),
-            str(r.labeled_total),
-            repr(r.labeled_frac),
-            *[repr(a) for a in r.domain_accuracies],
-            repr(r.macro_accuracy),
-            repr(r.select_seconds),
-            repr(r.train_seconds),
-        ]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# the columns report and curves read
-_READ_COLUMNS = ("labeled_total", "acc_macro", "select_seconds")
-
-
-def read_run_csv(path):
-    """Parse a result CSV back into column arrays. A file without a header,
-    without a column that report and curves read or without a row raises
-    ValidationError naming the path; a row whose cell count is not the
-    header's, a cell that is not a number or a labeled_total that does not
-    increase raises it naming path:line."""
-    lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
-    if not lines:
-        raise ValidationError(f"{path}: empty file, expected a header row")
-    header = lines[0].split(",")
-    missing = [name for name in _READ_COLUMNS if name not in header]
-    if missing:
-        raise ValidationError(f"{path}: header lacks {', '.join(missing)}")
-    if len(lines) == 1:
-        raise ValidationError(f"{path}: no round records")
-    cols = {name: [] for name in header}
-    totals = cols["labeled_total"]
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValidationError(
-                f"{path}:{number}: {len(cells)} cells, the header has {len(header)}"
-            )
-        for name, cell in zip(header, cells):
-            try:
-                cols[name].append(float(cell))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{number}: {name} is not a number: {cell!r}"
-                ) from None
-        if len(totals) > 1 and totals[-1] <= totals[-2]:
-            raise ValidationError(
-                f"{path}:{number}: labeled_total {totals[-1]:g} does not "
-                f"increase on {totals[-2]:g}"
-            )
-    return cols
-
-
-def write_run_metadata(result, config, path):
-    doc = {
-        "config": config.to_dict(),
-        "strategy": result.strategy,
-        "seed": result.seed,
-        "status": result.status,
-        "error": result.error,
-        "code_version": __version__,
-        "rounds": len(result.records),
-        "epoch_losses": [r.epoch_losses for r in result.records],
-        "labeled_per_domain": [r.labeled_per_domain for r in result.records],
-        # volatile fields, excluded from reproducibility comparisons
-        "timestamp": time.time(),
-        "timing": {
-            "select_seconds": [r.select_seconds for r in result.records],
-            "train_seconds": [r.train_seconds for r in result.records],
-        },
-    }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def run_file_stem(config_name, strategy, seed):
-    return f"{config_name}__{strategy}__seed{seed}"
-
-
-def _replace_file(write, path):
-    """write(tmp) into a temp file beside path, then rename it over path.
-
-    The temp name ends in .tmp, so neither a *.csv nor a *.json scan ever
-    sees a half-written file; a failed write removes it.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+# ---------------------------------------------------------------- the grid
 
 
 def execute_run(config, runs, out_dir, train_store, test_sets):
@@ -655,11 +483,10 @@ def execute_run(config, runs, out_dir, train_store, test_sets):
     out_dir = Path(out_dir)
     results = run_experiment(config, runs, train_store, test_sets)
     for result in results:
-        stem = run_file_stem(config.name, result.strategy, result.seed)
-        meta_path = out_dir / f"{stem}.json"
+        csv_path, meta_path = run_paths(out_dir, config.name, result.strategy, result.seed)
         meta_path.unlink(missing_ok=True)
-        _replace_file(lambda tmp: write_run_csv(result, tmp), out_dir / f"{stem}.csv")
-        _replace_file(lambda tmp: write_run_metadata(result, config, tmp), meta_path)
+        replace_file(lambda tmp: write_run_csv(result, tmp), csv_path)
+        replace_file(lambda tmp: write_run_metadata(result, config, tmp), meta_path)
     return results
 
 
@@ -694,7 +521,7 @@ def run_grid(config, out_dir, jobs=1, force=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = [(s, int(seed)) for s in config.strategies for seed in config.seeds]
 
-    csvs = (out_dir / f"{run_file_stem(config.name, s, seed)}.csv" for s, seed in pairs)
+    csvs = (run_paths(out_dir, config.name, s, seed)[0] for s, seed in pairs)
     existing = [path for path in csvs if path.exists()]
     if existing and not force:
         raise OverwriteRefusedError(

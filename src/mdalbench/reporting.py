@@ -1,89 +1,60 @@
 """Result aggregation: AULC tables, mean learning curves, SVG plots.
 
-Everything is recomputed from the raw per-run CSVs on each invocation; there
-is no cached state. AULC is computed on the [0, 1] accuracy scale and shown
-multiplied by 100, table cells formatted mean(std).
+Everything is recomputed from the runs results.scan_runs reads, on each
+invocation; there is no cached state. AULC is computed on the [0, 1]
+accuracy scale and shown multiplied by 100, table cells formatted mean(std).
 """
 
-import hashlib
-import json
-import sys
+from dataclasses import dataclass
 from html import escape
-from pathlib import Path
 
 import numpy as np
 
-from .engine import aggregate_seeds, name_problem, read_run_csv
 from .errors import ValidationError
 
 
-def _config_hash(config):
-    """sha256 of a sidecar's config echo without seeds and strategies, which
-    --seeds and --strategies vary within one grid."""
-    kept = {k: v for k, v in config.items() if k not in ("seeds", "strategies")}
-    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()
+def compute_aulc(labeled_counts, accuracies):
+    """Trapezoidal area under the curve, normalized to the x span.
+    labeled_counts is non-empty and increasing, as read_run_csv checks."""
+    x = np.asarray(labeled_counts, dtype=np.float64)
+    y = np.asarray(accuracies, dtype=np.float64)
+    if x.size == 1:
+        return float(y[0])
+    span = x[-1] - x[0]
+    segments = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
+    return float(segments.sum() / span)
 
 
-def scan_runs(results_dir):
-    """Collect (dataset, strategy, seed, columns) for every finished run.
+@dataclass
+class AulcSummary:
+    mean: float
+    std: float
+    mean_curve_x: list
+    mean_curve_y: list
+    std_curve_y: list
 
-    Runs are grouped by config name, so two runs under one name must echo
-    the same config (seeds and strategies aside); otherwise this raises,
-    naming two files that disagree.
+
+def aggregate_seeds(curves):
+    """Mean/population-std of AULC plus the pointwise mean curve.
+
+    curves is a non-empty list of (labeled_counts, accuracies), one per seed,
+    with identical round structure.
     """
-    results_dir = Path(results_dir)
-    if not results_dir.is_dir():
-        raise ValidationError(f"results directory not found: {results_dir}")
-    runs = []
-    first_of_name = {}
-    for meta_path in sorted(results_dir.glob("*.json")):
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            print(f"warning: skipping {meta_path}: {exc}", file=sys.stderr)
-            continue
-        if not isinstance(meta, dict) or "strategy" not in meta or "config" not in meta:
-            continue
-        config = meta["config"]
-        if not (
-            isinstance(config, dict)
-            and isinstance(meta["strategy"], str)
-            and type(meta.get("seed")) is int
-        ):
-            print(
-                f"warning: skipping {meta_path}: malformed sidecar (needs a "
-                "config object, a string strategy and an integer seed)",
-                file=sys.stderr,
-            )
-            continue
-        if problem := name_problem(config.get("name")):
-            # curves writes curves_<name>.csv: the name must stay a file name
-            print(f"warning: skipping {meta_path}: config name: {problem}",
-                  file=sys.stderr)
-            continue
-        csv_path = meta_path.with_suffix(".csv")
-        if not csv_path.is_file():
-            continue
-        if meta.get("status") != "ok":
-            continue
-        name, digest = config["name"], _config_hash(config)
-        first = first_of_name.setdefault(name, (digest, meta_path))
-        if first[0] != digest:
+    base_x = list(curves[0][0])
+    for x, _ in curves[1:]:
+        if list(x) != base_x:
             raise ValidationError(
-                f"runs named {name!r} come from different configs: "
-                f"{first[1]} and {meta_path} disagree"
+                f"curves have mismatched round structure: {base_x} vs {list(x)}"
             )
-        runs.append(
-            {
-                "dataset": name,
-                "strategy": meta["strategy"],
-                "seed": meta["seed"],
-                "columns": read_run_csv(csv_path),
-            }
-        )
-    if not runs:
-        raise ValidationError(f"no completed runs found under {results_dir}")
-    return runs
+    aulcs = [compute_aulc(x, y) for x, y in curves]
+    ys = np.asarray([y for _, y in curves], dtype=np.float64)
+    return AulcSummary(
+        mean=float(np.mean(aulcs)),
+        std=float(np.std(aulcs)),
+        mean_curve_x=base_x,
+        mean_curve_y=ys.mean(axis=0).tolist(),
+        std_curve_y=ys.std(axis=0).tolist(),
+    )
 
 
 def summaries(runs):

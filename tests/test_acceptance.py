@@ -15,9 +15,10 @@ import pytest
 from conftest import tiny_model
 from mdalbench.cli import main as cli_main
 from mdalbench.data import DomainDataset
-from mdalbench.engine import aggregate_seeds, read_run_csv
 from mdalbench.kernels import kl_rows
 from mdalbench.nncore import RngStream
+from mdalbench.reporting import aggregate_seeds
+from mdalbench.results import read_run_csv
 from mdalbench.strategies import (
     SelectionContext,
     allocate_budget,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from mdalbench.cli import main
-from mdalbench.engine import read_run_csv
 from mdalbench.reporting import render_curves_svg
+from mdalbench.results import read_run_csv
 
 
 def minimal_config(tmp_path, **overrides):
@@ -486,6 +487,41 @@ def test_synth_invalid_spec_exits_2(tmp_path):
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])
+def test_interrupted_synth_rerun_leaves_no_manifest(tmp_path, monkeypatch, capsys,
+                                                    interrupt):
+    """A rerun cut inside the second domain's file leaves that file as it
+    was, no .tmp file, and no manifest vouching for the dataset."""
+    from mdalbench import cli
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_domains": 3, "samples_per_domain": 40}))
+    out = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+    before = (out / "domain1.csv").read_bytes()
+    spec_path.write_text(json.dumps({"num_domains": 3, "samples_per_domain": 40, "seed": 1}))
+    save_domain_csv = cli.save_domain_csv
+
+    def cut_second_domain(dataset, path):
+        if dataset.name != "domain1":
+            return save_domain_csv(dataset, path)
+        save_domain_csv(dataclasses.replace(dataset, X=dataset.X[:25], y=dataset.y[:25]),
+                        path)
+        raise interrupt
+
+    monkeypatch.setattr(cli, "save_domain_csv", cut_second_domain)
+    try:
+        code = main(["synth", "--spec", str(spec_path), "--out", str(out)])
+    except KeyboardInterrupt:
+        code = None
+    assert code == (None if interrupt is KeyboardInterrupt else 1)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "domain0.csv", "domain1.csv", "domain2.csv",
+    ]
+    assert (out / "domain1.csv").read_bytes() == before
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "3"])
 def test_synth_non_object_spec_exits_2(tmp_path, capsys, text):
     spec_path = tmp_path / "spec.json"
@@ -516,6 +552,7 @@ def fake_run(out_dir, dataset, strategy, seed, accs, **config):
         "strategy": strategy,
         "seed": seed,
         "status": "ok",
+        "rounds": len(accs),
     }
     (out_dir / f"{stem}.json").write_text(json.dumps(meta))
 
@@ -571,6 +608,8 @@ def test_report_skips_unparseable_json(tmp_path, capsys):
         pytest.param({"config": ["ds"]}, id="config-not-object"),
         pytest.param({"seed": "0"}, id="seed-string"),
         pytest.param({"seed": True}, id="seed-bool"),
+        pytest.param({"rounds": None}, id="rounds-null"),
+        pytest.param({"rounds": "2"}, id="rounds-string"),
     ],
 )
 def test_report_skips_malformed_sidecar(tmp_path, capsys, edit):
@@ -680,6 +719,37 @@ def test_non_numeric_csv_cell_exits_2_naming_its_line(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert f"{csv}:4: acc_macro is not a number: 'oops'" in err
     assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_ok_sidecar_without_its_csv_exits_2_naming_the_sidecar(tmp_path, capsys,
+                                                                command):
+    """Skipped, the run's other seeds would be averaged without it."""
+    for seed in (0, 1):
+        fake_run(tmp_path, "ds", "random", seed, [0.5, 0.6])
+        fake_run(tmp_path, "ds", "bvsb", seed, [0.5, 0.7])
+    (tmp_path / "ds__bvsb__seed1.csv").unlink()
+    assert main([command, str(tmp_path)]) == 2
+    sidecar = tmp_path / "ds__bvsb__seed1.json"
+    assert f"{sidecar}: run is ok but ds__bvsb__seed1.csv is missing" in (
+        capsys.readouterr().err
+    )
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv"] * 3 + [".json"] * 4
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_csv_rows_not_matching_sidecar_rounds_exit_2_naming_the_csv(tmp_path, capsys,
+                                                                     command):
+    """A CSV cut by one row, alone or beside a whole seed."""
+    fake_run(tmp_path, "ds", "random", 0, [0.5, 0.6, 0.7])
+    csv = tmp_path / "ds__random__seed0.csv"
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:-1]))
+    assert main([command, str(tmp_path)]) == 2
+    assert f"{csv}: 2 round records, its sidecar says 3" in capsys.readouterr().err
+    fake_run(tmp_path, "ds", "random", 1, [0.5, 0.6, 0.7])
+    assert main([command, str(tmp_path)]) == 2
+    assert f"{csv}: 2 round records, its sidecar says 3" in capsys.readouterr().err
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".csv", ".json", ".json"]
 
 
 def test_report_refuses_runs_of_different_configs_under_one_name(tmp_path, capsys):

@@ -11,23 +11,19 @@ import pytest
 from mdalbench import engine
 from mdalbench.data import DomainDataset
 from mdalbench.engine import (
-    AulcSummary,
     ExperimentConfig,
     PoolState,
-    aggregate_seeds,
     annotate,
-    compute_aulc,
-    csv_header,
     execute_run,
     grid_groups,
     init_split,
-    read_run_csv,
     run_experiment,
-    write_run_csv,
 )
 from mdalbench.errors import ValidationError
 from mdalbench.model import ModelConfig
 from mdalbench.nncore import RngStream
+from mdalbench.reporting import aggregate_seeds, compute_aulc
+from mdalbench.results import csv_header, read_run_csv, write_run_csv
 from mdalbench.strategies import SelectionContext
 
 

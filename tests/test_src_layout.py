@@ -4,6 +4,9 @@ A function, class, method or module-level name that only tests read belongs
 in the tests: the package holds what the CLI runs. The check is by name, so
 a definition counts as used when its name is read anywhere in src/mdalbench
 outside the definition itself (as a variable or as an attribute).
+
+No module imports an underscore name from another module of the package: a
+name another module needs is public where it is defined.
 """
 
 import ast
@@ -75,3 +78,34 @@ def test_dead_definition_check_names_an_uncalled_function(tmp_path):
     )
     assert dead_definitions(tmp_path) == ["a.py: UNREAD", "a.py: unused"]
 
+
+
+def private_imports(src_dir):
+    """(file, name) for each underscore name that a module imports from
+    another module of the package; dunders aside."""
+    found = []
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            ours = isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mdalbench"
+            )
+            if ours:
+                found += [
+                    (path.name, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not _dunder(alias.name)
+                ]
+    return found
+
+
+def test_no_src_module_imports_a_private_name():
+    assert private_imports(SRC) == []
+
+
+def test_private_import_check_names_an_underscore_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import __version__, b\nfrom .b import _hidden, shown\n"
+        "from mdalbench.c import _other\nfrom os import _exit\n",
+        encoding="utf-8",
+    )
+    assert private_imports(tmp_path) == [("a.py", "_hidden"), ("a.py", "_other")]
