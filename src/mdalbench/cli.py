@@ -122,7 +122,9 @@ def cmd_synth(args):
     for dom in datasets:
         fname = f"{dom.name}.csv"
         replace_file(lambda tmp: save_domain_csv(dom, tmp), out / fname)
-        domains.append(DomainSpec(name=dom.name, file=fname, classes=spec.num_classes))
+        domains.append(
+            DomainSpec(name=dom.name, file=fname, classes=spec.num_classes, rows=len(dom))
+        )
     manifest = DatasetManifest(
         name=raw.get("name", "synthetic"), dim=spec.input_dim, domains=domains
     )

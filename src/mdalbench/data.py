@@ -1,8 +1,9 @@
 """Dataset loading, synthetic generation, splitting, standardization.
 
 Data files are headerless CSV: integer label in the first column, float
-features after it. A JSON manifest names the domains and declares the shared
-feature dimension, so loading can validate shapes up front.
+features after it. A JSON manifest names the domains, declares the shared
+feature dimension and may record each domain's row count, so loading can
+validate shapes up front.
 """
 
 import json
@@ -39,9 +40,13 @@ class DomainDataset:
 
 @dataclass
 class DomainSpec:
+    """One domain of a manifest. rows, when the manifest records it, is the
+    CSV's row count, so a file cut short fails at load."""
+
     name: str
     file: str
     classes: int
+    rows: int | None = None
 
 
 @dataclass
@@ -87,8 +92,13 @@ def load_manifest(path):
                     problems.append(f"domains[{i}].{key}: expected {kind.__name__}")
             if type(d.get("classes")) is int and d["classes"] < 2:
                 problems.append(f"domains[{i}].classes: must be >= 2")
+            if "rows" in d and (type(d["rows"]) is not int or d["rows"] < 1):
+                problems.append(f"domains[{i}].rows: expected a positive integer")
         if not problems:
-            domains = [DomainSpec(d["name"], d["file"], d["classes"]) for d in raw_domains]
+            domains = [
+                DomainSpec(d["name"], d["file"], d["classes"], d.get("rows"))
+                for d in raw_domains
+            ]
     if problems:
         raise ValidationError(
             "invalid manifest " + str(path) + ": " + "; ".join(problems)
@@ -133,6 +143,10 @@ def load_domain(manifest, k):
             rows.append(feats)
     if not rows:
         raise ValidationError(f"{path}: file is empty")
+    if spec.rows is not None and len(rows) != spec.rows:
+        raise ValidationError(
+            f"{path}: {len(rows)} rows, the manifest says {spec.rows}"
+        )
     return DomainDataset(
         X=np.asarray(rows, dtype=np.float64),
         y=np.asarray(labels, dtype=np.int64),
@@ -156,7 +170,10 @@ def save_manifest(manifest, path):
     doc = {
         "name": manifest.name,
         "dim": manifest.dim,
-        "domains": [asdict(d) for d in manifest.domains],
+        "domains": [
+            {k: v for k, v in asdict(d).items() if v is not None}
+            for d in manifest.domains
+        ],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

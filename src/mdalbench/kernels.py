@@ -31,24 +31,19 @@ def factor_sq_norms(R, H):
     return np.einsum("ij,ij->i", R, R) * np.einsum("ij,ij->i", H, H)
 
 
-def assign_nearest(H, centers, R, sq_norms):
-    """Nearest center of each point r_i (x) h_i, and its squared distance.
+def assign_nearest(cross, cc, sq_norms):
+    """Nearest center of each point, and its squared distance.
 
-    H is (n, d), R is (n, c), centers is (k, c, d) and sq_norms comes from
-    factor_sq_norms(R, H). The cross terms are one (n, d) x (d, k*c) matmul
-    contracted with R; the outer products are never formed.
+    cross is the (n, k) matrix of inner products E_i . C_j, cc the (k,)
+    squared center norms and sq_norms the (n,) squared point norms; k-Means
+    reads all three off its Gram matrix, so no point or center is formed
+    here. Distances are |E_i|^2 + |C_j|^2 - 2 E_i . C_j, clipped at 0; ties
+    go to the lowest center index.
     """
-    n = H.shape[0]
-    k, c, d = centers.shape
-    flat = centers.reshape(k, c * d)
-    cc = np.einsum("ij,ij->i", flat, flat)
-    cross = np.einsum(
-        "ikc,ic->ik", (H @ centers.reshape(k * c, d).T).reshape(n, k, c), R
-    )
     d2 = sq_norms[:, None] + cc[None, :] - 2.0 * cross
     np.maximum(d2, 0.0, out=d2)
     labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(n), labels]
+    return labels, d2[np.arange(cross.shape[0]), labels]
 
 
 def softmax_rows(Z):

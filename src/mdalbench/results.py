@@ -147,7 +147,8 @@ def scan_runs(results_dir):
     the same config (seeds and strategies aside); otherwise this raises,
     naming two files that disagree. An ok sidecar whose CSV is missing, or
     whose CSV has another number of rows than the sidecar's rounds, raises
-    too, naming the file.
+    too, naming the file. A run whose sidecar is not ok (a failed run) is
+    skipped with a warning on stderr that gives its status and error.
     """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
@@ -182,6 +183,8 @@ def scan_runs(results_dir):
                   file=sys.stderr)
             continue
         if meta.get("status") != "ok":
+            print(f"warning: skipping {meta_path}: status {meta.get('status')}: "
+                  f"{meta.get('error')}", file=sys.stderr)
             continue
         csv_path = meta_path.with_suffix(".csv")
         if not csv_path.is_file():

@@ -522,6 +522,34 @@ def test_interrupted_synth_rerun_leaves_no_manifest(tmp_path, monkeypatch, capsy
     capsys.readouterr()
 
 
+def test_domain_csv_cut_short_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    """synth records each domain's row count in the manifest, so a domain
+    file cut short after it was written fails at load, naming both counts."""
+    from mdalbench import engine
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_domains": 3, "samples_per_domain": 40}))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert [d["rows"] for d in manifest["domains"]] == [40, 40, 40]
+    csv = data / "domain1.csv"
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:25]))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a domain file cut short")
+
+    monkeypatch.setattr(engine, "train_round", no_training)
+    path = minimal_config(
+        tmp_path, dataset={"type": "manifest", "path": str(data / "manifest.json")},
+    )
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{csv}: 25 rows, the manifest says 40" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "3"])
 def test_synth_non_object_spec_exits_2(tmp_path, capsys, text):
     spec_path = tmp_path / "spec.json"
@@ -648,6 +676,30 @@ def test_sidecar_name_outside_the_results_dir_is_skipped(tmp_path, capsys, comma
     else:
         table = (results / "aulc_table.csv").read_text()
         assert "p2s" in table and "egl" not in table
+
+
+@pytest.mark.parametrize("command", ["report", "curves"])
+def test_failed_run_is_skipped_with_a_warning(tmp_path, capsys, command):
+    """A run whose sidecar is not ok is left out of the table and the
+    curves, and the skip is named on stderr; stdout and the exit code stay."""
+    fake_run(tmp_path, "ds", "random", 0, [0.80, 0.80])
+    fake_run(tmp_path, "ds", "p2s", 0, [0.90, 0.90])
+    assert main([command, str(tmp_path)]) == 0
+    clean = capsys.readouterr()
+    written = {p.name: p.read_text() for p in tmp_path.glob("*_ds.csv")}
+    written |= {p.name: p.read_text() for p in tmp_path.glob("aulc_table.*")}
+    fake_run(tmp_path, "ds", "egl", 0, [0.5, 0.5])
+    sidecar = tmp_path / "ds__egl__seed0.json"
+    meta = json.loads(sidecar.read_text())
+    meta.update(status="failed", error="NonFiniteError: loss is nan")
+    sidecar.write_text(json.dumps(meta))
+    assert main([command, str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean.out
+    assert captured.err == (
+        f"warning: skipping {sidecar}: status failed: NonFiniteError: loss is nan\n"
+    )
+    assert written == {name: (tmp_path / name).read_text() for name in written}
 
 
 def _edit_csv_row(path, row, edit):

@@ -89,12 +89,40 @@ def test_manifest_field_errors(tmp_path):
 def test_manifest_round_trip(tmp_path):
     manifest = DatasetManifest(
         name="rt", dim=2,
-        domains=[DomainSpec("d0", "d0.csv", 2), DomainSpec("d1", "d1.csv", 3)],
+        domains=[DomainSpec("d0", "d0.csv", 2), DomainSpec("d1", "d1.csv", 3, rows=7)],
     )
     save_manifest(manifest, tmp_path / "m.json")
+    assert "rows" not in json.loads((tmp_path / "m.json").read_text())["domains"][0]
     loaded = load_manifest(tmp_path / "m.json")
     assert loaded.name == "rt" and loaded.dim == 2
     assert [d.classes for d in loaded.domains] == [2, 3]
+    assert [d.rows for d in loaded.domains] == [None, 7]
+
+
+@pytest.mark.parametrize("rows", [0, -3, 2.0, "2", True, None])
+def test_manifest_rows_must_be_a_positive_integer(tmp_path, rows):
+    path = write_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["domains"][0]["rows"] = rows
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"domains\[0\]\.rows: expected a positive integer"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_count_other_than_the_manifest_names_the_file(tmp_path, rows):
+    path = write_manifest(tmp_path, dim=2)
+    (tmp_path / "a.csv").write_text("0,1.0,2.0\n1,0.0,0.5\n", encoding="utf-8")
+    doc = json.loads(path.read_text())
+    doc["domains"][0]["rows"] = rows
+    path.write_text(json.dumps(doc))
+    manifest = load_manifest(path)
+    if rows == 2:
+        assert len(load_domain(manifest, 0)) == 2
+        return
+    with pytest.raises(ValidationError) as err:
+        load_domain(manifest, 0)
+    assert str(err.value) == f"{tmp_path / 'a.csv'}: 2 rows, the manifest says {rows}"
 
 
 # ----------------------------------------------------------------- synthetic

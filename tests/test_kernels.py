@@ -21,30 +21,33 @@ def test_sq_dists_to_point(rng):
 def test_assign_nearest_breaks_ties_to_lowest_index():
     points = np.array([[0.0, 0.0], [2.0, 0.0]])
     centers = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-    R = np.ones((2, 1))
     labels, d2 = kernels.assign_nearest(
-        points, centers[:, None, :], R, kernels.factor_sq_norms(R, points)
+        points @ centers.T, (centers**2).sum(1), (points**2).sum(1)
     )
     assert labels.tolist() == [0, 0]
     np.testing.assert_allclose(d2, [1.0, 1.0])
 
 
 def test_assign_nearest_matches_brute_force_argmin(rng):
-    # points r_i (x) h_i; c = 1 with r = 1 is the plain-point case
+    # points r_i (x) h_i and the means of k clusters of them, read off the
+    # Gram matrix as strategies.kmeans does; c = 1 with r = 1 is the
+    # plain-point case
+    n, k = 40, 7
     for c in (1, 3):
-        R = np.ones((40, 1)) if c == 1 else rng.normal(size=(40, c))
-        H = rng.normal(size=(40, 6))
-        centers = rng.normal(size=(7, c, 6))
-        norms = kernels.factor_sq_norms(R, H)
-        labels, d2 = kernels.assign_nearest(H, centers, R, norms)
-        E = (R[:, :, None] * H[:, None, :]).reshape(40, -1)
-        flat = centers.reshape(7, -1)
-        ref = ((E[:, None, :] - flat[None, :, :]) ** 2).sum(-1)
+        R = np.ones((n, 1)) if c == 1 else rng.normal(size=(n, c))
+        H = rng.normal(size=(n, 6))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        counts = np.bincount(labels, minlength=k)
+        K = (R @ R.T) * (H @ H.T)
+        cross = K @ (labels[:, None] == np.arange(k)) / counts
+        cc = np.bincount(labels, weights=cross[np.arange(n), labels]) / counts
+        nearest, d2 = kernels.assign_nearest(cross, cc, kernels.factor_sq_norms(R, H))
+        E = (R[:, :, None] * H[:, None, :]).reshape(n, -1)
+        means = np.stack([E[labels == j].mean(axis=0) for j in range(k)])
+        ref = ((E[:, None, :] - means[None, :, :]) ** 2).sum(-1)
         ref_labels = ref.argmin(axis=1)
-        assert np.array_equal(labels, ref_labels)
-        np.testing.assert_allclose(
-            d2, ref[np.arange(len(H)), ref_labels], atol=1e-10
-        )
+        assert np.array_equal(nearest, ref_labels)
+        np.testing.assert_allclose(d2, ref[np.arange(n), ref_labels], atol=1e-10)
 
 
 def test_softmax_rows_normalized_and_shift_invariant(rng):

@@ -40,7 +40,8 @@ def random_factors(gen, c, n, d):
 
 def cases():
     """(name, R, H, k, max_iter) over c in {1, 2, 4}, with duplicates,
-    fewer distinct points than clusters and truncated Lloyd runs."""
+    fewer distinct points than clusters, truncated Lloyd runs and pools at
+    the region stage's shapes."""
     gen = np.random.default_rng(2024)
     out = []
     for trial in range(36):
@@ -61,6 +62,13 @@ def cases():
         pick = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
         for max_iter in (1, 3, 100):
             out.append((f"c{c}-empty-{max_iter}", R0[pick], H0[pick], 5, max_iter))
+    # the region stage's shapes: about 270 pooled rows of ReLU features with
+    # d = 128 and 15 regions; confident samples have residual rows near 1e-20
+    for c in (2, 4):
+        R, H = random_factors(gen, c, 270, 128)
+        H = np.maximum(H, 0.0)
+        R[gen.random(270) < 1 / 3] *= 1e-20
+        out.append((f"c{c}-pool", R, H, 15, 100))
     return out
 
 
