@@ -36,9 +36,9 @@ def assign_nearest(cross, cc, sq_norms):
 
     cross is the (n, k) matrix of inner products E_i . C_j, cc the (k,)
     squared center norms and sq_norms the (n,) squared point norms; k-Means
-    reads all three off its Gram matrix, so no point or center is formed
-    here. Distances are |E_i|^2 + |C_j|^2 - 2 E_i . C_j, clipped at 0; ties
-    go to the lowest center index.
+    computes them from its Gram matrix or from its centers, so no point is
+    formed here. Distances are |E_i|^2 + |C_j|^2 - 2 E_i . C_j, clipped at
+    0; ties go to the lowest center index.
     """
     d2 = sq_norms[:, None] + cc[None, :] - 2.0 * cross
     np.maximum(d2, 0.0, out=d2)

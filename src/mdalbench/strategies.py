@@ -263,6 +263,13 @@ def allocate_budget(counts, budget, capacities):
     return alloc
 
 
+# Pools of at most this many rows cluster on their Gram matrix, larger ones
+# on centers in (c, d) form (see kmeans). 400 is where whole kmeans calls
+# broke even at d = 128, k = 15 and c = 2 (README has the timings), and it
+# keeps the (n, n) matrix at or below 1.3 MB.
+GRAM_MAX_ROWS = 400
+
+
 def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     """k-Means++ seeding plus Lloyd iterations over the points r_i (x) h_i,
     best of n_init restarts, every draw from the stream rng.
@@ -273,47 +280,93 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     wins. An empty cluster seizes the point farthest from its own center
     (never draining a singleton).
 
-    Lloyd runs on the Gram matrix K[i, l] = (r_i . r_l)(h_i . h_l) = E_i . E_l,
-    built once per call (8 n^2 bytes) and shared by the restarts, so no
-    restart forms a center. An iteration costs n^2 k multiply-adds, against
-    2 n k c d for centers in (c, d) form, so it does less work up to
-    n ~ 2 c d (512 points at c = 2, d = 128). The examples' pools hold at
-    most 300 rows. Timed on 2 vCPUs, whole calls at k = 15 broke even lower:
-    the center form was faster at n = 600 with c = 2 and at n = 900.
-    Returns (labels, centers, sse_history) for the winning restart; centers,
-    of shape (k, c, d), are the means of the returned clusters, formed once
-    by one W.T @ H, where row i of the (n, k, c) indicator W holds r_i at
-    label_i. sse_history interleaves the SSE after each assignment and each
-    recentering.
+    Lloyd has two forms, chosen by n and equal up to rounding. Up to
+    GRAM_MAX_ROWS points it runs on the Gram matrix
+    K[i, l] = (r_i . r_l)(h_i . h_l) = E_i . E_l, built once per call
+    (8 n^2 bytes) and shared by the restarts, at n^2 k multiply-adds per
+    iteration. Above that it keeps centers in (c, d) form, at 2 n k c d
+    multiply-adds and memory linear in n. The flop counts break even at
+    n ~ 2 c d; whole calls broke even lower.
+    Returns (labels, sse_history) for the winning restart; sse_history
+    interleaves the SSE after each assignment and each recentering.
     """
     gen = rng.generator()
     norms = factor_sq_norms(R, H)
+    form = _gram_form if H.shape[0] <= GRAM_MAX_ROWS else _center_form
+    seeded, recentered = form(R, H, norms)
+    restarts = (
+        _lloyd(R, H, norms, k, gen, max_iter, seeded, recentered)
+        for _ in range(n_init)
+    )
+    return min(restarts, key=lambda result: result[1][-1])
+
+
+def _gram_form(R, H, norms):
+    """Lloyd's (cross, center_norms) read off the Gram matrix K.
+
+    The seeds' inner products are their columns of K. A recentering is one
+    indicator product: cross[i, j] = E_i . C_j = (1/n_j) sum_(l in j) K[i, l],
+    and |C_j|^2 = (1/n_j) sum_(l in j) cross[l, j]."""
     K = H @ H.T
     K *= R @ R.T
-    restarts = (_lloyd(R, H, K, norms, k, gen, max_iter) for _ in range(n_init))
-    labels, sse_history = min(restarts, key=lambda result: result[1][-1])
+    rows = np.arange(K.shape[0])
+
+    def seeded(seeds):
+        return K[:, seeds], norms[seeds]
+
+    def recentered(labels, counts):
+        indicator = np.zeros((rows.size, counts.size))
+        indicator[rows, labels] = 1.0
+        cross = K @ indicator
+        cross /= counts
+        center_norms = np.bincount(
+            labels, weights=cross[rows, labels], minlength=counts.size
+        )
+        center_norms /= counts
+        return cross, center_norms
+
+    return seeded, recentered
+
+
+def _center_form(R, H, norms):
+    """Lloyd's (cross, center_norms) from centers in (c, d) form.
+
+    A center update is one W.T @ H over the counts, where row i of the
+    (n, k, c) indicator W holds r_i at label_i. The cross terms are one
+    (n, d) x (d, k*c) matmul contracted with R."""
     n, c = R.shape
-    W = np.zeros((n, k, c))
-    W[np.arange(n), labels] = R
-    centers = (W.reshape(n, k * c).T @ H).reshape(k, c, -1)
-    centers /= np.bincount(labels, minlength=k)[:, None, None]
-    return labels, centers, sse_history
+    rows = np.arange(n)
+
+    def products(centers):
+        k = centers.shape[0]
+        flat = centers.reshape(k, -1)
+        cross = np.einsum(
+            "ikc,ic->ik", (H @ centers.reshape(k * c, -1).T).reshape(n, k, c), R
+        )
+        return cross, np.einsum("ij,ij->i", flat, flat)
+
+    def seeded(seeds):
+        return products(R[seeds, :, None] * H[seeds, None, :])
+
+    def recentered(labels, counts):
+        k = counts.size
+        W = np.zeros((n, k, c))
+        W[rows, labels] = R
+        centers = (W.reshape(n, k * c).T @ H).reshape(k, c, -1)
+        centers /= counts[:, None, None]
+        return products(centers)
+
+    return seeded, recentered
 
 
-def _lloyd(R, H, K, norms, k, gen, max_iter):
-    """One restart on the Gram matrix K; returns (labels, sse_history).
-
-    The first assignment reads the seeds' columns of K. A recentering is
-    one indicator product: cross[i, j] =
-    E_i . C_j = (1/n_j) sum_(l in j) K[i, l], and |C_j|^2 =
-    (1/n_j) sum_(l in j) cross[l, j]. The recentering SSE is
+def _lloyd(R, H, norms, k, gen, max_iter, seeded, recentered):
+    """One restart; returns (labels, sse_history). seeded and recentered
+    give the (n, k) inner products E_i . C_j and the (k,) squared center
+    norms (_gram_form, _center_form). The recentering SSE is
     sum_i |E_i|^2 - |C_(label_i)|^2, summed in point order, so it does not
     depend on how the clusters are numbered."""
-    n = K.shape[0]
     seeds = kmeans_pp_indices(R, H, k, gen)
-    cross = K[:, seeds]
-    center_norms = norms[seeds]
-    rows = np.arange(n)
+    cross, center_norms = seeded(seeds)
     labels = None
     sse_history = []
     for _ in range(max_iter):
@@ -332,12 +385,7 @@ def _lloyd(R, H, K, norms, k, gen, max_iter):
             counts[j] += 1
             d2[i] = 0.0
         labels = new_labels
-        indicator = np.zeros((n, k))
-        indicator[rows, labels] = 1.0
-        cross = K @ indicator
-        cross /= counts
-        center_norms = np.bincount(labels, weights=cross[rows, labels], minlength=k)
-        center_norms /= counts
+        cross, center_norms = recentered(labels, counts)
         sse_history.append(float((norms - center_norms[labels]).sum()))
     return labels, sse_history
 
@@ -350,7 +398,7 @@ def build_regions(ctx, k, bk):
     """
     X = ctx.store[k].X[ctx.unlabeled[k]]
     resid, h = ctx.model.gradient_embeddings(X, k)
-    labels, _, _ = kmeans(resid, h, bk, ctx.rng.child(f"kmeans/{k}"))
+    labels, _ = kmeans(resid, h, bk, ctx.rng.child(f"kmeans/{k}"))
     return [np.flatnonzero(labels == j) for j in range(bk)], (resid, h)
 
 

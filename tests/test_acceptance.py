@@ -172,7 +172,7 @@ def test_criterion_3_combinatorial_oracles():
         n = int(g.integers(4, 9))
         k = int(g.integers(1, min(3, n) + 1))
         pts = g.normal(size=(n, 2))
-        _, _, history = kmeans(np.ones((n, 1)), pts, k, RngStream(seed, "km"))
+        _, history = kmeans(np.ones((n, 1)), pts, k, RngStream(seed, "km"))
         assert all(
             history[i + 1] <= history[i] + 1e-9
             for i in range(len(history) - 1)

@@ -2,15 +2,17 @@
 
 strategies.kmeans and kmeans_pp_indices work on the factors (R, H) of the
 points r_i (x) h_i; reference_kmeans.py runs the same algorithm on the
-formed points. Seeds and labels must be equal, centers and SSE equal within
-1e-9 relative: the factored distances round differently, but no decision
-here is close enough to a tie for that to matter.
+formed points. Seeds and labels must be equal, and the SSE history equal
+within 1e-9 relative, through both of kmeans' Lloyd forms: the factored
+distances round differently, but no decision here is close enough to a tie
+for that to matter.
 """
 
 import numpy as np
 import pytest
 
 import reference_kmeans as ref
+from mdalbench import strategies
 from mdalbench.kernels import sq_dists_to_point
 from mdalbench.nncore import RngStream
 from mdalbench.strategies import (
@@ -75,26 +77,55 @@ def cases():
 CASES = cases()
 
 
-@pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
-def test_factored_kmeans_matches_reference(name, R, H, k, max_iter):
+def assert_matches_reference(R, H, k, max_iter):
     E = formed(R, H)
     for seed in range(4):
         seeds = kmeans_pp_indices(R, H, k, np.random.default_rng(seed))
         expected = ref.kmeans_pp_indices(E, k, np.random.default_rng(seed))
         assert np.array_equal(seeds, expected)
 
-        labels, centers, history = kmeans(
+        labels, history = kmeans(
             R, H, k, RngStream(seed, "km"), max_iter=max_iter, n_init=3
         )
-        ref_labels, ref_centers, ref_history = ref.kmeans(
+        ref_labels, _, ref_history = ref.kmeans(
             E, k, RngStream(seed, "km").generator(), max_iter=max_iter, n_init=3
         )
         assert np.array_equal(labels, ref_labels)
         assert len(set(labels.tolist())) == k
-        assert centers.shape == (k, R.shape[1], H.shape[1])
-        np.testing.assert_allclose(centers.reshape(k, -1), ref_centers, rtol=1e-9)
         assert len(history) == len(ref_history)
         np.testing.assert_allclose(history, ref_history, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
+def test_factored_kmeans_matches_reference(name, R, H, k, max_iter):
+    # every case has at most GRAM_MAX_ROWS rows: the Gram form
+    assert_matches_reference(R, H, k, max_iter)
+
+
+@pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
+def test_center_form_matches_reference(name, R, H, k, max_iter, monkeypatch):
+    monkeypatch.setattr(strategies, "GRAM_MAX_ROWS", 0)
+    assert_matches_reference(R, H, k, max_iter)
+
+
+def test_gram_form_up_to_the_row_limit(monkeypatch):
+    # the (n, n) Gram matrix is built for pools of at most GRAM_MAX_ROWS
+    # rows only; one row more keeps centers in (c, d) form
+    used = []
+
+    def recording(form):
+        def wrapper(*args):
+            used.append(form.__name__)
+            return form(*args)
+        return wrapper
+
+    for form in (strategies._gram_form, strategies._center_form):
+        monkeypatch.setattr(strategies, form.__name__, recording(form))
+    gen = np.random.default_rng(5)
+    for n in (strategies.GRAM_MAX_ROWS, strategies.GRAM_MAX_ROWS + 1):
+        R, H = random_factors(gen, 2, n, 3)
+        kmeans(R, H, 2, RngStream(0, "km"), max_iter=2, n_init=1)
+    assert used == ["_gram_form", "_center_form"]
 
 
 def test_seeding_on_inexact_duplicates_matches_reference():

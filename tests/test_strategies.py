@@ -476,16 +476,16 @@ def exhaustive_min_sse(points, k):
 
 def test_kmeans_singletons_when_k_equals_n(rng):
     pts = rng.normal(size=(6, 2))
-    labels, centers, history = kmeans(np.ones((6, 1)), pts, 6, RngStream(0, "km"))
+    labels, history = kmeans(np.ones((6, 1)), pts, 6, RngStream(0, "km"))
     assert sorted(labels.tolist()) == list(range(6))
     assert history[-1] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_kmeans_k1_center_is_mean(rng):
     pts = rng.normal(size=(9, 3))
-    labels, centers, _ = kmeans(np.ones((9, 1)), pts, 1, RngStream(0, "km"))
+    labels, history = kmeans(np.ones((9, 1)), pts, 1, RngStream(0, "km"))
     assert (labels == 0).all()
-    np.testing.assert_allclose(centers[0, 0], pts.mean(axis=0), atol=1e-12)
+    assert history[-1] == pytest.approx(((pts - pts.mean(axis=0)) ** 2).sum())
 
 
 def test_kmeans_two_blobs():
@@ -493,7 +493,7 @@ def test_kmeans_two_blobs():
     blob_a = gen.normal(size=(3, 2)) + [0.0, 0.0]
     blob_b = gen.normal(size=(3, 2)) + [20.0, 0.0]
     pts = np.vstack([blob_a, blob_b])
-    labels, _, _ = kmeans(np.ones((6, 1)), pts, 2, RngStream(4, "km"))
+    labels, _ = kmeans(np.ones((6, 1)), pts, 2, RngStream(4, "km"))
     assert len(set(labels[:3].tolist())) == 1
     assert len(set(labels[3:].tolist())) == 1
     assert labels[0] != labels[3]
@@ -507,7 +507,7 @@ def test_kmeans_sse_non_increasing_and_near_optimal(rng):
         n = int(gen.integers(4, 9))
         k = int(gen.integers(1, min(3, n) + 1))
         pts = gen.normal(size=(n, 2))
-        labels, centers, history = kmeans(
+        labels, history = kmeans(
             np.ones((n, 1)), pts, k, RngStream(seed, "km")
         )
         assert all(
@@ -524,7 +524,7 @@ def test_kmeans_sse_non_increasing_and_near_optimal(rng):
 
 def test_kmeans_no_empty_clusters_with_duplicates():
     pts = np.array([[0.0], [0.0], [0.0], [5.0]])
-    labels, centers, _ = kmeans(np.ones((4, 1)), pts, 3, RngStream(11, "km"))
+    labels, _ = kmeans(np.ones((4, 1)), pts, 3, RngStream(11, "km"))
     assert len(set(labels.tolist())) == 3
 
 
@@ -625,7 +625,7 @@ def test_p2s_matches_straightline_pipeline():
             continue
         idx = ctx.unlabeled[k]
         resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[idx], k)
-        labels, _, _ = kmeans(resid, h, budgets[k], ctx.rng.child(f"kmeans/{k}"))
+        labels, _ = kmeans(resid, h, budgets[k], ctx.rng.child(f"kmeans/{k}"))
         for j in range(budgets[k]):
             members = idx[labels == j]
             best, best_score = None, -np.inf
