@@ -12,6 +12,11 @@ shared feature); the ablation variants swap the scorer or drop the region
 stage. _DISPATCH binds each strategy name to its function and is
 the one list of names.
 
+k-Means seeds all its restarts before any Lloyd run, in lockstep; a
+k-means++ pick is Generator.choice's inverse-CDF search given its uniform
+draw (_inverse_cdf), so the picks and the stream's end state are those of
+Generator.choice(n, p=d2 / total) called pick by pick.
+
 Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
 every strategy is a deterministic function of the context snapshot and seed.
 """
@@ -166,30 +171,83 @@ def coreset_select(ctx):
 _ROUNDING = 1e-12
 
 
-def kmeans_pp_indices(R, H, k, gen):
-    """k-Means++ seeding over the points r_i (x) h_i; returns the chosen rows.
+def kmeans_pp_indices(R, H, k, gen, restarts=1):
+    """k-Means++ seeding over the points r_i (x) h_i, `restarts` times in a
+    row from gen; returns the (restarts, k) chosen rows.
 
     R is (n, c) and H is (n, d), with 1 <= k <= n; plain points are
     R = ones((n, 1)). Each pick's distances are |E_i|^2 + |E_p|^2 -
     2 (r_i . r_p)(h_i . h_p), which costs O(n (c + d)) and never forms the
     outer products.
+
+    The restarts are seeded in lockstep: each draws gen.integers(n), then
+    one double per later pick, exactly as that many successive seedings
+    would, and every pick advances all restarts' distance rows as one
+    (restarts, n) array. Should a restart run out of mass (duplicate
+    points), a sequential seeding draws an integer in place of that
+    double, so gen is rewound and the restarts are seeded one at a time.
     """
     n = H.shape[0]
     norms = factor_sq_norms(R, H)
+    state = gen.bit_generator.state
+    chosen = np.empty((restarts, k), dtype=np.int64)
+    uniforms = np.empty((restarts, k - 1))
+    for seeds, u in zip(chosen, uniforms):
+        seeds[0] = gen.integers(n)
+        gen.random(out=u)
+    rows = np.arange(restarts)
+    d2 = _sq_dists_to(R, H, norms, chosen[:, 0])
+    d2[rows, chosen[:, 0]] = 0.0
+    for j in range(1, k):
+        totals = d2.sum(axis=1)
+        if not (totals > 0.0).all():
+            gen.bit_generator.state = state
+            return np.stack([
+                _kmeans_pp_sequential(R, H, norms, k, gen) for _ in range(restarts)
+            ])
+        chosen[:, j] = _inverse_cdf(d2 / totals[:, None], uniforms[:, j - 1])
+        np.minimum(d2, _sq_dists_to(R, H, norms, chosen[:, j]), out=d2)
+        d2[rows, chosen[:, j]] = 0.0
+    return chosen
 
-    def sq_dists_to(p):
-        scale = norms + norms[p]
-        d2 = scale - 2.0 * ((R @ R[p]) * (H @ H[p]))
-        d2[d2 <= _ROUNDING * scale] = 0.0
-        return d2
 
+def _sq_dists_to(R, H, norms, picks):
+    """The (len(picks), n) squared distances from every point to each
+    pick, rounding noise set to 0. Each pick keeps its own two
+    matrix-vector products: one matrix product for all of them would round
+    differently."""
+    d2 = np.empty((len(picks), norms.size))
+    for row, p in zip(d2, picks):
+        np.multiply(R @ R[p], H @ H[p], out=row)
+    scale = norms + norms[picks, None]
+    # scale - 2 x, bit for bit
+    d2 *= -2.0
+    d2 += scale
+    scale *= _ROUNDING
+    d2[d2 <= scale] = 0.0
+    return d2
+
+
+def _inverse_cdf(p, u):
+    """Generator.choice(p.shape[-1], p=p) given its uniform draw u, per row
+    of p: cumulative sum, normalised by its last entry, then the count of
+    entries at or below u (searchsorted, side right)."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+
+
+def _kmeans_pp_sequential(R, H, norms, k, gen):
+    """One seeding, drawing pick by pick: a double while mass remains, else
+    an integer for a uniform pick among the rows not yet chosen."""
+    n = H.shape[0]
     chosen = [int(gen.integers(n))]
-    d2 = sq_dists_to(chosen[0])
+    d2 = _sq_dists_to(R, H, norms, chosen)[0]
     d2[chosen[0]] = 0.0
     for _ in range(k - 1):
         total = d2.sum()
         if total > 0.0:
-            nxt = int(gen.choice(n, p=d2 / total))
+            nxt = int(_inverse_cdf(d2 / total, gen.random()))
         else:
             # remaining mass exhausted (duplicates): uniform over unchosen
             mask = np.ones(n, dtype=bool)
@@ -197,7 +255,7 @@ def kmeans_pp_indices(R, H, k, gen):
             cand = np.flatnonzero(mask)
             nxt = int(cand[gen.integers(cand.size)])
         chosen.append(nxt)
-        np.minimum(d2, sq_dists_to(nxt), out=d2)
+        np.minimum(d2, _sq_dists_to(R, H, norms, [nxt])[0], out=d2)
         d2[nxt] = 0.0
     return np.asarray(chosen, dtype=np.int64)
 
@@ -219,7 +277,7 @@ def badge_select(ctx):
     c = max(r.shape[1] for r in resids)
     R = np.vstack([np.pad(r, ((0, 0), (0, c - r.shape[1]))) for r in resids])
     gen = ctx.rng.child("badge").generator()
-    chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)
+    chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)[0]
     dom, idx = _pool_index(ctx)
     return sorted(zip(dom[chosen].tolist(), idx[chosen].tolist()))
 
@@ -275,10 +333,13 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     best of n_init restarts, every draw from the stream rng.
 
     R is (n, c) and H is (n, d), with 1 <= k <= n; plain points are
-    R = ones((n, 1)). Each restart stops when assignments stop changing or
-    after max_iter rounds; the first restart with the lowest final SSE
-    wins. An empty cluster seizes the point farthest from its own center
-    (never draining a singleton).
+    R = ones((n, 1)). All n_init restarts are seeded first, in lockstep
+    (kmeans_pp_indices); Lloyd draws nothing, so the stream sees the same
+    calls as when each restart seeds just before its Lloyd run. Each
+    restart stops when assignments stop changing or after max_iter rounds;
+    the first restart with the lowest final SSE wins. An empty cluster
+    seizes the point farthest from its own center (never draining a
+    singleton).
 
     Lloyd has two forms, chosen by n and equal up to rounding. Up to
     GRAM_MAX_ROWS points it runs on the Gram matrix
@@ -290,14 +351,11 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     Returns (labels, sse_history) for the winning restart; sse_history
     interleaves the SSE after each assignment and each recentering.
     """
-    gen = rng.generator()
+    seeds = kmeans_pp_indices(R, H, k, rng.generator(), n_init)
     norms = factor_sq_norms(R, H)
     form = _gram_form if H.shape[0] <= GRAM_MAX_ROWS else _center_form
     seeded, recentered = form(R, H, norms)
-    restarts = (
-        _lloyd(R, H, norms, k, gen, max_iter, seeded, recentered)
-        for _ in range(n_init)
-    )
+    restarts = (_lloyd(norms, k, max_iter, s, seeded, recentered) for s in seeds)
     return min(restarts, key=lambda result: result[1][-1])
 
 
@@ -359,13 +417,12 @@ def _center_form(R, H, norms):
     return seeded, recentered
 
 
-def _lloyd(R, H, norms, k, gen, max_iter, seeded, recentered):
-    """One restart; returns (labels, sse_history). seeded and recentered
-    give the (n, k) inner products E_i . C_j and the (k,) squared center
-    norms (_gram_form, _center_form). The recentering SSE is
-    sum_i |E_i|^2 - |C_(label_i)|^2, summed in point order, so it does not
-    depend on how the clusters are numbered."""
-    seeds = kmeans_pp_indices(R, H, k, gen)
+def _lloyd(norms, k, max_iter, seeds, seeded, recentered):
+    """One restart from its k seed rows; returns (labels, sse_history).
+    seeded and recentered give the (n, k) inner products E_i . C_j and the
+    (k,) squared center norms (_gram_form, _center_form). The recentering
+    SSE is sum_i |E_i|^2 - |C_(label_i)|^2, summed in point order, so it
+    does not depend on how the clusters are numbered."""
     cross, center_norms = seeded(seeds)
     labels = None
     sse_history = []

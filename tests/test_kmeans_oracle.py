@@ -13,7 +13,7 @@ import pytest
 
 import reference_kmeans as ref
 from mdalbench import strategies
-from mdalbench.kernels import sq_dists_to_point
+from mdalbench.kernels import factor_sq_norms, sq_dists_to_point
 from mdalbench.nncore import RngStream
 from mdalbench.strategies import (
     allocate_budget,
@@ -80,7 +80,7 @@ CASES = cases()
 def assert_matches_reference(R, H, k, max_iter):
     E = formed(R, H)
     for seed in range(4):
-        seeds = kmeans_pp_indices(R, H, k, np.random.default_rng(seed))
+        seeds = kmeans_pp_indices(R, H, k, np.random.default_rng(seed))[0]
         expected = ref.kmeans_pp_indices(E, k, np.random.default_rng(seed))
         assert np.array_equal(seeds, expected)
 
@@ -128,23 +128,108 @@ def test_gram_form_up_to_the_row_limit(monkeypatch):
     assert used == ["_gram_form", "_center_form"]
 
 
-def test_seeding_on_inexact_duplicates_matches_reference():
+def recording_fallback(monkeypatch):
+    """A list that gains one entry per sequential seeding kmeans_pp_indices
+    falls back to."""
+    calls = []
+    sequential = strategies._kmeans_pp_sequential
+
+    def recording(*args):
+        calls.append(args)
+        return sequential(*args)
+
+    monkeypatch.setattr(strategies, "_kmeans_pp_sequential", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n_init", (1, 3, 8))
+@pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
+def test_lockstep_seeding_equals_successive_seedings(
+    name, R, H, k, max_iter, n_init, monkeypatch
+):
+    # the restarts seeded together pick what n_init seedings in a row pick,
+    # and leave the generator where they leave it; with fewer distinct points
+    # than clusters the mass runs out and the sequential loop takes over
+    sequential = strategies._kmeans_pp_sequential
+    fallbacks = recording_fallback(monkeypatch)
+    norms = factor_sq_norms(R, H)
+    for seed in range(4):
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        seeds = kmeans_pp_indices(R, H, k, gen, restarts=n_init)
+        expected = [sequential(R, H, norms, k, ref_gen) for _ in range(n_init)]
+        assert seeds.shape == (n_init, k)
+        assert np.array_equal(seeds, np.stack(expected))
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+    if "empty" in name:
+        assert len(fallbacks) == 4 * n_init
+    if "pool" in name:
+        assert not fallbacks
+
+
+def test_seeding_on_inexact_duplicates_matches_reference(monkeypatch):
     # with fewer distinct points than clusters, the reference's distances
     # between duplicates are exactly 0 and its last picks come from the
-    # uniform fallback; the factored distances must reach the same zeros.
+    # uniform fallback; the factored distances must reach the same zeros,
+    # so the lockstep seeding falls back to the sequential loop.
     # (Lloyd is not compared here: with every point on a center, which point
     # an empty cluster seizes depends on each side's rounding noise.)
+    fallbacks = recording_fallback(monkeypatch)
     gen = np.random.default_rng(7)
     pick = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
     for c in (1, 2, 4):
         R, H = random_factors(gen, c, 3, 5)
         R, H = R[pick], H[pick]
         for seed in range(6):
-            seeds = kmeans_pp_indices(R, H, 5, np.random.default_rng(seed))
-            expected = ref.kmeans_pp_indices(
-                formed(R, H), 5, np.random.default_rng(seed)
-            )
-            assert np.array_equal(seeds, expected)
+            seeds = kmeans_pp_indices(R, H, 5, np.random.default_rng(seed), 3)
+            ref_gen = np.random.default_rng(seed)
+            expected = [ref.kmeans_pp_indices(formed(R, H), 5, ref_gen) for _ in range(3)]
+            assert np.array_equal(seeds, np.stack(expected))
+    assert len(fallbacks) == 3 * 6 * 3
+
+
+def test_stacked_distances_are_each_picks_own():
+    # every row of the (picks, n) distances is the one-pick formula bit for
+    # bit, from that pick's own two matrix-vector products (a matrix product
+    # over all picks rounds differently)
+    gen = np.random.default_rng(11)
+    for name, R, H, k, _ in CASES:
+        norms = factor_sq_norms(R, H)
+        picks = gen.integers(H.shape[0], size=8)
+        stacked = strategies._sq_dists_to(R, H, norms, picks)
+        for row, p in zip(stacked, picks):
+            scale = norms + norms[p]
+            d2 = scale - 2.0 * ((R @ R[p]) * (H @ H[p]))
+            d2[d2 <= strategies._ROUNDING * scale] = 0.0
+            np.testing.assert_array_equal(row, d2, err_msg=name)
+
+
+def test_inverse_cdf_pick_is_generator_choice():
+    # a k-means++ pick must be Generator.choice(n, p=d2 / total) draw for
+    # draw: rows of D^2 with zeros, a single nonzero entry, and magnitudes
+    # from 1e-60 to 1 (confident rows' residuals are near 1e-20). The row
+    # totals of the stacked form must be the 1-D sums too.
+    gen = np.random.default_rng(2025)
+    for n in (1, 2, 3, 16, 270, 1000):
+        D2 = 10.0 ** gen.uniform(-40.0, 0.0, size=(600, n))
+        D2[0::3] *= gen.random((200, n)) < 0.5
+        D2[1::3] *= 1e-20 ** (gen.random((200, n)) < 0.5)
+        D2[2::6] = 0.0
+        D2[2::6, gen.integers(n)] = 10.0 ** gen.uniform(-40.0, 0.0, size=100)
+        D2[D2.sum(axis=1) == 0.0, -1] = 1e-40
+        totals = D2.sum(axis=1)
+        assert np.array_equal(totals, [row.sum() for row in D2])
+
+        choice_gen = np.random.default_rng(n)
+        expected = [choice_gen.choice(n, p=row / row.sum()) for row in D2]
+        stacked_gen, row_gen = np.random.default_rng(n), np.random.default_rng(n)
+        stacked = strategies._inverse_cdf(D2 / totals[:, None], stacked_gen.random(600))
+        one_by_one = [
+            strategies._inverse_cdf(row / row.sum(), row_gen.random()) for row in D2
+        ]
+        assert np.array_equal(stacked, expected)
+        assert np.array_equal(one_by_one, expected)
+        for other in (stacked_gen, row_gen):
+            assert other.bit_generator.state == choice_gen.bit_generator.state
 
 
 def test_center_scorer_uses_means_of_formed_embeddings():

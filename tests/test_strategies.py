@@ -364,7 +364,7 @@ def test_kmeanspp_never_reselects_duplicate_until_distinct_exhausted():
     pts = np.array([[0.0], [0.0], [1.0]])
     for seed in range(200):
         gen = np.random.default_rng(seed)
-        chosen = kmeans_pp_indices(np.ones((3, 1)), pts, 2, gen)
+        chosen = kmeans_pp_indices(np.ones((3, 1)), pts, 2, gen)[0]
         vals = sorted(float(pts[i, 0]) for i in chosen)
         assert vals == [0.0, 1.0]  # one of each, never both zeros
 
@@ -375,7 +375,7 @@ def test_kmeanspp_first_pick_uniform():
     trials = 10_000
     for seed in range(trials):
         gen = np.random.default_rng(seed)
-        counts[kmeans_pp_indices(np.ones((6, 1)), pts, 1, gen)[0]] += 1
+        counts[kmeans_pp_indices(np.ones((6, 1)), pts, 1, gen)[0, 0]] += 1
     p = 1 / 6
     se = np.sqrt(p * (1 - p) * trials)
     assert np.abs(counts - trials * p).max() < 3.0 * se
