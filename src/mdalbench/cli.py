@@ -21,7 +21,7 @@ from .data import (
     save_manifest,
 )
 from .engine import ExperimentConfig, run_grid
-from .errors import OverwriteRefusedError, ValidationError
+from .errors import OverwriteRefusedError, ValidationError, key_problems
 from .reporting import (
     aulc_table,
     format_curves_csv,
@@ -104,13 +104,16 @@ def cmd_run(args):
 
 
 def cmd_synth(args):
-    raw = _load_json(args.spec)
-    if not isinstance(raw, dict):
+    keys = _load_json(args.spec)
+    if not isinstance(keys, dict):
         raise ValidationError(f"{args.spec}: expected a JSON object")
-    try:
-        spec = SyntheticSpec(**{k: v for k, v in raw.items() if k != "name"})
-    except TypeError as exc:
-        raise ValidationError(f"invalid synthetic spec: {exc}") from exc
+    # the spec's name is the manifest's; its other keys are the dataset's
+    name = keys.pop("name", "synthetic")
+    problems = key_problems(DatasetManifest, {"name": name}, complete=False)
+    problems += key_problems(SyntheticSpec, keys)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    spec = SyntheticSpec(**keys)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datasets = generate_synthetic(spec)
@@ -125,9 +128,7 @@ def cmd_synth(args):
         domains.append(
             DomainSpec(name=dom.name, file=fname, classes=spec.num_classes, rows=len(dom))
         )
-    manifest = DatasetManifest(
-        name=raw.get("name", "synthetic"), dim=spec.input_dim, domains=domains
-    )
+    manifest = DatasetManifest(name=name, dim=spec.input_dim, domains=domains)
     replace_file(lambda tmp: save_manifest(manifest, tmp), manifest_path)
     print(f"wrote {len(domains)} domain CSV(s) + manifest.json under {out}")
     return EXIT_OK

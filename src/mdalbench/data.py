@@ -8,12 +8,13 @@ validate shapes up front.
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import AT_LEAST_ONE, AT_LEAST_TWO, NON_EMPTY, NON_NEGATIVE
+from .errors import ValidationError, key, key_problems
 from .nncore import RngStream
 
 
@@ -41,24 +42,36 @@ class DomainDataset:
 @dataclass
 class DomainSpec:
     """One domain of a manifest. rows, when the manifest records it, is the
-    CSV's row count, so a file cut short fails at load."""
+    CSV's row count, so a file cut short fails at load; None if it does not."""
 
-    name: str
-    file: str
-    classes: int
-    rows: int | None = None
+    name: str = key()
+    file: str = key()
+    classes: int = key(*AT_LEAST_TWO)
+    rows: int = key(*AT_LEAST_ONE, default=None)
 
 
 @dataclass
 class DatasetManifest:
-    name: str
-    dim: int
-    domains: list
+    """A manifest's keys, each domain a DomainSpec; root is the directory
+    its files are named from."""
+
+    name: str = key(*NON_EMPTY)
+    dim: int = key(*AT_LEAST_ONE)
+    domains: list = key(*NON_EMPTY)
     root: Path = Path(".")
 
     @property
     def num_domains(self):
         return len(self.domains)
+
+
+@dataclass
+class ManifestSpec:
+    """A config's manifest dataset: the manifest's path and the seed of its
+    train/test splits."""
+
+    path: str = key()
+    split_seed: int = key(*NON_NEGATIVE, default=0)
 
 
 def load_manifest(path):
@@ -71,44 +84,18 @@ def load_manifest(path):
         raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"manifest {path}: expected a JSON object")
-    problems = []
-    name = raw.get("name")
-    dim = raw.get("dim")
-    if not isinstance(name, str) or not name:
-        problems.append("name: expected a non-empty string")
-    if type(dim) is not int or dim < 1:
-        problems.append("dim: expected a positive integer")
-    domains = []
-    raw_domains = raw.get("domains")
-    if not isinstance(raw_domains, list) or not raw_domains:
-        problems.append("domains: expected a non-empty list")
-    else:
-        for i, d in enumerate(raw_domains):
-            if not isinstance(d, dict):
-                problems.append(f"domains[{i}]: expected an object, got {d!r}")
-                continue
-            for key, kind in (("name", str), ("file", str), ("classes", int)):
-                if type(d.get(key)) is not kind:
-                    problems.append(f"domains[{i}].{key}: expected {kind.__name__}")
-            if type(d.get("classes")) is int and d["classes"] < 2:
-                problems.append(f"domains[{i}].classes: must be >= 2")
-            if "rows" in d and (type(d["rows"]) is not int or d["rows"] < 1):
-                problems.append(f"domains[{i}].rows: expected a positive integer")
-        if not problems:
-            domains = [
-                DomainSpec(d["name"], d["file"], d["classes"], d.get("rows"))
-                for d in raw_domains
-            ]
+    problems = key_problems(DatasetManifest, raw)
+    entries = raw.get("domains")
+    if isinstance(entries, list):
+        for i, entry in enumerate(entries):
+            problems += key_problems(DomainSpec, entry, f"domains[{i}].")
     if problems:
-        raise ValidationError(
-            "invalid manifest " + str(path) + ": " + "; ".join(problems)
-        )
-    return DatasetManifest(name=name, dim=dim, domains=domains, root=path.parent)
+        raise ValidationError(f"invalid manifest {path}: " + "; ".join(problems))
+    domains = [DomainSpec(**entry) for entry in entries]
+    return DatasetManifest(raw["name"], raw["dim"], domains, root=path.parent)
 
 
 def load_domain(manifest, k):
-    if not 0 <= k < manifest.num_domains:
-        raise ValidationError(f"domain id {k} out of range")
     spec = manifest.domains[k]
     path = manifest.root / spec.file
     if not path.is_file():
@@ -183,33 +170,17 @@ def save_manifest(manifest, path):
 
 @dataclass
 class SyntheticSpec:
-    num_domains: int = 3
-    samples_per_domain: int = 400
-    input_dim: int = 20
-    num_classes: int = 2
-    shared_strength: float = 1.0
-    shift_strength: float = 1.0
-    label_noise: float = 0.0
-    seed: int = 0
+    """The keys of a synthetic dataset: a config's dataset, or a synth spec
+    less its name. key_problems checks them where either is read."""
 
-    def __post_init__(self):
-        # exact types, so 2.5 samples or true domains never reach the generator
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int and type(value) is not int:
-                raise ValidationError(f"{f.name}: expected an integer, got {value!r}")
-            if f.type is float and type(value) not in (int, float):
-                raise ValidationError(f"{f.name}: expected a number, got {value!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed: must be >= 0, got {self.seed}")
-        if self.num_domains < 1 or self.samples_per_domain < 1:
-            raise ValidationError("need >= 1 domain and >= 1 sample per domain")
-        if self.input_dim < 1 or self.num_classes < 2:
-            raise ValidationError("need input_dim >= 1 and >= 2 classes")
-        if self.shared_strength < 0 or self.shift_strength < 0:
-            raise ValidationError("strengths must be >= 0")
-        if not 0 <= self.label_noise < 0.5:
-            raise ValidationError("label_noise must lie in [0, 0.5)")
+    num_domains: int = key(*AT_LEAST_ONE, default=3)
+    samples_per_domain: int = key(*AT_LEAST_ONE, default=400)
+    input_dim: int = key(*AT_LEAST_ONE, default=20)
+    num_classes: int = key(*AT_LEAST_TWO, default=2)
+    shared_strength: float = key(*NON_NEGATIVE, default=1.0)
+    shift_strength: float = key(*NON_NEGATIVE, default=1.0)
+    label_noise: float = key("must lie in [0, 0.5)", lambda v: 0 <= v < 0.5, default=0.0)
+    seed: int = key(*NON_NEGATIVE, default=0)
 
 
 def _unit(gen, dim):
@@ -292,8 +263,6 @@ def train_test_split(dataset, test_fraction, rng):
 
 def standardize(train, test):
     """Scale both splits with the train split's per-feature mean/std."""
-    if len(train) == 0:
-        raise ValidationError("cannot standardize an empty training set")
     mean = train.X.mean(axis=0)
     std = np.maximum(train.X.std(axis=0), 1e-8)
     train_s = DomainDataset((train.X - mean) / std, train.y, train.domain_id, train.name)

@@ -15,12 +15,13 @@ feeding the per-strategy timing comparison.
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    ManifestSpec,
     SyntheticSpec,
     generate_synthetic,
     load_domain,
@@ -28,7 +29,8 @@ from .data import (
     standardize,
     train_test_split,
 )
-from .errors import OverwriteRefusedError, ValidationError
+from .errors import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE
+from .errors import OverwriteRefusedError, ValidationError, key, key_path, key_problems
 from .model import AspMtlModel, ModelConfig, evaluate, train_round
 from .nncore import RngStream
 from .results import name_problem, replace_file, run_paths
@@ -41,49 +43,8 @@ GROUP_SIZE = 8
 
 _SECTIONS = ("model", "al", "strategy_params")
 
-# the exact JSON value types each field annotation accepts, so true/false
-# never pass as integers
-_KINDS = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
-    bool | None: ((bool, type(None)), "true, false or null"),
-    str: ((str,), "a string"),
-}
-
-_POSITIVE = ("must be > 0", lambda v: v > 0)
-_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
-_AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
-
-
-def _key(section, default, rule=None, check=None):
-    """An optional config key: its default, its config-file section ("" for
-    the top level) and the range its value must lie in, if any."""
-    return field(
-        default=default, metadata={"section": section, "rule": rule, "check": check}
-    )
-
-
-def _path(f):
-    section = f.metadata.get("section")
-    return f"{section}.{f.name}" if section else f.name
-
-
-# the keys each dataset type reads; any other key is an error
-_DATASET_KEYS = {
-    "synthetic": {"type", *(f.name for f in fields(SyntheticSpec))},
-    "manifest": {"type", "path", "split_seed"},
-}
-
-
-def _synthetic_spec(dataset):
-    return SyntheticSpec(**{k: v for k, v in dataset.items() if k != "type"})
-
-
-def _manifest_split_seed(dataset):
-    """The seed of a manifest dataset's train/test splits: its split_seed,
-    0 by default."""
-    return dataset.get("split_seed", 0)
+# the dataclass that declares each dataset type's keys, all but "type"
+_DATASET_TYPES = {"synthetic": SyntheticSpec, "manifest": ManifestSpec}
 
 
 def _repeated(values):
@@ -97,7 +58,7 @@ class ExperimentConfig:
     """One experiment grid, declared key by key.
 
     Each optional field is one config key: its annotation is the key's type,
-    and _key gives its default, section and range. from_dict, to_dict,
+    and key gives its range, default and section. from_dict, to_dict,
     section and the checks in problems all derive from these fields.
     """
 
@@ -105,24 +66,24 @@ class ExperimentConfig:
     dataset: dict
     strategies: list
     seeds: list
-    test_fraction: float = _key("", 0.25, "must lie in (0, 1)", lambda v: 0 < v < 1)
-    standardize: bool | None = _key("", None)
-    shared_hidden: int = _key("model", 64, *_AT_LEAST_ONE)
-    private_hidden: int = _key("model", 64, *_AT_LEAST_ONE)
-    lam_adv: float = _key("model", 0.05, *_NON_NEGATIVE)
-    lam_diff: float = _key("model", 0.0, *_NON_NEGATIVE)
-    lr: float = _key("model", 0.01, *_POSITIVE)
-    batch_size: int = _key("model", 8, *_AT_LEAST_ONE)
-    epochs_per_round: int = _key("model", 30, *_NON_NEGATIVE)
-    init_fraction: float = _key("al", 0.10)
-    step_fraction: float = _key("al", 0.05, *_POSITIVE)
-    budget_fraction: float = _key("al", 0.50)
-    warm_start: bool = _key("al", False)
-    sigma: float = _key("strategy_params", 0.01, *_POSITIVE)
-    num_perturbations: int = _key("strategy_params", 20, *_AT_LEAST_ONE)
-    budget_counts: str = _key(
-        "strategy_params", "unlabeled", "must be 'unlabeled' or 'pool'",
-        lambda v: v in ("unlabeled", "pool"),
+    test_fraction: float = key("must lie in (0, 1)", lambda v: 0 < v < 1, default=0.25)
+    standardize: bool | None = key(default=None)
+    shared_hidden: int = key(*AT_LEAST_ONE, default=64, section="model")
+    private_hidden: int = key(*AT_LEAST_ONE, default=64, section="model")
+    lam_adv: float = key(*NON_NEGATIVE, default=0.05, section="model")
+    lam_diff: float = key(*NON_NEGATIVE, default=0.0, section="model")
+    lr: float = key(*POSITIVE, default=0.01, section="model")
+    batch_size: int = key(*AT_LEAST_ONE, default=8, section="model")
+    epochs_per_round: int = key(*NON_NEGATIVE, default=30, section="model")
+    init_fraction: float = key(default=0.10, section="al")
+    step_fraction: float = key(*POSITIVE, default=0.05, section="al")
+    budget_fraction: float = key(default=0.50, section="al")
+    warm_start: bool = key(default=False, section="al")
+    sigma: float = key(*POSITIVE, default=0.01, section="strategy_params")
+    num_perturbations: int = key(*AT_LEAST_ONE, default=20, section="strategy_params")
+    budget_counts: str = key(
+        "must be 'unlabeled' or 'pool'", lambda v: v in ("unlabeled", "pool"),
+        default="unlabeled", section="strategy_params",
     )
 
     def __post_init__(self):
@@ -134,27 +95,12 @@ class ExperimentConfig:
         out = []
         if problem := name_problem(self.name):
             out.append(f"name: {problem}")
-        ds = self.dataset if isinstance(self.dataset, dict) else {}
-        ds_type = ds.get("type")
-        known = _DATASET_KEYS.get(ds_type) if isinstance(ds_type, str) else None
-        if known is None:
-            out.append("dataset.type: expected 'synthetic' or 'manifest'")
-        elif unknown := [k for k in ds if k not in known]:
-            out += [f"dataset.{k}: unknown key" for k in unknown]
-        elif ds_type == "synthetic":
-            try:
-                _synthetic_spec(ds)
-            except ValidationError as exc:
-                out.append(f"dataset: {exc}")
+        keys = dict(self.dataset) if isinstance(self.dataset, dict) else {}
+        ds_type = keys.pop("type", None)
+        if isinstance(ds_type, str) and ds_type in _DATASET_TYPES:
+            out += key_problems(_DATASET_TYPES[ds_type], keys, "dataset.")
         else:
-            if not isinstance(ds.get("path"), str):
-                out.append(f"dataset.path: expected a string, got {ds.get('path')!r}")
-            split_seed = _manifest_split_seed(ds)
-            if type(split_seed) is not int or split_seed < 0:
-                out.append(
-                    f"dataset.split_seed: expected a non-negative integer, "
-                    f"got {split_seed!r}"
-                )
+            out.append("dataset.type: expected 'synthetic' or 'manifest'")
         if not isinstance(self.strategies, list) or not self.strategies:
             out.append(f"strategies: expected a non-empty list, got {self.strategies!r}")
         else:
@@ -170,15 +116,9 @@ class ExperimentConfig:
             )
         elif repeated := _repeated(seeds):
             out.append(f"seeds: listed more than once: {repeated}")
-        for f in fields(self):
-            value, meta = getattr(self, f.name), f.metadata
-            if "section" not in meta:
-                continue
-            accepted, kind = _KINDS[f.type]
-            if type(value) not in accepted:
-                out.append(f"{_path(f)}: expected {kind}, got {value!r}")
-            elif meta["check"] and not meta["check"](value):
-                out.append(f"{_path(f)}: {meta['rule']}, got {value!r}")
+        out += key_problems(type(self), {
+            key_path(f): getattr(self, f.name) for f in fields(self) if "section" in f.metadata
+        })
         fractions = (self.init_fraction, self.budget_fraction)
         numeric = all(type(v) in (int, float) for v in fractions)
         if numeric and not 0 < fractions[0] < fractions[1] <= 1:
@@ -209,14 +149,14 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValidationError("config: expected a JSON object")
         items, errors = [], []
-        for key, value in raw.items():
-            if key not in _SECTIONS:
-                items.append((key, value))
+        for top, value in raw.items():
+            if top not in _SECTIONS:
+                items.append((top, value))
             elif isinstance(value, dict):
-                items += [(f"{key}.{sub}", v) for sub, v in value.items()]
+                items += [(f"{top}.{sub}", v) for sub, v in value.items()]
             else:
-                errors.append(f"{key}: expected an object, got {value!r}")
-        names = {_path(f): f.name for f in fields(cls)}
+                errors.append(f"{top}: expected an object, got {value!r}")
+        names = {key_path(f): f.name for f in fields(cls)}
         errors += [f"{path}: unknown key" for path, _ in items if path not in names]
         if errors:
             raise ValidationError("; ".join(errors))
@@ -231,17 +171,17 @@ class ExperimentConfig:
 
 def load_dataset(config):
     """Full per-domain datasets plus whether to standardize by default."""
-    ds = config.dataset
-    if ds["type"] == "synthetic":
-        spec = _synthetic_spec(ds)
+    keys = dict(config.dataset)
+    spec = _DATASET_TYPES[keys.pop("type")](**keys)
+    if isinstance(spec, SyntheticSpec):
         full = generate_synthetic(spec)
         default_standardize = False
         split_seed = spec.seed
     else:
-        manifest = load_manifest(ds["path"])
+        manifest = load_manifest(spec.path)
         full = [load_domain(manifest, k) for k in range(manifest.num_domains)]
         default_standardize = True
-        split_seed = _manifest_split_seed(ds)
+        split_seed = spec.split_seed
     do_std = config.standardize
     if do_std is None:
         do_std = default_standardize

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key declarations that
+check every JSON object the program reads."""
+
+from dataclasses import MISSING, field, fields
 
 
 class ValidationError(ValueError):
@@ -11,3 +14,66 @@ class NonFiniteError(RuntimeError):
 
 class OverwriteRefusedError(RuntimeError):
     """Output files already exist and --force was not given."""
+
+
+# the exact JSON value types each key annotation accepts, so true/false
+# never pass as integers
+KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    bool | None: ((bool, type(None)), "true, false or null"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+}
+
+POSITIVE = ("must be > 0", lambda v: v > 0)
+NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
+AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
+AT_LEAST_TWO = ("must be >= 2", lambda v: v >= 2)
+NON_EMPTY = ("must not be empty", bool)
+
+
+def key(rule=None, check=None, *, default=MISSING, section=""):
+    """A key of a JSON object, declared as a dataclass field whose annotation
+    is the key's type: the range its value must lie in, if any, its default
+    (none for a required key) and its section ("" for the top level)."""
+    return field(
+        default=default, metadata={"section": section, "rule": rule, "check": check}
+    )
+
+
+def key_path(f):
+    """A declared key's path in its object: "section.key", or the key."""
+    section = f.metadata.get("section")
+    return f"{section}.{f.name}" if section else f.name
+
+
+def key_problems(cls, doc, where="", complete=True):
+    """What is wrong with the JSON object doc as the keys that the dataclass
+    cls declares, a section's keys spelled "section.key": each key it does
+    not declare, each value of a JSON type its key's annotation does not
+    accept or outside its key's range and, if doc is complete, each
+    required key it lacks. Each problem names its key path after where."""
+    if not isinstance(doc, dict):
+        return [f"{where.rstrip('.')}: expected an object, got {doc!r}"]
+    declared = {key_path(f): f for f in fields(cls) if "section" in f.metadata}
+    out = []
+    for path, value in doc.items():
+        f = declared.get(path)
+        if f is None:
+            out.append(f"{where}{path}: unknown key")
+            continue
+        accepted, kind = KINDS[f.type]
+        rule, check = f.metadata["rule"], f.metadata["check"]
+        if type(value) not in accepted:
+            out.append(f"{where}{path}: expected {kind}, got {value!r}")
+        elif check and not check(value):
+            out.append(f"{where}{path}: {rule}, got {value!r}")
+    if complete:
+        out += [
+            f"{where}{path}: missing"
+            for path, f in declared.items()
+            if f.default is MISSING and path not in doc
+        ]
+    return out

@@ -94,9 +94,8 @@ def _mix(x, y):
 
 def _seed_words(seed):
     """The seed as SeedSequence assembles it before a spawn key: its 32-bit
-    words, least significant first, zero-padded to the pool size of 4."""
-    if seed < 0:
-        raise ValueError(f"expected a non-negative seed, got {seed}")
+    words, least significant first, zero-padded to the pool size of 4.
+    Every seed is >= 0, as config load checks."""
     words = [seed & 0xFFFFFFFF]
     seed >>= 32
     while seed:
@@ -238,20 +237,11 @@ def choice_positions(gens, pops, B):
     NumPy draws every member's integers (_choice_bulk), and the picks of all
     members' calls are computed together. A member with any call in the
     tail-shuffle branch makes its calls with Generator.choice itself.
-    Populations below 1 and batch sizes below 1 raise, as choice does.
+    B >= 1, pops has one row per generator and every population is >= 1,
+    as train_round guarantees.
     """
     pops = np.asarray(pops, dtype=np.int64)
-    if pops.ndim != 2 or pops.shape[0] != len(gens):
-        raise ValueError(
-            f"expected one row of populations per generator, got {pops.shape}"
-        )
-    if B < 1:
-        raise ValueError(f"expected a batch size >= 1, got {B}")
-    if pops.size and pops.min() < 1:
-        raise ValueError("populations must be >= 1")
     out = np.empty((*pops.shape, B), dtype=np.int64)
-    if not pops.size:
-        return out
     tail = ((pops >= B) & (pops > _TAIL_MIN_POP) & (B > pops // _TAIL_DIVISOR)).any(1)
     for m in np.flatnonzero(tail):
         out[m] = [gens[m].choice(p, size=B, replace=p < B) for p in pops[m].tolist()]

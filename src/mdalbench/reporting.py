@@ -161,14 +161,13 @@ _PALETTE = (
 
 
 def render_curves_svg(curves, dataset, width=640, height=440):
-    """Dependency-free SVG: axes, one polyline per strategy, legend."""
+    """Dependency-free SVG: axes, one polyline per strategy, legend. curves
+    holds at least one curve of dataset, as cmd_curves passes it."""
     series = [
         (strategy, curves[(d, strategy)])
         for (d, strategy) in sorted(curves)
         if d == dataset
     ]
-    if not series:
-        raise ValidationError(f"no curves for dataset {dataset!r}")
     margin = 50
     xs = [x for _, (x, _, _) in series for x in x]
     ys = [y for _, (_, ym, _) in series for y in ym]

@@ -92,10 +92,11 @@ def test_run_missing_config_exits_2(tmp_path):
         pytest.param({"model": 3}, "model", id="section-not-object"),
         pytest.param({"dataset.num_domain": 2}, "dataset.num_domain",
                      id="unknown-synthetic-key"),
-        pytest.param({"dataset.num_domains": 0}, "dataset", id="synthetic-range"),
-        pytest.param({"dataset.num_domains": 2.5}, "num_domains", id="synthetic-int-as-float"),
+        pytest.param({"dataset.num_domains": 0}, "dataset.num_domains", id="synthetic-range"),
+        pytest.param({"dataset.num_domains": 2.5}, "dataset.num_domains",
+                     id="synthetic-int-as-float"),
         pytest.param(
-            {"dataset.samples_per_domain": 24.5}, "samples_per_domain",
+            {"dataset.samples_per_domain": 24.5}, "dataset.samples_per_domain",
             id="synthetic-samples-float",
         ),
         pytest.param({"dataset": {"type": "manifest"}}, "dataset.path", id="manifest-no-path"),
@@ -107,7 +108,7 @@ def test_run_missing_config_exits_2(tmp_path):
         pytest.param({"seeds": ["a"]}, "seeds", id="seed-string"),
         pytest.param({"seeds": [1.5]}, "seeds", id="seed-float"),
         pytest.param({"seeds": [-1]}, "seeds", id="seed-negative"),
-        pytest.param({"dataset.seed": -1}, "seed", id="synthetic-seed-negative"),
+        pytest.param({"dataset.seed": -1}, "dataset.seed", id="synthetic-seed-negative"),
         pytest.param(
             {"dataset": {"type": "manifest", "path": "m.json", "split_seed": -1}},
             "dataset.split_seed", id="split-seed-negative",
@@ -286,11 +287,11 @@ def test_run_jobs_below_one_exits_2(tmp_path, capsys, jobs):
         ),
         pytest.param(
             {"name": "m", "dim": True, "domains": [{"name": "d", "file": "d.csv", "classes": 2}]},
-            "dim: expected a positive integer", id="dim-true",
+            "dim: expected an integer, got True", id="dim-true",
         ),
         pytest.param(
             {"name": "m", "dim": 4, "domains": [{"name": "d", "file": "d.csv", "classes": True}]},
-            "domains[0].classes: expected int", id="classes-true",
+            "domains[0].classes: expected an integer, got True", id="classes-true",
         ),
     ],
 )
@@ -485,6 +486,83 @@ def test_synth_invalid_spec_exits_2(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"label_noise": 0.9}', encoding="utf-8")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "name, named",
+    [(5, "name: expected a string, got 5"), ("", "name: must not be empty, got ''")],
+)
+def test_synth_bad_name_exits_2_and_writes_nothing(tmp_path, capsys, name, named):
+    """The spec's name is the manifest's, so synth checks it by the
+    manifest's own rule before it writes a manifest that run would reject."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"name": name, "num_domains": 2}), encoding="utf-8")
+    out = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+# (document, key path within it, value, the problem named)
+DOCUMENT_CASES = [
+    ("config", "colour", 1, "colour: unknown key"),
+    ("config", "model.batch_size", True, "model.batch_size: expected an integer, got True"),
+    ("config", "model.batch_size", 0, "model.batch_size: must be >= 1, got 0"),
+    ("dataset", "extra", 1, "dataset.extra: unknown key"),
+    ("dataset", "num_domains", True, "dataset.num_domains: expected an integer, got True"),
+    ("dataset", "num_domains", 0, "dataset.num_domains: must be >= 1, got 0"),
+    ("synth", "colour", 1, "colour: unknown key"),
+    ("synth", "input_dim", True, "input_dim: expected an integer, got True"),
+    ("synth", "input_dim", 0, "input_dim: must be >= 1, got 0"),
+    ("manifest", "colour", "red", "colour: unknown key"),
+    ("manifest", "dim", True, "dim: expected an integer, got True"),
+    ("manifest", "dim", 0, "dim: must be >= 1, got 0"),
+    ("domains[0]", "extra", 1, "domains[0].extra: unknown key"),
+    ("domains[0]", "classes", True, "domains[0].classes: expected an integer, got True"),
+    ("domains[0]", "classes", 1, "domains[0].classes: must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "document, path, value, named", DOCUMENT_CASES,
+    ids=[f"{doc}-{path}-{value}" for doc, path, value, _ in DOCUMENT_CASES],
+)
+def test_bad_key_of_each_json_document_exits_2_naming_its_path(
+    tmp_path, capsys, document, path, value, named
+):
+    """The config, its dataset, a synth spec, a manifest and a manifest's
+    domain entry each fail at load on an unknown key, on true given for an
+    integer and on a value out of range, naming the key's path."""
+    spec = {"num_domains": 2, "samples_per_domain": 24, "input_dim": 4}
+    spec_path, data = tmp_path / "spec.json", tmp_path / "data"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    config = json.loads(minimal_config(tmp_path).read_text())
+    if document in ("manifest", "domains[0]"):
+        config["dataset"] = {"type": "manifest", "path": str(data / "manifest.json")}
+    target = {
+        "config": config, "dataset": config["dataset"], "synth": spec,
+        "manifest": manifest, "domains[0]": manifest["domains"][0],
+    }[document]
+    *parents, last = path.split(".")
+    for parent in parents:
+        target = target[parent]
+    target[last] = value
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o"
+    if document == "synth":
+        argv = ["synth", "--spec", str(spec_path), "--out", str(out)]
+    else:
+        argv = ["run", "--config", str(config_path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and err.count(named.split(": ")[0] + ":") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])

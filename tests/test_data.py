@@ -16,7 +16,7 @@ from mdalbench.data import (
     standardize,
     train_test_split,
 )
-from mdalbench.errors import ValidationError
+from mdalbench.errors import ValidationError, key_problems
 from mdalbench.nncore import Linear, RngStream, relu
 from reference_layers import linear_backward, relu_backward, softmax_cross_entropy
 
@@ -105,7 +105,8 @@ def test_manifest_rows_must_be_a_positive_integer(tmp_path, rows):
     doc = json.loads(path.read_text())
     doc["domains"][0]["rows"] = rows
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match=r"domains\[0\]\.rows: expected a positive integer"):
+    named = r"domains\[0\]\.rows: (expected an integer|must be >= 1), got "
+    with pytest.raises(ValidationError, match=named):
         load_manifest(path)
 
 
@@ -206,12 +207,15 @@ def test_synthetic_domain_shift_detectable_by_nonlinear_probe():
 
 
 def test_synthetic_spec_validation():
-    with pytest.raises(ValidationError):
-        SyntheticSpec(label_noise=0.5)
-    with pytest.raises(ValidationError):
-        SyntheticSpec(num_classes=1)
-    with pytest.raises(ValidationError):
-        SyntheticSpec(shift_strength=-0.1)
+    assert key_problems(SyntheticSpec, {"label_noise": 0.5}) == [
+        "label_noise: must lie in [0, 0.5), got 0.5"
+    ]
+    assert key_problems(SyntheticSpec, {"num_classes": 1}) == [
+        "num_classes: must be >= 2, got 1"
+    ]
+    assert key_problems(SyntheticSpec, {"shift_strength": -0.1}) == [
+        "shift_strength: must be >= 0, got -0.1"
+    ]
 
 
 # ------------------------------------------------------------------ splitting
