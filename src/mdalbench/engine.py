@@ -29,8 +29,8 @@ from .data import (
     standardize,
     train_test_split,
 )
-from .errors import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE
-from .errors import OverwriteRefusedError, ValidationError, key, key_path, key_problems
+from .errors import AT_LEAST_ONE, NON_EMPTY, NON_NEGATIVE, POSITIVE
+from .errors import OverwriteRefusedError, ValidationError, key, key_problems
 from .model import AspMtlModel, ModelConfig, evaluate, train_round
 from .nncore import RngStream
 from .results import name_problem, replace_file, run_paths
@@ -57,15 +57,16 @@ def _repeated(values):
 class ExperimentConfig:
     """One experiment grid, declared key by key.
 
-    Each optional field is one config key: its annotation is the key's type,
-    and key gives its range, default and section. from_dict, to_dict,
-    section and the checks in problems all derive from these fields.
+    Each field is one config key: its annotation is the key's type, and
+    key gives its range, default (none for a required key) and section.
+    from_dict, to_dict, section and the checks in problems all derive from
+    these fields.
     """
 
-    name: str
-    dataset: dict
-    strategies: list
-    seeds: list
+    name: str = key()
+    dataset: dict = key()
+    strategies: list = key(*NON_EMPTY)
+    seeds: list = key(*NON_EMPTY)
     test_fraction: float = key("must lie in (0, 1)", lambda v: 0 < v < 1, default=0.25)
     standardize: bool | None = key(default=None)
     shared_hidden: int = key(*AT_LEAST_ONE, default=64, section="model")
@@ -92,33 +93,28 @@ class ExperimentConfig:
             raise ValidationError("; ".join(problems))
 
     def problems(self):
-        out = []
-        if problem := name_problem(self.name):
+        out = key_problems(type(self), self.to_dict())
+        if isinstance(self.name, str) and (problem := name_problem(self.name)):
             out.append(f"name: {problem}")
-        keys = dict(self.dataset) if isinstance(self.dataset, dict) else {}
-        ds_type = keys.pop("type", None)
-        if isinstance(ds_type, str) and ds_type in _DATASET_TYPES:
-            out += key_problems(_DATASET_TYPES[ds_type], keys, "dataset.")
-        else:
-            out.append("dataset.type: expected 'synthetic' or 'manifest'")
-        if not isinstance(self.strategies, list) or not self.strategies:
-            out.append(f"strategies: expected a non-empty list, got {self.strategies!r}")
-        else:
+        if isinstance(self.dataset, dict):
+            keys = dict(self.dataset)
+            ds_type = keys.pop("type", None)
+            if isinstance(ds_type, str) and ds_type in _DATASET_TYPES:
+                out += key_problems(_DATASET_TYPES[ds_type], keys, "dataset.")
+            else:
+                out.append("dataset.type: expected 'synthetic' or 'manifest'")
+        if isinstance(self.strategies, list):
             unknown = [s for s in self.strategies if s not in STRATEGY_NAMES]
             out += [f"strategies: unknown strategy {s!r}" for s in unknown]
             if not unknown and (repeated := _repeated(self.strategies)):
                 out.append(f"strategies: listed more than once: {repeated}")
-        seeds = self.seeds if isinstance(self.seeds, list) else []
-        if not seeds or any(type(s) is not int or s < 0 for s in seeds):
-            out.append(
-                f"seeds: expected a non-empty list of non-negative integers, "
-                f"got {self.seeds!r}"
-            )
-        elif repeated := _repeated(seeds):
-            out.append(f"seeds: listed more than once: {repeated}")
-        out += key_problems(type(self), {
-            key_path(f): getattr(self, f.name) for f in fields(self) if "section" in f.metadata
-        })
+        if isinstance(self.seeds, list):
+            if any(type(s) is not int or s < 0 for s in self.seeds):
+                out.append(
+                    f"seeds: expected a list of non-negative integers, got {self.seeds!r}"
+                )
+            elif repeated := _repeated(self.seeds):
+                out.append(f"seeds: listed more than once: {repeated}")
         fractions = (self.init_fraction, self.budget_fraction)
         numeric = all(type(v) in (int, float) for v in fractions)
         if numeric and not 0 < fractions[0] < fractions[1] <= 1:
@@ -137,33 +133,18 @@ class ExperimentConfig:
         }
 
     def to_dict(self):
-        out = {s: self.section(s) for s in _SECTIONS}
-        out.update(
-            self.section(""), strategies=list(self.strategies), seeds=list(self.seeds)
-        )
-        return out
+        return {s: self.section(s) for s in _SECTIONS} | self.section("")
 
     @classmethod
     def from_dict(cls, raw):
-        """Build from the config-file layout; every unknown key is an error."""
-        if not isinstance(raw, dict):
-            raise ValidationError("config: expected a JSON object")
-        items, errors = [], []
-        for top, value in raw.items():
-            if top not in _SECTIONS:
-                items.append((top, value))
-            elif isinstance(value, dict):
-                items += [(f"{top}.{sub}", v) for sub, v in value.items()]
-            else:
-                errors.append(f"{top}: expected an object, got {value!r}")
-        names = {key_path(f): f.name for f in fields(cls)}
-        errors += [f"{path}: unknown key" for path, _ in items if path not in names]
-        if errors:
-            raise ValidationError("; ".join(errors))
-        # a missing required key reaches problems() as None and is named there
-        flat = {f.name: None for f in fields(cls) if "section" not in f.metadata}
-        flat.update((names[path], value) for path, value in items)
-        return cls(**flat)
+        """Build from the config-file layout, a JSON object; one key_problems
+        call names every unknown, mistyped or missing key."""
+        if problems := key_problems(cls, raw):
+            raise ValidationError("; ".join(problems))
+        values = dict(raw)
+        for section in _SECTIONS:
+            values.update(values.pop(section, {}))
+        return cls(**values)
 
 
 # ------------------------------------------------------------------ datasets
@@ -451,14 +432,14 @@ def run_grid(config, out_dir, jobs=1, force=False):
     optionally with a process pool; returns (strategy, seed, status, error)
     per run, in grid order.
 
-    The pools are built once, before any run starts, so a dataset that
-    cannot be loaded fails the grid whatever jobs is; every group gets them.
+    The pools are built once, before any run starts and before out_dir is
+    made, so a dataset that cannot be loaded fails the grid whatever jobs
+    is and leaves no directory behind; every group gets them.
     The process pool gets at most one worker per group: the default fork
     start method launches every worker at once, whether or not it has a
     group to take.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pairs = [(s, int(seed)) for s in config.strategies for seed in config.seeds]
 
     csvs = (run_paths(out_dir, config.name, s, seed)[0] for s, seed in pairs)
@@ -470,6 +451,7 @@ def run_grid(config, out_dir, jobs=1, force=False):
         )
 
     train_store, test_sets = prepare_pools(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     groups = grid_groups(len(pairs), jobs)
     workers = min(jobs, len(groups))
     if workers <= 1:

@@ -25,6 +25,7 @@ KINDS = {
     bool | None: ((bool, type(None)), "true, false or null"),
     str: ((str,), "a string"),
     list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
 }
 
 POSITIVE = ("must be > 0", lambda v: v > 0)
@@ -43,37 +44,48 @@ def key(rule=None, check=None, *, default=MISSING, section=""):
     )
 
 
-def key_path(f):
-    """A declared key's path in its object: "section.key", or the key."""
-    section = f.metadata.get("section")
-    return f"{section}.{f.name}" if section else f.name
+def _key_path(section, name):
+    """A key's path in its object: "section.key", or the key."""
+    return f"{section}.{name}" if section else name
 
 
 def key_problems(cls, doc, where="", complete=True):
     """What is wrong with the JSON object doc as the keys that the dataclass
-    cls declares, a section's keys spelled "section.key": each key it does
-    not declare, each value of a JSON type its key's annotation does not
-    accept or outside its key's range and, if doc is complete, each
-    required key it lacks. Each problem names its key path after where."""
+    cls declares: each key it does not declare, each value of a JSON type
+    its key's annotation does not accept or outside its key's range and, if
+    doc is complete, each required key it lacks. A section's keys sit in an
+    object under the section's name, their paths spelled "section.key".
+    Each problem names its key path after where."""
     if not isinstance(doc, dict):
         return [f"{where.rstrip('.')}: expected an object, got {doc!r}"]
-    declared = {key_path(f): f for f in fields(cls) if "section" in f.metadata}
-    out = []
-    for path, value in doc.items():
+    declared = {
+        (f.metadata["section"], f.name): f for f in fields(cls) if "section" in f.metadata
+    }
+    sections = {section for section, _ in declared} - {""}
+    out, given = [], {}
+    for name, value in doc.items():
+        if name not in sections:
+            given["", name] = value
+        elif isinstance(value, dict):
+            given.update(((name, sub), v) for sub, v in value.items())
+        else:
+            out.append(f"{where}{name}: expected an object, got {value!r}")
+    for path, value in given.items():
         f = declared.get(path)
+        named = where + _key_path(*path)
         if f is None:
-            out.append(f"{where}{path}: unknown key")
+            out.append(f"{named}: unknown key")
             continue
         accepted, kind = KINDS[f.type]
         rule, check = f.metadata["rule"], f.metadata["check"]
         if type(value) not in accepted:
-            out.append(f"{where}{path}: expected {kind}, got {value!r}")
+            out.append(f"{named}: expected {kind}, got {value!r}")
         elif check and not check(value):
-            out.append(f"{where}{path}: {rule}, got {value!r}")
+            out.append(f"{named}: {rule}, got {value!r}")
     if complete:
         out += [
-            f"{where}{path}: missing"
+            f"{where}{_key_path(*path)}: missing"
             for path, f in declared.items()
-            if f.default is MISSING and path not in doc
+            if f.default is MISSING and path not in given
         ]
     return out

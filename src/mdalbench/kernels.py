@@ -5,6 +5,10 @@ distances for clustering and coreset cover, row softmax and row KL for
 perturbation scoring), which is where profile time concentrates once the
 models themselves are tiny MLPs. The row kernels reduce over the last axis,
 so rows may be stacked along any leading axes.
+
+pairwise_sq_dists(A, B) holds a few (len(A), len(B)) arrays while it runs;
+coreset hands it strategies.ROW_BLOCK rows of A at a time, so they stay
+block-sized whatever the pool size.
 """
 
 import numpy as np

@@ -19,6 +19,13 @@ Generator.choice(n, p=d2 / total) called pick by pick.
 
 Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
 every strategy is a deterministic function of the context snapshot and seed.
+
+Only the k-Means center form holds a temporary that grows with a product of
+pool sizes: its (n, k, c) indicator and (n, k*c) cross products. Coreset
+holds its (U + L, d) features and one (ROW_BLOCK, L) block of labeled
+distances, badge its (n, c) residuals and (n, d) features, the perturbation
+scorer one (ROW_BLOCK, T, shared + private) block of perturbed features, and
+the Gram form at most GRAM_MAX_ROWS^2 entries.
 """
 
 from dataclasses import dataclass
@@ -35,6 +42,11 @@ from .kernels import (
     sq_dists_to_point,
 )
 from .nncore import RngStream, pcg64_states
+
+# Rows per block wherever a selection temporary would grow with a product of
+# pool sizes (module docstring). On the paper grid 32 rows held peak memory as
+# low as 16 did, and both blocked steps ran within 10% of their time at 64.
+ROW_BLOCK = 32
 
 
 @dataclass
@@ -139,21 +151,33 @@ def _take_global(ctx, scorer):
     return sorted(zip(dom[top].tolist(), idx[top].tolist()))
 
 
+def _stacked_features(ctx, items):
+    """Penultimate features of the items items[k] of every domain k, in
+    (domain, index) order, written into one array a domain at a time."""
+    out, stop = None, 0
+    for k, idx in enumerate(items):
+        if idx.size:
+            h = ctx.model.penultimate_features(ctx.store[k].X[idx], k)
+            if out is None:
+                out = np.empty((sum(a.size for a in items), h.shape[1]), h.dtype)
+            out[stop : stop + idx.size] = h
+            stop += idx.size
+    return out
+
+
 def coreset_select(ctx):
-    """Greedy farthest-first cover in penultimate-feature space."""
-    feats = []
-    labeled_feats = []
-    for k in range(ctx.num_domains):
-        if ctx.unlabeled[k].size:
-            X = ctx.store[k].X[ctx.unlabeled[k]]
-            feats.append(ctx.model.penultimate_features(X, k))
-        if ctx.labeled[k].size:
-            XL = ctx.store[k].X[ctx.labeled[k]]
-            labeled_feats.append(ctx.model.penultimate_features(XL, k))
-    U = np.vstack(feats)
-    L = np.vstack(labeled_feats)
+    """Greedy farthest-first cover in penultimate-feature space.
+
+    Each unlabeled row's distance to its nearest labeled row is taken
+    ROW_BLOCK rows at a time, so at most a (ROW_BLOCK, L) block of distances
+    exists at once."""
+    U = _stacked_features(ctx, ctx.unlabeled)
+    L = _stacked_features(ctx, ctx.labeled)
     # squared distances preserve the argmax of Euclidean farthest-first
-    min_d = pairwise_sq_dists(U, L).min(axis=1)
+    min_d = np.empty(U.shape[0])
+    for start in range(0, U.shape[0], ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        pairwise_sq_dists(U[block], L).min(axis=1, out=min_d[block])
     picked = []
     for _ in range(ctx.budget):
         j = int(np.argmax(min_d))
@@ -264,20 +288,23 @@ def badge_select(ctx):
     """k-Means++ seeding over pseudo-label gradient embeddings, global pool.
 
     Domains with fewer classes have their residuals zero-padded to the
-    largest class count, so every embedding lives in one space.
+    largest class count, so every embedding lives in one space. The factors
+    are written into one (n, c) and one (n, d) array a domain at a time.
     """
-    resids, feats = [], []
-    for k in range(ctx.num_domains):
-        if ctx.unlabeled[k].size == 0:
-            continue
-        X = ctx.store[k].X[ctx.unlabeled[k]]
-        resid, h = ctx.model.gradient_embeddings(X, k)
-        resids.append(resid)
-        feats.append(h)
-    c = max(r.shape[1] for r in resids)
-    R = np.vstack([np.pad(r, ((0, 0), (0, c - r.shape[1]))) for r in resids])
+    config = ctx.model.config
+    doms = [k for k in range(ctx.num_domains) if ctx.unlabeled[k].size]
+    n = sum(ctx.unlabeled[k].size for k in doms)
+    R = np.zeros((n, max(config.num_classes[k] for k in doms)))
+    H = np.empty((n, config.shared_hidden + config.private_hidden))
+    stop = 0
+    for k in doms:
+        rows = slice(stop, stop + ctx.unlabeled[k].size)
+        resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[ctx.unlabeled[k]], k)
+        R[rows, : resid.shape[1]] = resid
+        H[rows] = h
+        stop = rows.stop
     gen = ctx.rng.child("badge").generator()
-    chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)[0]
+    chosen = kmeans_pp_indices(R, H, ctx.budget, gen)[0]
     dom, idx = _pool_index(ctx)
     return sorted(zip(dom[chosen].tolist(), idx[chosen].tolist()))
 
@@ -462,11 +489,6 @@ def build_regions(ctx, k, bk):
 # ------------------------------------------------------- stage 2: the scorer
 
 
-# Rows scored together by perturbation_score: one block's (b, T, shared +
-# private) perturbed features stay near a megabyte at the paper's widths.
-_PERTURBATION_BLOCK = 64
-
-
 def perturbation_score(model, X, k, sigma, num_draws, rngs):
     """Mean KL(original || perturbed) over Gaussian shared-feature noise, for
     every row of the 2-D X; row i draws its (num_draws, shared_hidden) noise
@@ -485,8 +507,8 @@ def perturbation_score(model, X, k, sigma, num_draws, rngs):
     # PCG64(0) keeps its construction from reading OS entropy.
     gen = np.random.Generator(np.random.PCG64(0))
     states = pcg64_states(rngs)
-    for start in range(0, n, _PERTURBATION_BLOCK):
-        stop = min(start + _PERTURBATION_BLOCK, n)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
         deltas = np.empty((stop - start, num_draws, S))
         for j, state in enumerate(states[start:stop]):
             gen.bit_generator.state = state

@@ -420,6 +420,23 @@ def test_config_validation_collects_field_messages():
     assert "init_fraction" in msg
 
 
+def test_from_dict_names_every_key_problem_at_once():
+    raw = quick_config().to_dict()
+    del raw["seeds"]
+    raw.update(name=5, colour=1, al=3, **{"model.lr": 0.1})
+    raw["model"]["lr"] = "fast"
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert sorted(str(err.value).split("; ")) == [
+        "al: expected an object, got 3",
+        "colour: unknown key",
+        "model.lr: expected a number, got 'fast'",
+        "model.lr: unknown key",
+        "name: expected a string, got 5",
+        "seeds: missing",
+    ]
+
+
 @pytest.mark.parametrize("cls", [ModelConfig, SelectionContext])
 def test_config_keys_take_no_default_outside_experiment_config(cls):
     """ExperimentConfig declares each key's default once; a field that

@@ -14,16 +14,23 @@ import pytest
 
 from conftest import tiny_model
 from mdalbench.nncore import RngStream
-from mdalbench.strategies import _PERTURBATION_BLOCK as B
+from mdalbench.strategies import ROW_BLOCK as B
 from mdalbench.strategies import perturbation_score, perturbation_scores
 from reference_perturbation import perturbation_score_row
 from test_strategies import make_real_context
 
 WIDTHS = (1, 3, 64)
+# one row, then counts that end a block one row short, on its edge, one row
+# past it and partway into a later block
+ROWS = (1, 63, 64, 65, 131)
+
+
+def test_row_counts_end_on_each_side_of_a_block_edge():
+    assert {n % B for n in ROWS[1:4]} == {B - 1, 0, 1} and ROWS[-1] > 2 * B
 
 
 @pytest.mark.parametrize("num_draws", [1, 20])
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("n", ROWS)
 def test_stacked_scores_equal_one_row_scores(n, num_draws):
     X = np.random.default_rng(n + 100 * num_draws).normal(size=(n, 5))
     rngs = [RngStream(n, f"oracle/{i}") for i in range(n)]

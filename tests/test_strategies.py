@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from mdalbench.errors import ValidationError
 from mdalbench.kernels import kl_rows
 from mdalbench.nncore import RngStream
 from mdalbench.strategies import (
+    ROW_BLOCK,
     STRATEGY_NAMES,
     SelectionContext,
     allocate_budget,
@@ -350,6 +352,54 @@ def test_coreset_matches_bruteforce(rng):
         assert got == expected
 
 
+def test_coreset_matches_bruteforce_across_row_blocks():
+    """Pools of several row blocks over two domains, each budget's picks
+    falling in more than one block of the unlabeled rows."""
+    for trial in range(4):
+        gen = np.random.default_rng(100 + trial)
+        sizes = [int(n) for n in gen.integers(ROW_BLOCK + 10, 2 * ROW_BLOCK, size=2)]
+        store = [
+            DomainDataset(X=gen.normal(size=(n, 3)), y=np.zeros(n, int), domain_id=k)
+            for k, n in enumerate(sizes)
+        ]
+        labeled = [np.sort(gen.choice(n, size=4, replace=False)) for n in sizes]
+        unlabeled = [np.setdiff1d(np.arange(n), lab) for n, lab in zip(sizes, labeled)]
+        assert sum(u.size for u in unlabeled) > 2 * ROW_BLOCK
+        ctx = with_defaults(
+            SelectionContext, model=TableModel(), store=store, labeled=labeled,
+            unlabeled=unlabeled, budget=12, rng=RngStream(trial),
+        )
+        items = [(k, int(i)) for k, u in enumerate(unlabeled) for i in u]
+        got = coreset_select(ctx)
+        assert len({items.index(item) // ROW_BLOCK for item in got}) > 1
+        assert got == brute_force_farthest_first(
+            [store[k].X[i] for k, i in items],
+            [store[k].X[i] for k, lab in enumerate(labeled) for i in lab],
+            items, ctx.budget,
+        )
+
+
+def test_coreset_holds_one_row_block_of_labeled_distances():
+    """3,000 unlabeled against 1,500 labeled rows: one (U, L) array of
+    distances would take 36 MB; a few row blocks and the features fit in 4."""
+    n_unl, n_lab = 3000, 1500
+    X = np.random.default_rng(5).normal(size=(n_unl + n_lab, 2))
+    store = [DomainDataset(X=X, y=np.zeros(X.shape[0], int), domain_id=0)]
+    ctx = with_defaults(
+        SelectionContext, model=TableModel(), store=store,
+        labeled=[np.arange(n_unl, n_unl + n_lab)], unlabeled=[np.arange(n_unl)],
+        budget=2, rng=RngStream(0),
+    )
+    assert n_unl * n_lab * 8 == 36e6
+    tracemalloc.start()
+    try:
+        coreset_select(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
 # --------------------------------------------------------------------- badge
 
 
@@ -385,6 +435,35 @@ def test_badge_reproducible_under_seed():
     a = badge_select(make_real_context(21, budget=4))
     b = badge_select(make_real_context(21, budget=4))
     assert a == b
+
+
+def padded_vstack_badge(ctx):
+    """badge as it stacked its factors before: a list per domain, each
+    residual block np.pad-ded to the widest, then np.vstack."""
+    resids, feats = [], []
+    for k in range(ctx.num_domains):
+        if ctx.unlabeled[k].size:
+            resid, h = ctx.model.gradient_embeddings(ctx.store[k].X[ctx.unlabeled[k]], k)
+            resids.append(resid)
+            feats.append(h)
+    c = max(r.shape[1] for r in resids)
+    R = np.vstack([np.pad(r, ((0, 0), (0, c - r.shape[1]))) for r in resids])
+    gen = ctx.rng.child("badge").generator()
+    chosen = kmeans_pp_indices(R, np.vstack(feats), ctx.budget, gen)[0]
+    items = [(k, int(i)) for k, u in enumerate(ctx.unlabeled) for i in u]
+    return sorted(items[j] for j in chosen)
+
+
+@pytest.mark.parametrize("empty", [None, 0, 1])
+def test_badge_pads_two_and_four_classes_as_the_padded_stack(empty):
+    for seed in range(6):
+        ctx = make_real_context(40 + seed, num_domains=2, n_per=12)
+        ctx.model = tiny_model(gen_seed=seed, input_dim=3, shared=4, private=3,
+                               classes=(2, 4))
+        if empty is not None:
+            ctx.unlabeled[empty] = ctx.unlabeled[empty][:0]
+        ctx.budget = 1 + seed % sum(u.size for u in ctx.unlabeled)
+        assert badge_select(ctx) == padded_vstack_badge(ctx), seed
 
 
 # ----------------------------------------------------------- budget allocation
