@@ -3,11 +3,10 @@
 Subcommands: run (execute a strategy x seed grid from a JSON config),
 synth (write a synthetic dataset as CSVs + manifest), report (AULC table),
 curves (mean learning-curve CSVs + SVG plots). Exit codes: 0 success,
-1 runtime failure, 2 invalid input, 3 refusal to overwrite.
+1 runtime failure, 2 invalid input, 3 refusal to overwrite, 130 Ctrl-C.
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -30,22 +29,13 @@ from .reporting import (
     render_curves_svg,
     summaries,
 )
-from .results import replace_file, scan_runs
+from .results import read_json_object, replace_file, scan_runs
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 EXIT_REFUSED = 3
-
-
-def _load_json(path):
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _seed(text, source):
@@ -60,53 +50,33 @@ def _seed(text, source):
     return seed
 
 
-def _seed_fallback(seeds_arg):
-    """Seeds from --seeds, else from MDALBENCH_SEED, else none."""
-    if seeds_arg:
-        return [_seed(s, "--seeds") for s in seeds_arg.split(",") if s.strip()]
-    env = os.environ.get("MDALBENCH_SEED")
-    if env is not None:
-        return [_seed(env, "MDALBENCH_SEED")]
-    return []
-
-
 def cmd_run(args):
     if args.jobs < 1:
         raise ValidationError(f"--jobs: must be >= 1, got {args.jobs}")
-    raw = _load_json(args.config)
-    if not isinstance(raw, dict):
-        raise ValidationError("config: expected a JSON object")
-    if args.seeds or not raw.get("seeds"):
-        raw = dict(raw)
-        seeds = _seed_fallback(args.seeds)
-        if not seeds:
-            raise ValidationError(
-                "no seeds: provide config 'seeds', --seeds, or MDALBENCH_SEED"
-            )
-        raw["seeds"] = seeds
+    raw = read_json_object(args.config, "config")
+    if args.seeds:
+        raw["seeds"] = [_seed(s, "--seeds") for s in args.seeds.split(",") if s.strip()]
+    elif "seeds" not in raw:  # MDALBENCH_SEED stands in for a missing key only
+        if (env := os.environ.get("MDALBENCH_SEED")) is None:
+            raise ValidationError("no seeds: provide config 'seeds', --seeds, or MDALBENCH_SEED")
+        raw["seeds"] = [_seed(env, "MDALBENCH_SEED")]
     if args.strategies:
-        wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        raw = dict(raw)
-        raw["strategies"] = wanted
+        raw["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
     config = ExperimentConfig.from_dict(raw)
 
-    outcomes = run_grid(config, args.out, jobs=args.jobs, force=args.force)
-    failures = [o for o in outcomes if o[2] != "ok"]
-    for strategy, seed, status, error in outcomes:
-        line = f"{config.name} {strategy} seed={seed}: {status}"
-        if error:
-            line += f" ({error})"
-        print(line)
+    results = run_grid(config, args.out, jobs=args.jobs, force=args.force)
+    failures = [r for r in results if r.status != "ok"]
+    for r in results:
+        error = f" ({r.error})" if r.error else ""
+        print(f"{config.name} {r.strategy} seed={r.seed}: {r.status}{error}")
     if failures:
-        print(f"{len(failures)}/{len(outcomes)} runs failed", file=sys.stderr)
+        print(f"{len(failures)}/{len(results)} runs failed", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
 
 def cmd_synth(args):
-    keys = _load_json(args.spec)
-    if not isinstance(keys, dict):
-        raise ValidationError(f"{args.spec}: expected a JSON object")
+    keys = read_json_object(args.spec, "synth spec")
     # the spec's name is the manifest's; its other keys are the dataset's
     name = keys.pop("name", "synthetic")
     problems = key_problems(DatasetManifest, {"name": name}, complete=False)
@@ -217,6 +187,9 @@ def main(argv=None):
     except OverwriteRefusedError as exc:
         print(f"refusing to overwrite: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except KeyboardInterrupt as exc:
+        print(f"interrupted{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import AT_LEAST_ONE, AT_LEAST_TWO, NON_EMPTY, NON_NEGATIVE
 from .errors import ValidationError, key, key_problems
 from .nncore import RngStream
+from .results import read_json_object, read_lines
 
 
 @dataclass
@@ -73,17 +74,15 @@ class ManifestSpec:
     path: str = key()
     split_seed: int = key(*NON_NEGATIVE, default=0)
 
+    def load(self):
+        """The manifest's domains, standardize-by-default, the split seed."""
+        manifest = load_manifest(self.path)
+        domains = [load_domain(manifest, k) for k in range(manifest.num_domains)]
+        return domains, True, self.split_seed
+
 
 def load_manifest(path):
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"manifest not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"manifest {path}: expected a JSON object")
+    raw = read_json_object(path, "manifest")
     problems = key_problems(DatasetManifest, raw)
     entries = raw.get("domains")
     if isinstance(entries, list):
@@ -92,42 +91,39 @@ def load_manifest(path):
     if problems:
         raise ValidationError(f"invalid manifest {path}: " + "; ".join(problems))
     domains = [DomainSpec(**entry) for entry in entries]
-    return DatasetManifest(raw["name"], raw["dim"], domains, root=path.parent)
+    return DatasetManifest(raw["name"], raw["dim"], domains, root=Path(path).parent)
 
 
 def load_domain(manifest, k):
     spec = manifest.domains[k]
     path = manifest.root / spec.file
-    if not path.is_file():
-        raise ValidationError(f"data file not found: {path}")
     labels = []
     rows = []
     expected = manifest.dim + 1
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != expected:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {expected} columns "
-                    f"(label + dim={manifest.dim}), got {len(parts)}"
-                )
-            try:
-                label = int(parts[0])
-                feats = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not 0 <= label < spec.classes:
-                raise ValidationError(
-                    f"{path}:{lineno}: label {label} outside "
-                    f"[0, {spec.classes})"
-                )
-            if not all(math.isfinite(v) for v in feats):
-                raise ValidationError(f"{path}:{lineno}: non-finite feature")
-            labels.append(label)
-            rows.append(feats)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != expected:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {expected} columns "
+                f"(label + dim={manifest.dim}), got {len(parts)}"
+            )
+        try:
+            label = int(parts[0])
+            feats = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= label < spec.classes:
+            raise ValidationError(
+                f"{path}:{lineno}: label {label} outside "
+                f"[0, {spec.classes})"
+            )
+        if not all(math.isfinite(v) for v in feats):
+            raise ValidationError(f"{path}:{lineno}: non-finite feature")
+        labels.append(label)
+        rows.append(feats)
     if not rows:
         raise ValidationError(f"{path}: file is empty")
     if spec.rows is not None and len(rows) != spec.rows:
@@ -181,6 +177,10 @@ class SyntheticSpec:
     shift_strength: float = key(*NON_NEGATIVE, default=1.0)
     label_noise: float = key("must lie in [0, 0.5)", lambda v: 0 <= v < 0.5, default=0.0)
     seed: int = key(*NON_NEGATIVE, default=0)
+
+    def load(self):
+        """The generated domains, standardize-by-default, the split seed."""
+        return generate_synthetic(self), False, self.seed
 
 
 def _unit(gen, dim):

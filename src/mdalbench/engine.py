@@ -14,21 +14,14 @@ feeding the per-strategy timing comparison.
 """
 
 import math
+import signal
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    ManifestSpec,
-    SyntheticSpec,
-    generate_synthetic,
-    load_domain,
-    load_manifest,
-    standardize,
-    train_test_split,
-)
+from .data import ManifestSpec, SyntheticSpec, standardize, train_test_split
 from .errors import AT_LEAST_ONE, NON_EMPTY, NON_NEGATIVE, POSITIVE
 from .errors import OverwriteRefusedError, ValidationError, key, key_problems
 from .model import AspMtlModel, ModelConfig, evaluate, train_round
@@ -43,7 +36,8 @@ GROUP_SIZE = 8
 
 _SECTIONS = ("model", "al", "strategy_params")
 
-# the dataclass that declares each dataset type's keys, all but "type"
+# the dataclass that declares each dataset type's keys, all but "type", and
+# loads its domains
 _DATASET_TYPES = {"synthetic": SyntheticSpec, "manifest": ManifestSpec}
 
 
@@ -150,25 +144,6 @@ class ExperimentConfig:
 # ------------------------------------------------------------------ datasets
 
 
-def load_dataset(config):
-    """Full per-domain datasets plus whether to standardize by default."""
-    keys = dict(config.dataset)
-    spec = _DATASET_TYPES[keys.pop("type")](**keys)
-    if isinstance(spec, SyntheticSpec):
-        full = generate_synthetic(spec)
-        default_standardize = False
-        split_seed = spec.seed
-    else:
-        manifest = load_manifest(spec.path)
-        full = [load_domain(manifest, k) for k in range(manifest.num_domains)]
-        default_standardize = True
-        split_seed = spec.split_seed
-    do_std = config.standardize
-    if do_std is None:
-        do_std = default_standardize
-    return full, do_std, split_seed
-
-
 def prepare_pools(config):
     """Split each domain into train pool and test set, standardizing if asked.
 
@@ -177,7 +152,10 @@ def prepare_pools(config):
     here, before any run: the model reads a domain's class count as its
     largest pool label plus one and needs at least two.
     """
-    full, do_std, split_seed = load_dataset(config)
+    keys = dict(config.dataset)
+    full, do_std, split_seed = _DATASET_TYPES[keys.pop("type")](**keys).load()
+    if config.standardize is not None:
+        do_std = config.standardize
     train_store, test_sets = [], []
     for k, dom in enumerate(full):
         train, test = train_test_split(
@@ -411,12 +389,11 @@ def execute_run(config, runs, out_dir, train_store, test_sets):
     return results
 
 
-def _execute_run_worker(config, runs, out_dir, train_store, test_sets):
-    # both paths of run_grid call this; it looks execute_run up as a module
-    # global, so a wrapper bound to that name, which the pool could not
-    # pickle, still runs
-    results = execute_run(config, runs, out_dir, train_store, test_sets)
-    return [(r.strategy, r.seed, r.status, r.error) for r in results]
+def _execute_run_worker(task):
+    # both paths of run_grid call this, and the pool pickles it by name; it
+    # looks execute_run up as a module global at call time, so a wrapper
+    # bound to that name, which the pool could not pickle, still runs
+    return execute_run(*task)
 
 
 def grid_groups(count, jobs=1):
@@ -429,15 +406,17 @@ def grid_groups(count, jobs=1):
 
 def run_grid(config, out_dir, jobs=1, force=False):
     """Run the full (strategy x seed) grid in groups (grid_groups),
-    optionally with a process pool; returns (strategy, seed, status, error)
-    per run, in grid order.
+    optionally with a process pool; returns one RunResult per run, in grid
+    order.
 
     The pools are built once, before any run starts and before out_dir is
     made, so a dataset that cannot be loaded fails the grid whatever jobs
     is and leaves no directory behind; every group gets them.
     The process pool gets at most one worker per group: the default fork
     start method launches every worker at once, whether or not it has a
-    group to take.
+    group to take. On KeyboardInterrupt no further group starts, the pool's
+    workers stop, and a KeyboardInterrupt saying how many runs were written
+    propagates.
     """
     out_dir = Path(out_dir)
     pairs = [(s, int(seed)) for s in config.strategies for seed in config.seeds]
@@ -453,28 +432,40 @@ def run_grid(config, out_dir, jobs=1, force=False):
     train_store, test_sets = prepare_pools(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = grid_groups(len(pairs), jobs)
+    tasks = [
+        (config, [pairs[i] for i in group], out_dir, train_store, test_sets)
+        for group in groups
+    ]
     workers = min(jobs, len(groups))
-    if workers <= 1:
-        done = [
-            _execute_run_worker(
-                config, [pairs[i] for i in group], out_dir, train_store, test_sets
-            )
-            for group in groups
-        ]
-    else:
-        import concurrent.futures
+    done = {}  # group index -> its RunResults, filled as each group finishes
+    try:
+        if workers <= 1:
+            done.update((g, _execute_run_worker(task)) for g, task in enumerate(tasks))
+        else:
+            _run_pooled(tasks, workers, done)
+    except KeyboardInterrupt:
+        written = sum(len(results) for results in done.values())
+        raise KeyboardInterrupt(f"{written} of {len(pairs)} runs written") from None
+    by_index = {i: r for g, group in enumerate(groups) for i, r in zip(group, done[g])}
+    return [by_index[i] for i in range(len(pairs))]
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _execute_run_worker, config, [pairs[i] for i in group],
-                    str(out_dir), train_store, test_sets,
-                )
-                for group in groups
-            ]
-            done = [f.result() for f in futures]
-    outcomes = [None] * len(pairs)
-    for group, group_outcomes in zip(groups, done):
-        for i, outcome in zip(group, group_outcomes):
-            outcomes[i] = outcome
-    return outcomes
+
+def _run_pooled(tasks, workers, done):
+    """Run the tasks in a process pool whose workers ignore SIGINT, filling
+    done[task index]; Ctrl-C stops the workers and cancels the rest."""
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    ) as pool:
+        try:
+            futures = {pool.submit(_execute_run_worker, t): g for g, t in enumerate(tasks)}
+            for future in concurrent.futures.as_completed(futures):
+                done[futures[future]] = future.result()
+        except KeyboardInterrupt:
+            # ProcessPoolExecutor.terminate_workers does this from Python 3.14
+            for process in pool._processes.values():
+                process.terminate()
+            pool.shutdown(cancel_futures=True)
+            raise

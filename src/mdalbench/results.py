@@ -1,5 +1,6 @@
-"""A finished run on disk: its file names, its result CSV and JSON sidecar,
-and the .tmp-then-rename writer behind every file the CLI writes."""
+"""Files: the reader behind every file the program reads, the
+.tmp-then-rename writer behind every file the CLI writes, and a finished
+run on disk: its file names, its result CSV and its JSON sidecar."""
 
 import hashlib
 import json
@@ -29,6 +30,34 @@ def run_paths(out_dir, config_name, strategy, seed):
     """The result CSV and the sidecar of one run under out_dir."""
     stem = f"{config_name}__{strategy}__seed{seed}"
     return out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
+
+
+def read_lines(path, what=""):
+    """Yield the lines of the UTF-8 text file at path one at a time, so that
+    no caller holds a whole file as one string unless it joins them. A file
+    that cannot be opened, or bytes that are not UTF-8, raise ValidationError
+    naming the path, after what the file is ("config: <path>: ...") if given."""
+    where = f"{what}: {path}" if what else path
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise ValidationError(f"{where}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{where}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json_object(path, what=""):
+    """The JSON object in the file at path; read_lines' errors, invalid JSON
+    or another JSON value raise ValidationError naming the path."""
+    where = f"{what}: {path}" if what else path
+    try:
+        doc = json.loads("".join(read_lines(path, what)))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    return doc
 
 
 def replace_file(write, path):
@@ -78,7 +107,7 @@ def read_run_csv(path):
     ValidationError naming the path; a row whose cell count is not the
     header's, a cell that is not a number or a labeled_total that does not
     increase raises it naming path:line."""
-    lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
+    lines = "".join(read_lines(path)).rstrip().splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")
@@ -147,8 +176,9 @@ def scan_runs(results_dir):
     the same config (seeds and strategies aside); otherwise this raises,
     naming two files that disagree. An ok sidecar whose CSV is missing, or
     whose CSV has another number of rows than the sidecar's rounds, raises
-    too, naming the file. A run whose sidecar is not ok (a failed run) is
-    skipped with a warning on stderr that gives its status and error.
+    too, naming the file. A *.json file that is not a JSON object, and a
+    run whose sidecar is not ok (a failed run), are skipped with a warning
+    on stderr that says why.
     """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
@@ -157,11 +187,11 @@ def scan_runs(results_dir):
     first_of_name = {}
     for meta_path in sorted(results_dir.glob("*.json")):
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            print(f"warning: skipping {meta_path}: {exc}", file=sys.stderr)
+            meta = read_json_object(meta_path)
+        except ValidationError as exc:
+            print(f"warning: skipping {exc}", file=sys.stderr)
             continue
-        if not isinstance(meta, dict) or "strategy" not in meta or "config" not in meta:
+        if "strategy" not in meta or "config" not in meta:
             continue
         config = meta["config"]
         if not (

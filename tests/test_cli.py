@@ -1,6 +1,11 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -190,11 +195,8 @@ def test_interrupted_force_rerun_is_not_reported(tmp_path, monkeypatch, capsys,
         write_run_metadata(result, config, meta_path)
 
     monkeypatch.setattr(engine, "write_run_metadata", fail_for_bvsb)
-    try:
-        code = main(["run", "--config", str(path), "--out", str(out), "--force"])
-    except KeyboardInterrupt:
-        code = None
-    assert code == (None if interrupt is KeyboardInterrupt else 1)
+    code = main(["run", "--config", str(path), "--out", str(out), "--force"])
+    assert code == (130 if interrupt is KeyboardInterrupt else 1)
     assert sorted(p.name for p in out.iterdir()) == [
         "demo__bvsb__seed0.csv", "demo__random__seed0.csv",
         "demo__random__seed0.json",
@@ -230,6 +232,19 @@ def test_run_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["run", "--config", str(path), "--out", str(out2)]) == 2
 
 
+@pytest.mark.parametrize("seeds", [0, False, []], ids=["zero", "false", "empty"])
+def test_run_seed_env_does_not_replace_a_bad_seeds_key(tmp_path, capsys, monkeypatch,
+                                                       seeds):
+    """MDALBENCH_SEED stands in for a missing seeds key only: a seeds value
+    that is present but bad exits 2 naming seeds, as any other bad key."""
+    path = minimal_config(tmp_path, seeds=seeds)
+    out = tmp_path / "o"
+    monkeypatch.setenv("MDALBENCH_SEED", "3")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("seeds: ") == 1
+    assert not out.exists()
+
+
 def test_run_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch):
     path = minimal_config(tmp_path)
     out = tmp_path / "o"
@@ -251,12 +266,45 @@ def test_run_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists() or not list(out.glob("*.csv"))
 
 
+def test_ctrl_c_stops_a_pooled_grid_at_once(tmp_path):
+    """SIGINT to the process group 1 s into a 3-group grid at --jobs 2, as a
+    terminal's Ctrl-C sends it, exits 130 with one line and no traceback.
+    The third group, not yet started, writes nothing, and no sidecar is
+    left without its CSV."""
+    seeds = list(range(17))  # 17 runs: groups of seeds 0,3,..; 1,4,..; 2,5,..
+    path = minimal_config(
+        tmp_path, seeds=seeds,
+        dataset={"type": "synthetic", "num_domains": 3, "samples_per_domain": 400},
+        model={"epochs_per_round": 200},
+    )
+    out = tmp_path / "o"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mdalbench.cli", "run", "--config", str(path),
+         "--out", str(out), "--jobs", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    time.sleep(1.0)
+    os.killpg(proc.pid, signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert "Traceback" not in err
+    assert err.startswith("interrupted: ") and err.endswith(" of 17 runs written\n")
+    written = {p.name for p in out.glob("*")} if out.exists() else set()
+    assert not {f"demo__random__seed{s}.csv" for s in seeds[2::3]} & written
+    sidecars = {name[:-5] for name in written if name.endswith(".json")}
+    assert sidecars <= {name[:-4] for name in written if name.endswith(".csv")}
+
+
 def test_run_pool_has_at_most_one_worker_per_run(tmp_path, monkeypatch):
     """--jobs 8 on a two-run grid asks the pool for two workers."""
     asked = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        # a thread cannot run the workers' initializer, which sets a signal
+        # handler, so the fake pool drops it
+        def __init__(self, max_workers, **_initializer):
             asked.append(max_workers)
             super().__init__(max_workers=1)
 
@@ -589,11 +637,8 @@ def test_interrupted_synth_rerun_leaves_no_manifest(tmp_path, monkeypatch, capsy
         raise interrupt
 
     monkeypatch.setattr(cli, "save_domain_csv", cut_second_domain)
-    try:
-        code = main(["synth", "--spec", str(spec_path), "--out", str(out)])
-    except KeyboardInterrupt:
-        code = None
-    assert code == (None if interrupt is KeyboardInterrupt else 1)
+    code = main(["synth", "--spec", str(spec_path), "--out", str(out)])
+    assert code == (130 if interrupt is KeyboardInterrupt else 1)
     assert sorted(p.name for p in out.iterdir()) == [
         "domain0.csv", "domain1.csv", "domain2.csv",
     ]
@@ -662,6 +707,54 @@ def fake_run(out_dir, dataset, strategy, seed, accs, **config):
         "rounds": len(accs),
     }
     (out_dir / f"{stem}.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "target, command",
+    [
+        ("config", "run"), ("synth spec", "synth"), ("manifest", "run"),
+        ("domain CSV", "run"), ("result CSV", "report"), ("result CSV", "curves"),
+        ("sidecar", "report"),
+    ],
+)
+def test_byte_that_is_not_utf8_in_each_input(tmp_path, capsys, target, command):
+    """A 0xff byte in the middle of an input file makes the command exit 2
+    at load, naming the file and writing nothing; a sidecar holding one is
+    skipped with a warning, as any sidecar that cannot be read."""
+    spec_path, data = tmp_path / "spec.json", tmp_path / "data"
+    spec_path.write_text(json.dumps({"num_domains": 2, "samples_per_domain": 24}))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(data)]) == 0
+    config_path = minimal_config(
+        tmp_path, dataset={"type": "manifest", "path": str(data / "manifest.json")},
+    )
+    results = tmp_path / "r"
+    fake_run(results, "ds", "random", 0, [0.80, 0.80])
+    fake_run(results, "ds", "p2s", 0, [0.90, 0.90])
+    bad = {
+        "config": config_path, "synth spec": spec_path,
+        "manifest": data / "manifest.json", "domain CSV": data / "domain1.csv",
+        "result CSV": results / "ds__p2s__seed0.csv",
+        "sidecar": results / "ds__p2s__seed0.json",
+    }[target]
+    raw = bad.read_bytes()
+    bad.write_bytes(raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :])
+    out = tmp_path / "o"
+    argv = {
+        "run": ["run", "--config", str(config_path), "--out", str(out)],
+        "synth": ["synth", "--spec", str(spec_path), "--out", str(out)],
+        "report": ["report", str(results)], "curves": ["curves", str(results)],
+    }[command]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    if target == "sidecar":
+        assert code == 0
+        assert err.startswith(f"warning: skipping {bad}: ") and err.count("\n") == 1
+        return
+    assert code == 2
+    assert err.startswith("error: ") and f"{bad}: not UTF-8 text" in err
+    assert not out.exists()
+    assert len(list(results.iterdir())) == 4
 
 
 def test_report_single_run_zero_std(tmp_path, capsys):
