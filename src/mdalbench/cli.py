@@ -7,7 +7,6 @@ curves (mean learning-curve CSVs + SVG plots). Exit codes: 0 success,
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -38,15 +37,13 @@ EXIT_REFUSED = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
-def _seed(text, source):
+def _seed(text):
     try:
         seed = int(text)
     except ValueError:
-        raise ValidationError(
-            f"{source}: expected an integer seed, got {text!r}"
-        ) from None
+        raise ValidationError(f"--seeds: expected an integer seed, got {text!r}") from None
     if seed < 0:
-        raise ValidationError(f"{source}: seed must be >= 0, got {seed}")
+        raise ValidationError(f"--seeds: seed must be >= 0, got {seed}")
     return seed
 
 
@@ -55,11 +52,7 @@ def cmd_run(args):
         raise ValidationError(f"--jobs: must be >= 1, got {args.jobs}")
     raw = read_json_object(args.config, "config")
     if args.seeds:
-        raw["seeds"] = [_seed(s, "--seeds") for s in args.seeds.split(",") if s.strip()]
-    elif "seeds" not in raw:  # MDALBENCH_SEED stands in for a missing key only
-        if (env := os.environ.get("MDALBENCH_SEED")) is None:
-            raise ValidationError("no seeds: provide config 'seeds', --seeds, or MDALBENCH_SEED")
-        raw["seeds"] = [_seed(env, "MDALBENCH_SEED")]
+        raw["seeds"] = [_seed(s) for s in args.seeds.split(",") if s.strip()]
     if args.strategies:
         raw["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
     config = ExperimentConfig.from_dict(raw)

@@ -29,10 +29,6 @@ class DomainDataset:
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
-        if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
-            raise ValidationError(
-                f"inconsistent dataset shapes X={self.X.shape} y={self.y.shape}"
-            )
         if not np.isfinite(self.X).all():
             raise ValidationError(f"domain {self.domain_id} has non-finite features")
 

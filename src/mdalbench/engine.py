@@ -16,7 +16,7 @@ feeding the per-strategy timing comparison.
 import math
 import signal
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -392,8 +392,9 @@ def execute_run(config, runs, out_dir, train_store, test_sets):
 def _execute_run_worker(task):
     # both paths of run_grid call this, and the pool pickles it by name; it
     # looks execute_run up as a module global at call time, so a wrapper
-    # bound to that name, which the pool could not pickle, still runs
-    return execute_run(*task)
+    # bound to that name, which the pool could not pickle, still runs; the
+    # records, on disk once it returns, are neither kept nor sent back
+    return [replace(result, records=[]) for result in execute_run(*task)]
 
 
 def grid_groups(count, jobs=1):
@@ -407,7 +408,7 @@ def grid_groups(count, jobs=1):
 def run_grid(config, out_dir, jobs=1, force=False):
     """Run the full (strategy x seed) grid in groups (grid_groups),
     optionally with a process pool; returns one RunResult per run, in grid
-    order.
+    order, without its records, which are in the run's files.
 
     The pools are built once, before any run starts and before out_dir is
     made, so a dataset that cannot be loaded fails the grid whatever jobs

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the key declarations that
 check every JSON object the program reads."""
 
+import sys
 from dataclasses import MISSING, field, fields
 
 
@@ -52,9 +53,10 @@ def _key_path(section, name):
 def key_problems(cls, doc, where="", complete=True):
     """What is wrong with the JSON object doc as the keys that the dataclass
     cls declares: each key it does not declare, each value of a JSON type
-    its key's annotation does not accept or outside its key's range and, if
-    doc is complete, each required key it lacks. A section's keys sit in an
-    object under the section's name, their paths spelled "section.key".
+    its key's annotation does not accept, each value of a float key that is
+    not finite, each value outside its key's range and, if doc is complete,
+    each required key it lacks. A section's keys sit in an object under the
+    section's name, their paths spelled "section.key".
     Each problem names its key path after where."""
     if not isinstance(doc, dict):
         return [f"{where.rstrip('.')}: expected an object, got {doc!r}"]
@@ -80,6 +82,9 @@ def key_problems(cls, doc, where="", complete=True):
         rule, check = f.metadata["rule"], f.metadata["check"]
         if type(value) not in accepted:
             out.append(f"{named}: expected {kind}, got {value!r}")
+        # NaN, +-inf and an integer too large for a double all fail here
+        elif f.type is float and not abs(value) <= sys.float_info.max:
+            out.append(f"{named}: must be finite, got {value!r}")
         elif check and not check(value):
             out.append(f"{named}: {rule}, got {value!r}")
     if complete:

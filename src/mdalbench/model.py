@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError
+from .errors import NonFiniteError
 from .kernels import PROB_FLOOR, softmax_rows
 from .nncore import Linear, choice_positions, relu
 
@@ -389,8 +389,8 @@ def train_round(models, store, labeled, config, rngs):
     the union of all pools, gathers every member's rows with one index into
     the pooled inputs, runs one stacked training_step and applies plain SGD
     to the two stretches of the group's parameter buffer that the step
-    touches (the others have zero gradient). The members share one step
-    schedule, so their labeled totals must be equal.
+    touches (the others have zero gradient). The members share the first
+    member's step schedule: the engine groups runs with equal labeled totals.
 
     A step's two batches are those of gen.choice(labeled set, B) and
     gen.choice(pool size, B) on the member's generator, with replacement
@@ -405,12 +405,6 @@ def train_round(models, store, labeled, config, rngs):
     member has failed; the engine drops a failed run after the round.
     """
     K, B = config.num_domains, config.batch_size
-    totals = {int(sum(l.size for l in sets)) for sets in labeled}
-    if len(totals) > 1:
-        raise ValidationError(
-            f"a group needs equal labeled totals, got {sorted(totals)}"
-        )
-
     pool_X = np.concatenate([store[k].X for k in range(K)])
     pool_y = np.concatenate([store[k].y for k in range(K)])
     sizes = [store[k].X.shape[0] for k in range(K)]
@@ -425,7 +419,7 @@ def train_round(models, store, labeled, config, rngs):
     counts = np.array([[sets[k].size for k in range(K)] for sets in labeled])
     starts = (np.cumsum(counts.ravel()) - counts.ravel()).reshape(counts.shape)
     gens = [rng.child("batches").generator() for rng in rngs]
-    steps_per_epoch = max(1, math.ceil(totals.pop() / B))
+    steps_per_epoch = max(1, math.ceil(int(counts[0].sum()) / B))
 
     outcomes = [[] for _ in models]
     failed = np.zeros(len(models), dtype=bool)

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from mdalbench.cli import main
+from mdalbench.data import SyntheticSpec
+from mdalbench.engine import ExperimentConfig
 from mdalbench.reporting import render_curves_svg
 from mdalbench.results import read_run_csv
 
@@ -218,49 +220,30 @@ def test_run_is_byte_reproducible_outside_timing_columns(tmp_path):
     assert strip_timing_columns(text_a) == strip_timing_columns(text_b)
 
 
-def test_run_seed_env_fallback(tmp_path, monkeypatch):
-    path = minimal_config(tmp_path)
-    doc = json.loads(path.read_text())
-    del doc["seeds"]
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "env-seeded"
-    monkeypatch.setenv("MDALBENCH_SEED", "7")
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    assert (out / "demo__random__seed7.csv").exists()
-    monkeypatch.delenv("MDALBENCH_SEED")
-    out2 = tmp_path / "no-seed"
-    assert main(["run", "--config", str(path), "--out", str(out2)]) == 2
-
-
 @pytest.mark.parametrize("seeds", [0, False, []], ids=["zero", "false", "empty"])
-def test_run_seed_env_does_not_replace_a_bad_seeds_key(tmp_path, capsys, monkeypatch,
-                                                       seeds):
-    """MDALBENCH_SEED stands in for a missing seeds key only: a seeds value
-    that is present but bad exits 2 naming seeds, as any other bad key."""
+def test_run_seed_env_does_not_replace_a_bad_seeds_key(tmp_path, capsys, seeds):
+    """No environment setting stands in for seeds: a seeds value that is
+    present but bad exits 2 naming seeds, as any other bad key."""
     path = minimal_config(tmp_path, seeds=seeds)
     out = tmp_path / "o"
-    monkeypatch.setenv("MDALBENCH_SEED", "3")
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("seeds: ") == 1
     assert not out.exists()
 
 
-def test_run_non_integer_seed_exits_2(tmp_path, capsys, monkeypatch):
+def test_run_non_integer_seed_exits_2(tmp_path, capsys):
     path = minimal_config(tmp_path)
     out = tmp_path / "o"
     args = ["run", "--config", str(path), "--out", str(out)]
     assert main(args + ["--seeds", "1,a"]) == 2
     assert "--seeds: expected an integer seed, got 'a'" in capsys.readouterr().err
 
+    # without a seeds key, only --seeds gives the grid its seeds
     doc = json.loads(path.read_text())
     del doc["seeds"]
     path.write_text(json.dumps(doc))
-    monkeypatch.setenv("MDALBENCH_SEED", "x")
     assert main(args) == 2
-    assert "MDALBENCH_SEED: expected an integer seed, got 'x'" in capsys.readouterr().err
-    monkeypatch.setenv("MDALBENCH_SEED", "-1")
-    assert main(args) == 2
-    assert "MDALBENCH_SEED: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: seeds: missing\n"
     assert main(args + ["--seeds=-1"]) == 2
     assert "--seeds: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists() or not list(out.glob("*.csv"))
@@ -463,6 +446,32 @@ def test_run_grouping_does_not_change_results(tmp_path, monkeypatch):
     assert_same_results(grouped, alone, 8)
 
 
+def test_round_0_is_one_computation_per_seed(tmp_path):
+    """Round 0 trains on init_split's labels from the seed's own streams,
+    whatever the strategy: within a seed every strategy's round-0 CSV row
+    (timing aside), epoch losses and labeled counts are equal, and across
+    the two seeds the row and the losses differ."""
+    strategies = ["random", "bvsb", "p2s"]
+    path = minimal_config(tmp_path, strategies=strategies, seeds=[0, 1])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    round0 = []
+    for seed in (0, 1):
+        rounds = []
+        for strategy in strategies:
+            csv_path = out / f"demo__{strategy}__seed{seed}.csv"
+            meta = deterministic_sidecar(csv_path)
+            rounds.append((
+                strip_timing_columns(csv_path.read_text()).splitlines()[1],
+                meta["epoch_losses"][0],
+                meta["labeled_per_domain"][0],
+            ))
+        assert rounds == [rounds[0]] * len(strategies)
+        round0.append(rounds[0])
+    (row_a, losses_a, _), (row_b, losses_b, _) = round0
+    assert row_a != row_b and losses_a != losses_b
+
+
 def test_run_badge_with_different_class_counts(tmp_path, capsys):
     """badge pools the embeddings of a 2-class and a 3-class domain; the
     narrower residuals are zero-padded, so the grid finishes."""
@@ -612,6 +621,66 @@ def test_bad_key_of_each_json_document_exits_2_naming_its_path(
     err = capsys.readouterr().err
     assert named in err and err.count(named.split(": ")[0] + ":") == 1
     assert not out.exists()
+
+
+def _float_keys():
+    """(document, key path) of every float key that a config or a synth spec
+    can hold, read from the dataclasses that declare them."""
+    keys = [
+        ("config", ".".join(filter(None, (f.metadata["section"], f.name))))
+        for f in dataclasses.fields(ExperimentConfig) if f.type is float
+    ]
+    for f in dataclasses.fields(SyntheticSpec):
+        if f.type is float:
+            keys += [("config", f"dataset.{f.name}"), ("synth", f.name)]
+    return keys
+
+
+def _run_with_key(tmp_path, document, path, text):
+    """The exit code of run on the minimal config, or of synth on a small
+    spec, with the key at path written as the JSON text given."""
+    if document == "synth":
+        doc = {"num_domains": 2, "samples_per_domain": 24, "input_dim": 4}
+    else:
+        doc = json.loads(minimal_config(tmp_path).read_text())
+    *parents, last = path.split(".")
+    target = doc
+    for parent in parents:
+        target = target.setdefault(parent, {})
+    target[last] = "<value>"
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc).replace('"<value>"', text), encoding="utf-8")
+    if document == "synth":
+        argv = ["synth", "--spec", str(doc_path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["run", "--config", str(doc_path), "--out", str(tmp_path / "o")]
+    return main(argv)
+
+
+# (document, key path, JSON text, the value named): 1e999 for every float
+# key, then the other non-finite spellings for one
+NON_FINITE_CASES = [(doc, path, "1e999", "inf") for doc, path in _float_keys()] + [
+    ("config", "model.lr", "-1e999", "-inf"),
+    ("config", "model.lr", "Infinity", "inf"),
+    ("config", "model.lr", "NaN", "nan"),
+    # an integer too large for a double
+    ("config", "model.lr", "1" + "0" * 400, "1" + "0" * 400),
+]
+
+
+@pytest.mark.parametrize(
+    "document, path, text, shown", NON_FINITE_CASES,
+    ids=[f"{doc}-{path}-{text if len(text) < 10 else 'int1e400'}"
+         for doc, path, text, _ in NON_FINITE_CASES],
+)
+def test_non_finite_float_key_exits_2_naming_it(tmp_path, capsys, document, path,
+                                                text, shown):
+    """No float key takes a value that is not finite: the config, its
+    dataset and a synth spec fail at load, naming the key, and leave no
+    output directory behind."""
+    assert _run_with_key(tmp_path, document, path, text) == 2
+    assert capsys.readouterr().err == f"error: {path}: must be finite, got {shown}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, OSError])

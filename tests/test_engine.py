@@ -23,7 +23,7 @@ from mdalbench.errors import ValidationError
 from mdalbench.model import ModelConfig
 from mdalbench.nncore import RngStream
 from mdalbench.reporting import aggregate_seeds, compute_aulc
-from mdalbench.results import csv_header, read_run_csv, write_run_csv
+from mdalbench.results import csv_header, read_run_csv, run_paths, write_run_csv
 from mdalbench.strategies import SelectionContext
 
 
@@ -371,6 +371,26 @@ def test_failed_run_leaves_its_group_and_the_others_go_on(tmp_path, monkeypatch)
         assert [r.epoch_losses for r in result.records] == [
             r.epoch_losses for r in alone.records
         ]
+
+
+def test_pooled_grid_returns_each_run_without_its_records(tmp_path):
+    """run_grid at jobs=2 returns each run's strategy, seed, status and error
+    in grid order, but not its records: those are in the run's CSV, every
+    round of them."""
+    config = quick_config(name="pooled", strategies=["random", "bvsb"], seeds=[0, 1])
+    results = engine.run_grid(config, tmp_path, jobs=2)
+    assert [(r.strategy, r.seed, r.status, r.error, r.records) for r in results] == [
+        ("random", 0, "ok", "", []), ("random", 1, "ok", "", []),
+        ("bvsb", 0, "ok", "", []), ("bvsb", 1, "ok", "", []),
+    ]
+    for result in results:
+        (alone,) = run_experiment(
+            config, [(result.strategy, result.seed)], *engine.prepare_pools(config)
+        )
+        cols = read_run_csv(run_paths(tmp_path, "pooled", result.strategy, result.seed)[0])
+        assert len(alone.records) > 1
+        assert cols["labeled_total"] == [r.labeled_total for r in alone.records]
+        assert cols["acc_macro"] == [r.macro_accuracy for r in alone.records]
 
 
 def test_warm_started_group_matches_runs_alone():

@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_grad_close, finite_difference, tiny_model, with_defaults
 from mdalbench import model as model_module
 from mdalbench.data import DomainDataset, generate_synthetic, SyntheticSpec, train_test_split
-from mdalbench.errors import NonFiniteError, ValidationError
+from mdalbench.errors import NonFiniteError
 from mdalbench.kernels import kl_rows
 from mdalbench.model import (
     AspMtlModel,
@@ -571,13 +571,6 @@ def test_group_models_hold_views_of_the_stacks():
     grads = StepGrads(group, 1)
     for name in GRAD_NAMES:
         assert np.shares_memory(getattr(grads, name), grads.flat)
-
-
-def test_group_rejects_unequal_labeled_totals():
-    models, store, labeled, config, rngs = _group_case(2, 4, 3, 0.0)
-    labeled[1][0] = labeled[1][0][1:]
-    with pytest.raises(ValidationError, match="equal labeled totals"):
-        train_round(models, store, labeled, config, rngs)
 
 
 @pytest.mark.parametrize("poisoned_param", [0, 5])
