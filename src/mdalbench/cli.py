@@ -13,7 +13,7 @@ from pathlib import Path
 from .data import (
     DatasetManifest,
     DomainSpec,
-    SyntheticSpec,
+    SynthSpec,
     generate_synthetic,
     save_domain_csv,
     save_manifest,
@@ -39,12 +39,9 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 def _seed(text):
     try:
-        seed = int(text)
+        return int(text)
     except ValueError:
         raise ValidationError(f"--seeds: expected an integer seed, got {text!r}") from None
-    if seed < 0:
-        raise ValidationError(f"--seeds: seed must be >= 0, got {seed}")
-    return seed
 
 
 def cmd_run(args):
@@ -70,13 +67,9 @@ def cmd_run(args):
 
 def cmd_synth(args):
     keys = read_json_object(args.spec, "synth spec")
-    # the spec's name is the manifest's; its other keys are the dataset's
-    name = keys.pop("name", "synthetic")
-    problems = key_problems(DatasetManifest, {"name": name}, complete=False)
-    problems += key_problems(SyntheticSpec, keys)
-    if problems:
+    if problems := key_problems(SynthSpec, keys):
         raise ValidationError("; ".join(problems))
-    spec = SyntheticSpec(**keys)
+    spec = SynthSpec(**keys)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datasets = generate_synthetic(spec)
@@ -91,7 +84,7 @@ def cmd_synth(args):
         domains.append(
             DomainSpec(name=dom.name, file=fname, classes=spec.num_classes, rows=len(dom))
         )
-    manifest = DatasetManifest(name=name, dim=spec.input_dim, domains=domains)
+    manifest = DatasetManifest(name=spec.name, dim=spec.input_dim, domains=domains)
     replace_file(lambda tmp: save_manifest(manifest, tmp), manifest_path)
     print(f"wrote {len(domains)} domain CSV(s) + manifest.json under {out}")
     return EXIT_OK

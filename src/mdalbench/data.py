@@ -163,7 +163,7 @@ def save_manifest(manifest, path):
 @dataclass
 class SyntheticSpec:
     """The keys of a synthetic dataset: a config's dataset, or a synth spec
-    less its name. key_problems checks them where either is read."""
+    less its name (SynthSpec)."""
 
     num_domains: int = key(*AT_LEAST_ONE, default=3)
     samples_per_domain: int = key(*AT_LEAST_ONE, default=400)
@@ -177,6 +177,13 @@ class SyntheticSpec:
     def load(self):
         """The generated domains, standardize-by-default, the split seed."""
         return generate_synthetic(self), False, self.seed
+
+
+@dataclass
+class SynthSpec(SyntheticSpec):
+    """A synth spec: a synthetic dataset's keys and its manifest's name."""
+
+    name: str = key(*NON_EMPTY, default="synthetic")
 
 
 def _unit(gen, dim):

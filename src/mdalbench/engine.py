@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import ManifestSpec, SyntheticSpec, standardize, train_test_split
-from .errors import AT_LEAST_ONE, NON_EMPTY, NON_NEGATIVE, POSITIVE
+from .errors import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE
 from .errors import OverwriteRefusedError, ValidationError, key, key_problems
 from .model import AspMtlModel, ModelConfig, evaluate, train_round
 from .nncore import RngStream
-from .results import name_problem, replace_file, run_paths
-from .results import write_run_csv, write_run_metadata
+from .results import FILE_NAME_MAX, NAME_RULE, is_file_name, longest_run_file, replace_file
+from .results import run_paths, write_run_csv, write_run_metadata
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
 # The most runs trained together in lockstep. Per run-step, a larger group
@@ -41,26 +41,26 @@ _SECTIONS = ("model", "al", "strategy_params")
 _DATASET_TYPES = {"synthetic": SyntheticSpec, "manifest": ManifestSpec}
 
 
-def _repeated(values):
-    """The values of a list that it holds more than once; a grid would run
-    each of their (strategy, seed) pairs twice, into one file."""
-    return sorted({v for v in values if values.count(v) > 1}, key=values.index)
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment grid, declared key by key.
 
     Each field is one config key: its annotation is the key's type, and
-    key gives its range, default (none for a required key) and section.
-    from_dict, to_dict, section and the checks in problems all derive from
-    these fields.
+    key gives its whole rule, its default (none for a required key) and its
+    section. from_dict, the way in, checks a config file against them;
+    problems checks what no single key shows.
     """
 
-    name: str = key()
+    name: str = key(NAME_RULE, is_file_name)
     dataset: dict = key()
-    strategies: list = key(*NON_EMPTY)
-    seeds: list = key(*NON_EMPTY)
+    strategies: list = key(
+        f"must be one or more of {', '.join(STRATEGY_NAMES)}, each once",
+        lambda v: v and all(s in STRATEGY_NAMES for s in v) and len(set(v)) == len(v),
+    )
+    seeds: list = key(
+        "must be one or more distinct non-negative integers",
+        lambda v: v and all(type(s) is int and s >= 0 for s in v) and len(set(v)) == len(v),
+    )
     test_fraction: float = key("must lie in (0, 1)", lambda v: 0 < v < 1, default=0.25)
     standardize: bool | None = key(default=None)
     shared_hidden: int = key(*AT_LEAST_ONE, default=64, section="model")
@@ -81,41 +81,23 @@ class ExperimentConfig:
         default="unlabeled", section="strategy_params",
     )
 
-    def __post_init__(self):
-        problems = self.problems()
-        if problems:
-            raise ValidationError("; ".join(problems))
-
     def problems(self):
-        out = key_problems(type(self), self.to_dict())
-        if isinstance(self.name, str) and (problem := name_problem(self.name)):
-            out.append(f"name: {problem}")
-        if isinstance(self.dataset, dict):
-            keys = dict(self.dataset)
-            ds_type = keys.pop("type", None)
-            if isinstance(ds_type, str) and ds_type in _DATASET_TYPES:
-                out += key_problems(_DATASET_TYPES[ds_type], keys, "dataset.")
-            else:
-                out.append("dataset.type: expected 'synthetic' or 'manifest'")
-        if isinstance(self.strategies, list):
-            unknown = [s for s in self.strategies if s not in STRATEGY_NAMES]
-            out += [f"strategies: unknown strategy {s!r}" for s in unknown]
-            if not unknown and (repeated := _repeated(self.strategies)):
-                out.append(f"strategies: listed more than once: {repeated}")
-        if isinstance(self.seeds, list):
-            if any(type(s) is not int or s < 0 for s in self.seeds):
-                out.append(
-                    f"seeds: expected a list of non-negative integers, got {self.seeds!r}"
-                )
-            elif repeated := _repeated(self.seeds):
-                out.append(f"seeds: listed more than once: {repeated}")
-        fractions = (self.init_fraction, self.budget_fraction)
-        numeric = all(type(v) in (int, float) for v in fractions)
-        if numeric and not 0 < fractions[0] < fractions[1] <= 1:
-            out.append(
-                "init_fraction/budget_fraction: need "
-                "0 < init_fraction < budget_fraction <= 1"
-            )
+        """What no single key shows: the dataset's own keys, the order of the
+        labeling fractions and the length of the run files' names."""
+        keys = dict(self.dataset)
+        ds_type = keys.pop("type", None)
+        # a JSON list as the type is unhashable
+        if isinstance(ds_type, str) and ds_type in _DATASET_TYPES:
+            out = key_problems(_DATASET_TYPES[ds_type], keys, "dataset.")
+        else:
+            out = ["dataset.type: expected 'synthetic' or 'manifest'"]
+        if not 0 < self.init_fraction < self.budget_fraction <= 1:
+            out.append("init_fraction/budget_fraction: need "
+                       "0 < init_fraction < budget_fraction <= 1")
+        longest = longest_run_file(self.name, self.strategies, self.seeds)
+        if longest > FILE_NAME_MAX:
+            out.append(f"name: too long, its runs' file names take {longest} bytes, "
+                       f"over {FILE_NAME_MAX}")
         return out
 
     def section(self, name):
@@ -131,14 +113,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        """Build from the config-file layout, a JSON object; one key_problems
-        call names every unknown, mistyped or missing key."""
+        """Build from the config-file layout, a JSON object: key_problems names
+        every problem of a single key, and only then does problems look across keys."""
         if problems := key_problems(cls, raw):
             raise ValidationError("; ".join(problems))
         values = dict(raw)
         for section in _SECTIONS:
             values.update(values.pop(section, {}))
-        return cls(**values)
+        config = cls(**values)
+        if problems := config.problems():
+            raise ValidationError("; ".join(problems))
+        return config
 
 
 # ------------------------------------------------------------------ datasets

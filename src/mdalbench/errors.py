@@ -38,7 +38,7 @@ NON_EMPTY = ("must not be empty", bool)
 
 def key(rule=None, check=None, *, default=MISSING, section=""):
     """A key of a JSON object, declared as a dataclass field whose annotation
-    is the key's type: the range its value must lie in, if any, its default
+    is the key's type: its rule, if any (in words, and as a check), its default
     (none for a required key) and its section ("" for the top level)."""
     return field(
         default=default, metadata={"section": section, "rule": rule, "check": check}
@@ -50,14 +50,14 @@ def _key_path(section, name):
     return f"{section}.{name}" if section else name
 
 
-def key_problems(cls, doc, where="", complete=True):
+def key_problems(cls, doc, where=""):
     """What is wrong with the JSON object doc as the keys that the dataclass
     cls declares: each key it does not declare, each value of a JSON type
     its key's annotation does not accept, each value of a float key that is
-    not finite, each value outside its key's range and, if doc is complete,
-    each required key it lacks. A section's keys sit in an object under the
-    section's name, their paths spelled "section.key".
-    Each problem names its key path after where."""
+    not finite, each value that breaks its key's rule and each required key
+    it lacks. A section's keys sit in an object under the section's name,
+    their paths spelled "section.key". Each problem names its key path after
+    where."""
     if not isinstance(doc, dict):
         return [f"{where.rstrip('.')}: expected an object, got {doc!r}"]
     declared = {
@@ -87,10 +87,8 @@ def key_problems(cls, doc, where="", complete=True):
             out.append(f"{named}: must be finite, got {value!r}")
         elif check and not check(value):
             out.append(f"{named}: {rule}, got {value!r}")
-    if complete:
-        out += [
-            f"{where}{_key_path(*path)}: missing"
-            for path, f in declared.items()
-            if f.default is MISSING and path not in given
-        ]
-    return out
+    return out + [
+        f"{where}{_key_path(*path)}: missing"
+        for path, f in declared.items()
+        if f.default is MISSING and path not in given
+    ]

@@ -13,17 +13,26 @@ from . import __version__
 from .errors import ValidationError
 
 
-def name_problem(name):
-    """Why `name` cannot name a config, or None. The name starts every result
-    file's name, so it must not lead outside the results directory."""
-    if not isinstance(name, str) or not name:
-        return f"expected a non-empty string, got {name!r}"
-    if name in (".", "..") or set(name) & {"/", "\\", "\0"}:
-        return (
-            f"expected no path separator or NUL and neither '.' nor '..', "
-            f"got {name!r}"
-        )
-    return None
+NAME_RULE = "must be a non-empty file name other than '.' and '..', without '/', '\\' or NUL"
+FILE_NAME_MAX = 255  # bytes, on common file systems
+
+
+def is_file_name(name):
+    """Whether a config name keeps NAME_RULE: it starts every result file's
+    name, so it must not lead outside the results directory."""
+    return (
+        isinstance(name, str) and name not in ("", ".", "..")
+        and not set(name) & {"/", "\\", "\0"}
+    )
+
+
+def longest_run_file(config_name, strategies, seeds):
+    """The UTF-8 bytes of the longest file name a grid's runs write, a
+    sidecar's temp file (replace_file)."""
+    return max(
+        len(run_paths(Path(), config_name, s, seed)[1].name.encode()) + len(".tmp")
+        for s in strategies for seed in seeds
+    )
 
 
 def run_paths(out_dir, config_name, strategy, seed):
@@ -207,10 +216,10 @@ def scan_runs(results_dir):
                 file=sys.stderr,
             )
             continue
-        if problem := name_problem(config.get("name")):
+        if not is_file_name(config.get("name")):
             # curves writes curves_<name>.csv: the name must stay a file name
-            print(f"warning: skipping {meta_path}: config name: {problem}",
-                  file=sys.stderr)
+            print(f"warning: skipping {meta_path}: config name {NAME_RULE}, "
+                  f"got {config.get('name')!r}", file=sys.stderr)
             continue
         if meta.get("status") != "ok":
             print(f"warning: skipping {meta_path}: status {meta.get('status')}: "

@@ -245,8 +245,34 @@ def test_run_non_integer_seed_exits_2(tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err == "error: seeds: missing\n"
     assert main(args + ["--seeds=-1"]) == 2
-    assert "--seeds: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: seeds: must be one or more distinct non-negative integers, got [-1]\n"
+    )
     assert not out.exists() or not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("a" * 231, 0), ("a" * 232, 2), ("\u00e9" * 115, 0), ("\u00e9" * 116, 2)],
+    ids=["231-bytes", "232-bytes", "230-bytes-in-115-chars", "232-bytes-in-116-chars"],
+)
+def test_config_name_too_long_for_its_run_files_exits_2(tmp_path, capsys, name, code):
+    """The longest file a run writes, its sidecar's temp file
+    <name>__random__seed0.json.tmp, takes the name's UTF-8 bytes plus 24; past
+    255 bytes run exits 2 naming name, before any training or output."""
+    path = minimal_config(tmp_path, name=name)
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(path), "--out", str(out), "--seeds", "0"]
+    assert main(argv) == code
+    if code == 0:
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{name}__random__seed0.csv", f"{name}__random__seed0.json"
+        ]
+    else:
+        assert capsys.readouterr().err == (
+            "error: name: too long, its runs' file names take 256 bytes, over 255\n"
+        )
+        assert not out.exists()
 
 
 def test_ctrl_c_stops_a_pooled_grid_at_once(tmp_path):

@@ -419,24 +419,28 @@ def test_grid_groups_deal_runs_round_robin(count, jobs, expected):
 
 
 def test_config_validation_collects_field_messages():
+    """from_dict names every key's problem at once, and the problems across
+    keys once every key keeps its rule."""
+    raw = quick_config().to_dict()
+    raw.update(name="", strategies=["bogus"], seeds=[])
+    raw["strategy_params"]["sigma"] = -1.0
+    raw["model"]["batch_size"] = 0
     with pytest.raises(ValidationError) as err:
-        ExperimentConfig(
-            name="",
-            dataset={"type": "nope"},
-            strategies=["bogus"],
-            seeds=[],
-            init_fraction=0.9,
-            budget_fraction=0.5,
-            sigma=-1.0,
-            batch_size=0,
-        )
+        ExperimentConfig.from_dict(raw)
     msg = str(err.value)
     assert "strategy_params.sigma" in msg
     assert "model.batch_size" in msg
     assert "name" in msg
-    assert "dataset.type" in msg
     assert "bogus" in msg
     assert "seeds" in msg
+
+    raw = quick_config().to_dict()
+    raw["dataset"] = {"type": "nope"}
+    raw["al"].update(init_fraction=0.9, budget_fraction=0.5)
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig.from_dict(raw)
+    msg = str(err.value)
+    assert "dataset.type" in msg
     assert "init_fraction" in msg
 
 
@@ -455,6 +459,17 @@ def test_from_dict_names_every_key_problem_at_once():
         "name: expected a string, got 5",
         "seeds: missing",
     ]
+
+    # the rules of name, strategies and seeds are key rules too
+    raw = quick_config().to_dict()
+    raw.update(name=".", colour=1, strategies=["bogus"], seeds=[0, 0])
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig.from_dict(raw)
+    problems = sorted(str(err.value).split("; "))
+    assert [p.split(": ")[0] for p in problems] == ["colour", "name", "seeds", "strategies"]
+    assert problems[1].endswith("got '.'")
+    assert problems[2] == "seeds: must be one or more distinct non-negative integers, got [0, 0]"
+    assert problems[3].endswith("each once, got ['bogus']")
 
 
 @pytest.mark.parametrize("cls", [ModelConfig, SelectionContext])
