@@ -7,22 +7,25 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import ValidationError
+from .errors import NON_NEGATIVE, ValidationError, key, key_problems
 
 
-NAME_RULE = "must be a non-empty file name other than '.' and '..', without '/', '\\' or NUL"
+NAME_RULE = "must be a non-empty UTF-8 file name, not '.' or '..', without '/', '\\' or NUL"
 FILE_NAME_MAX = 255  # bytes, on common file systems
 
 
 def is_file_name(name):
-    """Whether a config name keeps NAME_RULE: it starts every result file's
-    name, so it must not lead outside the results directory."""
+    """Whether a config name or a strategy keeps NAME_RULE: each is part of
+    result file names, so it must not lead outside the results directory."""
     return (
         isinstance(name, str) and name not in ("", ".", "..")
         and not set(name) & {"/", "\\", "\0"}
+        # a lone surrogate is the one str character UTF-8 cannot encode
+        and not any("\ud800" <= c <= "\udfff" for c in name)
     )
 
 
@@ -148,26 +151,40 @@ def read_run_csv(path):
     return cols
 
 
+@dataclass
+class Sidecar:
+    """A run's JSON sidecar, declared key by key (errors.key): what
+    write_run_metadata writes and what scan_runs reads back. The keys that
+    report and curves read are required; the others default to None, so a
+    hand-made sidecar of those keys alone is valid."""
+
+    config: dict = key(f"its name {NAME_RULE}", lambda c: is_file_name(c.get("name")))
+    strategy: str = key(NAME_RULE, is_file_name)
+    status: str = key()
+    seed: int = key(*NON_NEGATIVE)
+    rounds: int = key(*NON_NEGATIVE)
+    error: str = key(default=None)
+    code_version: str = key(default=None)
+    epoch_losses: list = key(default=None)
+    labeled_per_domain: list = key(default=None)
+    # volatile fields, excluded from reproducibility comparisons
+    timestamp: float = key(default=None)
+    timing: dict = key(default=None)
+
+
 def write_run_metadata(result, config, path):
-    doc = {
-        "config": config.to_dict(),
-        "strategy": result.strategy,
-        "seed": result.seed,
-        "status": result.status,
-        "error": result.error,
-        "code_version": __version__,
-        "rounds": len(result.records),
-        "epoch_losses": [r.epoch_losses for r in result.records],
-        "labeled_per_domain": [r.labeled_per_domain for r in result.records],
-        # volatile fields, excluded from reproducibility comparisons
-        "timestamp": time.time(),
-        "timing": {
-            "select_seconds": [r.select_seconds for r in result.records],
-            "train_seconds": [r.train_seconds for r in result.records],
-        },
-    }
+    records = result.records
+    sidecar = Sidecar(
+        config=config.to_dict(), strategy=result.strategy, status=result.status,
+        seed=result.seed, rounds=len(records), error=result.error, code_version=__version__,
+        epoch_losses=[r.epoch_losses for r in records],
+        labeled_per_domain=[r.labeled_per_domain for r in records],
+        timestamp=time.time(),
+        timing={"select_seconds": [r.select_seconds for r in records],
+                "train_seconds": [r.train_seconds for r in records]},
+    )
     Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(asdict(sidecar), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -181,13 +198,14 @@ def _config_hash(config):
 def scan_runs(results_dir):
     """Collect (dataset, strategy, seed, columns) for every finished run.
 
-    Runs are grouped by config name, so two runs under one name must echo
-    the same config (seeds and strategies aside); otherwise this raises,
-    naming two files that disagree. An ok sidecar whose CSV is missing, or
-    whose CSV has another number of rows than the sidecar's rounds, raises
-    too, naming the file. A *.json file that is not a JSON object, and a
-    run whose sidecar is not ok (a failed run), are skipped with a warning
-    on stderr that says why.
+    Each *.json file is read as a Sidecar. One that is not a JSON object,
+    breaks Sidecar (an unknown key included), is not at its run's own file
+    name (a copy, say) or belongs to a run that did not finish ok is skipped
+    with a warning on stderr that says why. Runs are grouped by config name,
+    so two runs under one name must echo the same config (seeds and
+    strategies aside); otherwise this raises, naming two files that
+    disagree. An ok sidecar whose CSV is missing, or whose CSV has another
+    number of rows than the sidecar's rounds, raises too, naming the file.
     """
     results_dir = Path(results_dir)
     if not results_dir.is_dir():
@@ -197,35 +215,17 @@ def scan_runs(results_dir):
     for meta_path in sorted(results_dir.glob("*.json")):
         try:
             meta = read_json_object(meta_path)
+            if problems := key_problems(Sidecar, meta):
+                raise ValidationError(f"{meta_path}: {'; '.join(problems)}")
+            config = meta["config"]
+            csv_path, own = run_paths(results_dir, config["name"], meta["strategy"], meta["seed"])
+            if own != meta_path:
+                raise ValidationError(f"{meta_path}: not its run's own file name {own.name}")
+            if meta["status"] != "ok":
+                raise ValidationError(f"{meta_path}: status {meta['status']}: {meta.get('error')}")
         except ValidationError as exc:
             print(f"warning: skipping {exc}", file=sys.stderr)
             continue
-        if "strategy" not in meta or "config" not in meta:
-            continue
-        config = meta["config"]
-        if not (
-            isinstance(config, dict)
-            and isinstance(meta["strategy"], str)
-            and type(meta.get("seed")) is int
-            and type(meta.get("rounds")) is int
-        ):
-            print(
-                f"warning: skipping {meta_path}: malformed sidecar (needs a "
-                "config object, a string strategy, an integer seed and "
-                "integer rounds)",
-                file=sys.stderr,
-            )
-            continue
-        if not is_file_name(config.get("name")):
-            # curves writes curves_<name>.csv: the name must stay a file name
-            print(f"warning: skipping {meta_path}: config name {NAME_RULE}, "
-                  f"got {config.get('name')!r}", file=sys.stderr)
-            continue
-        if meta.get("status") != "ok":
-            print(f"warning: skipping {meta_path}: status {meta.get('status')}: "
-                  f"{meta.get('error')}", file=sys.stderr)
-            continue
-        csv_path = meta_path.with_suffix(".csv")
         if not csv_path.is_file():
             raise ValidationError(f"{meta_path}: run is ok but {csv_path.name} is missing")
         name, digest = config["name"], _config_hash(config)

@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mdalbench
 from mdalbench.cli import main
 from mdalbench.data import SyntheticSpec
 from mdalbench.engine import ExperimentConfig
 from mdalbench.reporting import render_curves_svg
-from mdalbench.results import read_run_csv
+from mdalbench.errors import key_problems
+from mdalbench.results import Sidecar, read_run_csv
 
 
 def minimal_config(tmp_path, **overrides):
@@ -131,6 +133,8 @@ def test_run_missing_config_exits_2(tmp_path):
         pytest.param({"name": "bad\0name"}, "name", id="name-with-nul"),
         pytest.param({"name": ".."}, "name", id="name-dot-dot"),
         pytest.param({"name": "."}, "name", id="name-dot"),
+        # a name that UTF-8 cannot encode cannot name a file
+        pytest.param({"name": "\ud800x"}, "name", id="name-lone-surrogate"),
         # one (strategy, seed) pair twice: two writers of one file
         pytest.param({"strategies": ["random", "bvsb", "random"]}, "strategies",
                      id="strategy-twice"),
@@ -288,10 +292,14 @@ def test_ctrl_c_stops_a_pooled_grid_at_once(tmp_path):
     )
     out = tmp_path / "o"
     src = Path(__file__).resolve().parent.parent / "src"
+    # a terminal's Ctrl-C reaches a command started with SIGINT at its
+    # default; a shell's background job, this test's included, starts with
+    # it ignored, and a child would inherit that
     proc = subprocess.Popen(
         [sys.executable, "-m", "mdalbench.cli", "run", "--config", str(path),
          "--out", str(out), "--jobs", "2"],
         env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     time.sleep(1.0)
@@ -897,17 +905,23 @@ def test_report_skips_unparseable_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, key",
     [
-        pytest.param({"config": {"strategies": ["p2s"]}}, id="config-without-name"),
-        pytest.param({"config": ["ds"]}, id="config-not-object"),
-        pytest.param({"seed": "0"}, id="seed-string"),
-        pytest.param({"seed": True}, id="seed-bool"),
-        pytest.param({"rounds": None}, id="rounds-null"),
-        pytest.param({"rounds": "2"}, id="rounds-string"),
+        pytest.param({"config": {"strategies": ["p2s"]}}, "config", id="config-without-name"),
+        pytest.param({"config": ["ds"]}, "config", id="config-not-object"),
+        pytest.param({"seed": "0"}, "seed", id="seed-string"),
+        pytest.param({"seed": True}, "seed", id="seed-bool"),
+        pytest.param({"rounds": None}, "rounds", id="rounds-null"),
+        pytest.param({"rounds": "2"}, "rounds", id="rounds-string"),
+        pytest.param({"colour": "red"}, "colour", id="unknown-key"),
+        pytest.param({"seed": -1}, "seed", id="seed-negative"),
+        pytest.param({"rounds": -1}, "rounds", id="rounds-negative"),
+        pytest.param({"strategy": "../egl"}, "strategy", id="strategy-not-a-file-name"),
     ],
 )
-def test_report_skips_malformed_sidecar(tmp_path, capsys, edit):
+def test_report_skips_malformed_sidecar(tmp_path, capsys, edit, key):
+    """A sidecar that breaks results.Sidecar is skipped with one warning
+    naming the bad key; the table is that of the other runs."""
     fake_run(tmp_path, "ds", "random", 0, [0.80, 0.80])
     fake_run(tmp_path, "ds", "p2s", 0, [0.90, 0.90])
     assert main(["report", str(tmp_path), "--format", "csv"]) == 0
@@ -918,11 +932,84 @@ def test_report_skips_malformed_sidecar(tmp_path, capsys, edit):
     assert main(["report", str(tmp_path), "--format", "csv"]) == 0
     captured = capsys.readouterr()
     assert captured.out == clean
-    assert "ds__egl__seed0.json" in captured.err
+    assert captured.err.startswith(f"warning: skipping {sidecar}: {key}: ")
+    assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["report", "curves"])
-def test_sidecar_name_outside_the_results_dir_is_skipped(tmp_path, capsys, command):
+def test_a_copied_run_is_skipped_not_averaged_twice(tmp_path, capsys):
+    """A run's two files copied under another name are skipped with a
+    warning: a run is read only at the file names it writes."""
+    fake_run(tmp_path, "ds", "p2s", 0, [0.90, 0.90])
+    fake_run(tmp_path, "ds", "p2s", 1, [0.50, 0.50])
+    for suffix in (".csv", ".json"):
+        copy = tmp_path / f"backup_of_seed0{suffix}"
+        copy.write_bytes((tmp_path / f"ds__p2s__seed0{suffix}").read_bytes())
+    assert main(["report", str(tmp_path), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert "70.00(20.00)" in captured.out
+    assert captured.err == (
+        f"warning: skipping {tmp_path / 'backup_of_seed0.json'}: "
+        "not its run's own file name ds__p2s__seed0.json\n"
+    )
+
+
+def parent_sidecar(result, config):
+    """The sidecar, as a dict, that write_run_metadata wrote before
+    results.Sidecar declared its keys."""
+    return {
+        "config": config.to_dict(),
+        "strategy": result.strategy,
+        "seed": result.seed,
+        "status": result.status,
+        "error": result.error,
+        "code_version": mdalbench.__version__,
+        "rounds": len(result.records),
+        "epoch_losses": [r.epoch_losses for r in result.records],
+        "labeled_per_domain": [r.labeled_per_domain for r in result.records],
+        "timestamp": time.time(),
+        "timing": {
+            "select_seconds": [r.select_seconds for r in result.records],
+            "train_seconds": [r.train_seconds for r in result.records],
+        },
+    }
+
+
+def test_run_sidecar_keeps_its_declaration_and_its_bytes(tmp_path, monkeypatch):
+    """Each sidecar run writes passes results.Sidecar with no problem, and
+    its bytes, timestamp aside, are those of the sidecar layout before
+    Sidecar: the same keys and values, dumped the same way."""
+    from mdalbench import engine
+
+    written = {}
+    write_run_metadata = engine.write_run_metadata
+
+    def record(result, config, path):
+        write_run_metadata(result, config, path)
+        written[result.strategy, result.seed] = parent_sidecar(result, config)
+
+    monkeypatch.setattr(engine, "write_run_metadata", record)
+    path = minimal_config(tmp_path, strategies=["random", "p2s"], seeds=[0, 1])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert len(written) == 4
+    for (strategy, seed), before in written.items():
+        text = (out / f"demo__{strategy}__seed{seed}.json").read_text(encoding="utf-8")
+        meta = json.loads(text)
+        assert key_problems(Sidecar, meta) == []
+        before["timestamp"] = meta["timestamp"]
+        assert text == json.dumps(before, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        pytest.param("report", "../escaped", id="report"),
+        pytest.param("curves", "../escaped", id="curves"),
+        pytest.param("report", "\ud800x", id="report-lone-surrogate"),
+        pytest.param("curves", "\ud800x", id="curves-lone-surrogate"),
+    ],
+)
+def test_sidecar_name_outside_the_results_dir_is_skipped(tmp_path, capsys, command, name):
     """A sidecar whose config name is not a file name (run rejects such a
     name at load) is skipped with a warning; nothing is written outside."""
     results = tmp_path / "r"
@@ -931,11 +1018,11 @@ def test_sidecar_name_outside_the_results_dir_is_skipped(tmp_path, capsys, comma
     fake_run(results, "ds", "egl", 0, [0.5, 0.5])
     sidecar = results / "ds__egl__seed0.json"
     meta = json.loads(sidecar.read_text())
-    meta["config"]["name"] = "../escaped"
+    meta["config"]["name"] = name
     sidecar.write_text(json.dumps(meta))
     assert main([command, str(results)]) == 0
     err = capsys.readouterr().err
-    assert "ds__egl__seed0.json" in err and "'../escaped'" in err
+    assert err.startswith(f"warning: skipping {sidecar}: config: ") and repr(name) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r"]
     if command == "curves":
         curves = (results / "curves_ds.csv").read_text()
