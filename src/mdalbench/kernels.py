@@ -44,9 +44,11 @@ def assign_nearest(cross, cc, sq_norms):
     formed here. Distances are |E_i|^2 + |C_j|^2 - 2 E_i . C_j, clipped at
     0; ties go to the lowest center index.
     """
-    d2 = sq_norms[:, None] + cc[None, :] - 2.0 * cross
+    # (sq_norms + cc) - 2 cross in that order, made in d2 in place
+    d2 = sq_norms[:, None] + cc
+    d2 -= 2.0 * cross
     np.maximum(d2, 0.0, out=d2)
-    labels = np.argmin(d2, axis=1)
+    labels = d2.argmin(axis=1)
     return labels, d2[np.arange(cross.shape[0]), labels]
 
 

@@ -12,10 +12,13 @@ shared feature); the ablation variants swap the scorer or drop the region
 stage. _DISPATCH binds each strategy name to its function and is
 the one list of names.
 
-k-Means seeds all its restarts before any Lloyd run, in lockstep; a
-k-means++ pick is Generator.choice's inverse-CDF search given its uniform
-draw (_inverse_cdf), so the picks and the stream's end state are those of
-Generator.choice(n, p=d2 / total) called pick by pick.
+k-Means builds its Lloyd form first and then seeds all its restarts, in
+lockstep, from that form's distance rows: rows of the Gram matrix for pools
+of at most GRAM_MAX_ROWS, else each pick's own matrix-vector products, as
+badge's seeding takes too. A k-means++ pick is Generator.choice's
+inverse-CDF search given its uniform draw (_inverse_cdf), so the picks and
+the stream's end state are those of Generator.choice(n, p=d2 / total)
+called pick by pick.
 
 Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
 every strategy is a deterministic function of the context snapshot and seed.
@@ -24,8 +27,9 @@ Only the k-Means center form holds a temporary that grows with a product of
 pool sizes: its (n, k, c) indicator and (n, k*c) cross products. Coreset
 holds its (U + L, d) features and one (ROW_BLOCK, L) block of labeled
 distances, badge its (n, c) residuals and (n, d) features, the perturbation
-scorer one (ROW_BLOCK, T, shared + private) block of perturbed features, and
-the Gram form at most GRAM_MAX_ROWS^2 entries.
+scorer one (ROW_BLOCK, T, shared) noise block per call and one
+(ROW_BLOCK, T, shared + private) block of perturbed features, and the Gram
+form at most GRAM_MAX_ROWS^2 entries.
 """
 
 from dataclasses import dataclass
@@ -195,24 +199,29 @@ def coreset_select(ctx):
 _ROUNDING = 1e-12
 
 
-def kmeans_pp_indices(R, H, k, gen, restarts=1):
+def kmeans_pp_indices(R, H, k, gen, restarts=1, sq_dists=None):
     """k-Means++ seeding over the points r_i (x) h_i, `restarts` times in a
     row from gen; returns the (restarts, k) chosen rows.
 
     R is (n, c) and H is (n, d), with 1 <= k <= n; plain points are
-    R = ones((n, 1)). Each pick's distances are |E_i|^2 + |E_p|^2 -
-    2 (r_i . r_p)(h_i . h_p), which costs O(n (c + d)) and never forms the
-    outer products.
+    R = ones((n, 1)). sq_dists(picks) gives the (len(picks), n) squared
+    distances |E_i|^2 + |E_p|^2 - 2 E_i . E_p from every point to each pick,
+    rounding noise set to 0. By default each pick takes its own two
+    matrix-vector products (_sq_dists_to), at O(n (c + d)) and without
+    forming the outer products; kmeans hands in its Lloyd form's rows
+    instead, which for the Gram form are gathered from K.
 
     The restarts are seeded in lockstep: each draws gen.integers(n), then
     one double per later pick, exactly as that many successive seedings
     would, and every pick advances all restarts' distance rows as one
     (restarts, n) array. Should a restart run out of mass (duplicate
     points), a sequential seeding draws an integer in place of that
-    double, so gen is rewound and the restarts are seeded one at a time.
+    double, so gen is rewound and the restarts are seeded one at a time,
+    from the same sq_dists.
     """
     n = H.shape[0]
-    norms = factor_sq_norms(R, H)
+    if sq_dists is None:
+        sq_dists = partial(_sq_dists_to, R, H, factor_sq_norms(R, H))
     state = gen.bit_generator.state
     chosen = np.empty((restarts, k), dtype=np.int64)
     uniforms = np.empty((restarts, k - 1))
@@ -220,17 +229,17 @@ def kmeans_pp_indices(R, H, k, gen, restarts=1):
         seeds[0] = gen.integers(n)
         gen.random(out=u)
     rows = np.arange(restarts)
-    d2 = _sq_dists_to(R, H, norms, chosen[:, 0])
+    d2 = sq_dists(chosen[:, 0])
     d2[rows, chosen[:, 0]] = 0.0
     for j in range(1, k):
         totals = d2.sum(axis=1)
-        if not (totals > 0.0).all():
+        if not totals.all():  # sums of entries >= 0: some restart has no mass
             gen.bit_generator.state = state
             return np.stack([
-                _kmeans_pp_sequential(R, H, norms, k, gen) for _ in range(restarts)
+                _kmeans_pp_sequential(sq_dists, n, k, gen) for _ in range(restarts)
             ])
         chosen[:, j] = _inverse_cdf(d2 / totals[:, None], uniforms[:, j - 1])
-        np.minimum(d2, _sq_dists_to(R, H, norms, chosen[:, j]), out=d2)
+        np.minimum(d2, sq_dists(chosen[:, j]), out=d2)
         d2[rows, chosen[:, j]] = 0.0
     return chosen
 
@@ -240,33 +249,42 @@ def _sq_dists_to(R, H, norms, picks):
     pick, rounding noise set to 0. Each pick keeps its own two
     matrix-vector products: one matrix product for all of them would round
     differently."""
-    d2 = np.empty((len(picks), norms.size))
-    for row, p in zip(d2, picks):
+    inner = np.empty((len(picks), norms.size))
+    for row, p in zip(inner, picks):
         np.multiply(R @ R[p], H @ H[p], out=row)
+    return _floored_sq_dists(inner, norms, picks)
+
+
+def _floored_sq_dists(inner, norms, picks):
+    """norms + norms[p] - 2 inner[row] for each pick p, overwriting the
+    (len(picks), n) inner products inner; entries at or below _ROUNDING
+    times norms + norms[p] are rounding noise and set to 0."""
     scale = norms + norms[picks, None]
     # scale - 2 x, bit for bit
-    d2 *= -2.0
-    d2 += scale
+    inner *= -2.0
+    inner += scale
     scale *= _ROUNDING
-    d2[d2 <= scale] = 0.0
-    return d2
+    np.putmask(inner, inner <= scale, 0.0)
+    return inner
 
 
 def _inverse_cdf(p, u):
     """Generator.choice(p.shape[-1], p=p) given its uniform draw u, per row
     of p: cumulative sum, normalised by its last entry, then the count of
-    entries at or below u (searchsorted, side right)."""
-    cdf = np.cumsum(p, axis=-1)
+    entries at or below u (searchsorted, side right). The normalised sums
+    never decrease and end at 1 > u, so that count is the index of the
+    first entry above u."""
+    cdf = np.add.accumulate(p, axis=-1)
     cdf /= cdf[..., -1:]
-    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    return (cdf > np.asarray(u)[..., None]).argmax(axis=-1)
 
 
-def _kmeans_pp_sequential(R, H, norms, k, gen):
-    """One seeding, drawing pick by pick: a double while mass remains, else
-    an integer for a uniform pick among the rows not yet chosen."""
-    n = H.shape[0]
+def _kmeans_pp_sequential(sq_dists, n, k, gen):
+    """One seeding of n points, drawing pick by pick: a double while mass
+    remains, else an integer for a uniform pick among the rows not yet
+    chosen."""
     chosen = [int(gen.integers(n))]
-    d2 = _sq_dists_to(R, H, norms, chosen)[0]
+    d2 = sq_dists(chosen)[0]
     d2[chosen[0]] = 0.0
     for _ in range(k - 1):
         total = d2.sum()
@@ -279,7 +297,7 @@ def _kmeans_pp_sequential(R, H, norms, k, gen):
             cand = np.flatnonzero(mask)
             nxt = int(cand[gen.integers(cand.size)])
         chosen.append(nxt)
-        np.minimum(d2, _sq_dists_to(R, H, norms, [nxt])[0], out=d2)
+        np.minimum(d2, sq_dists([nxt])[0], out=d2)
         d2[nxt] = 0.0
     return np.asarray(chosen, dtype=np.int64)
 
@@ -360,13 +378,15 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     best of n_init restarts, every draw from the stream rng.
 
     R is (n, c) and H is (n, d), with 1 <= k <= n; plain points are
-    R = ones((n, 1)). All n_init restarts are seeded first, in lockstep
-    (kmeans_pp_indices); Lloyd draws nothing, so the stream sees the same
-    calls as when each restart seeds just before its Lloyd run. Each
-    restart stops when assignments stop changing or after max_iter rounds;
-    the first restart with the lowest final SSE wins. An empty cluster
-    seizes the point farthest from its own center (never draining a
-    singleton).
+    R = ones((n, 1)). The points' squared norms are computed once and the
+    Lloyd form is built first; the seeding reads that form's distance rows,
+    which for the Gram form are gathered from K. All n_init restarts are
+    seeded before any Lloyd run, in lockstep (kmeans_pp_indices); Lloyd
+    draws nothing, so the stream sees the same calls as when each restart
+    seeds just before its Lloyd run. Each restart stops when assignments
+    stop changing or after max_iter rounds; the first restart with the
+    lowest final SSE wins. An empty cluster seizes the point farthest from
+    its own center (never draining a singleton).
 
     Lloyd has two forms, chosen by n and equal up to rounding. Up to
     GRAM_MAX_ROWS points it runs on the Gram matrix
@@ -378,29 +398,36 @@ def kmeans(R, H, k, rng, max_iter=100, n_init=8):
     Returns (labels, sse_history) for the winning restart; sse_history
     interleaves the SSE after each assignment and each recentering.
     """
-    seeds = kmeans_pp_indices(R, H, k, rng.generator(), n_init)
     norms = factor_sq_norms(R, H)
     form = _gram_form if H.shape[0] <= GRAM_MAX_ROWS else _center_form
-    seeded, recentered = form(R, H, norms)
+    sq_dists, seeded, recentered = form(R, H, norms, k)
+    seeds = kmeans_pp_indices(R, H, k, rng.generator(), n_init, sq_dists)
     restarts = (_lloyd(norms, k, max_iter, s, seeded, recentered) for s in seeds)
     return min(restarts, key=lambda result: result[1][-1])
 
 
-def _gram_form(R, H, norms):
-    """Lloyd's (cross, center_norms) read off the Gram matrix K.
+def _gram_form(R, H, norms, k):
+    """The seeding's sq_dists and Lloyd's (cross, center_norms), all read
+    off the Gram matrix K.
 
-    The seeds' inner products are their columns of K. A recentering is one
-    indicator product: cross[i, j] = E_i . C_j = (1/n_j) sum_(l in j) K[i, l],
-    and |C_j|^2 = (1/n_j) sum_(l in j) cross[l, j]."""
+    A pick's distance row is norms + norms[p] - 2 K[p], and the seeds'
+    inner products are their columns of K. A recentering is one product
+    with the call's one (n, k) indicator:
+    cross[i, j] = E_i . C_j = (1/n_j) sum_(l in j) K[i, l], and
+    |C_j|^2 = (1/n_j) sum_(l in j) cross[l, j]."""
     K = H @ H.T
     K *= R @ R.T
     rows = np.arange(K.shape[0])
+    indicator = np.empty((rows.size, k))
+
+    def sq_dists(picks):
+        return _floored_sq_dists(K.take(picks, axis=0), norms, picks)
 
     def seeded(seeds):
         return K[:, seeds], norms[seeds]
 
     def recentered(labels, counts):
-        indicator = np.zeros((rows.size, counts.size))
+        indicator.fill(0.0)
         indicator[rows, labels] = 1.0
         cross = K @ indicator
         cross /= counts
@@ -410,11 +437,12 @@ def _gram_form(R, H, norms):
         center_norms /= counts
         return cross, center_norms
 
-    return seeded, recentered
+    return sq_dists, seeded, recentered
 
 
-def _center_form(R, H, norms):
-    """Lloyd's (cross, center_norms) from centers in (c, d) form.
+def _center_form(R, H, norms, k):
+    """The seeding's sq_dists, each pick's own products (_sq_dists_to), and
+    Lloyd's (cross, center_norms) from centers in (c, d) form.
 
     A center update is one W.T @ H over the counts, where row i of the
     (n, k, c) indicator W holds r_i at label_i. The cross terms are one
@@ -423,7 +451,6 @@ def _center_form(R, H, norms):
     rows = np.arange(n)
 
     def products(centers):
-        k = centers.shape[0]
         flat = centers.reshape(k, -1)
         cross = np.einsum(
             "ikc,ic->ik", (H @ centers.reshape(k * c, -1).T).reshape(n, k, c), R
@@ -434,14 +461,13 @@ def _center_form(R, H, norms):
         return products(R[seeds, :, None] * H[seeds, None, :])
 
     def recentered(labels, counts):
-        k = counts.size
         W = np.zeros((n, k, c))
         W[rows, labels] = R
         centers = (W.reshape(n, k * c).T @ H).reshape(k, c, -1)
         centers /= counts[:, None, None]
         return products(centers)
 
-    return seeded, recentered
+    return partial(_sq_dists_to, R, H, norms), seeded, recentered
 
 
 def _lloyd(norms, k, max_iter, seeds, seeded, recentered):
@@ -457,17 +483,18 @@ def _lloyd(norms, k, max_iter, seeds, seeded, recentered):
         new_labels, d2 = assign_nearest(cross, center_norms, norms)
         new_labels = new_labels.astype(np.int64, copy=False)
         sse_history.append(float(d2.sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
+        if labels is not None and (new_labels == labels).all():
             break
         counts = np.bincount(new_labels, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            eligible = counts[new_labels] > 1
-            cand = np.where(eligible, d2, -np.inf)
-            i = int(np.argmax(cand))
-            counts[new_labels[i]] -= 1
-            new_labels[i] = j
-            counts[j] += 1
-            d2[i] = 0.0
+        if not counts.all():
+            for j in np.flatnonzero(counts == 0):
+                eligible = counts[new_labels] > 1
+                cand = np.where(eligible, d2, -np.inf)
+                i = int(np.argmax(cand))
+                counts[new_labels[i]] -= 1
+                new_labels[i] = j
+                counts[j] += 1
+                d2[i] = 0.0
         labels = new_labels
         cross, center_norms = recentered(labels, counts)
         sse_history.append(float((norms - center_norms[labels]).sum()))
@@ -495,10 +522,13 @@ def perturbation_score(model, X, k, sigma, num_draws, rngs):
     from rngs[i], seeded for all rows at once by pcg64_states. sigma > 0
     and num_draws >= 1, as ExperimentConfig checks at load.
 
-    A block of rows goes through the model once, as a (b, 1, input_dim)
-    stack: numpy runs a stacked matmul slice by slice with each slice's
-    shape, so every row takes the same BLAS calls, and gets the same score,
-    as when it is scored alone.
+    Each row's standard normals go into its slice of one
+    (ROW_BLOCK, num_draws, shared_hidden) array, allocated once per call;
+    each block of them is then scaled by sigma once, which gives
+    Generator.normal(0, sigma) byte for byte. A block of rows goes through
+    the model once, as a (b, 1, input_dim) stack: numpy runs a stacked
+    matmul slice by slice with each slice's shape, so every row takes the
+    same BLAS calls, and gets the same score, as when it is scored alone.
     """
     n = X.shape[0]
     S = model.config.shared_hidden
@@ -507,12 +537,17 @@ def perturbation_score(model, X, k, sigma, num_draws, rngs):
     # PCG64(0) keeps its construction from reading OS entropy.
     gen = np.random.Generator(np.random.PCG64(0))
     states = pcg64_states(rngs)
+    noise = np.empty((min(ROW_BLOCK, n), num_draws, S))
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
-        deltas = np.empty((stop - start, num_draws, S))
-        for j, state in enumerate(states[start:stop]):
+        deltas = noise[: stop - start]
+        for row, state in zip(deltas, states[start:stop]):
             gen.bit_generator.state = state
-            deltas[j] = gen.normal(0.0, sigma, size=(num_draws, S))
+            gen.standard_normal(out=row)
+        # Generator.normal(0.0, sigma) is 0.0 + sigma * z: adding 0.0 turns
+        # a product that underflowed to -0.0 into its +0.0
+        deltas *= sigma
+        deltas += 0.0
         h = model.penultimate_features(X[start:stop, None, :], k)
         perturbed = model.perturbed_probs(h, k, deltas)
         scores[start:stop] = kl_rows(model.classify(h, k), perturbed).mean(axis=-1)

@@ -8,6 +8,8 @@ distances round differently, but no decision here is close enough to a tie
 for that to matter.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -77,11 +79,23 @@ def cases():
 CASES = cases()
 
 
+# the two sources of a k-means++ pick's distance row: its own two
+# matrix-vector products (badge, the center form), or its row of the Gram
+# matrix (kmeans' Gram form)
+ROW_SOURCES = {
+    "products": lambda R, H: partial(strategies._sq_dists_to, R, H, factor_sq_norms(R, H)),
+    "gram": lambda R, H: strategies._gram_form(R, H, factor_sq_norms(R, H), 1)[0],
+}
+
+
 def assert_matches_reference(R, H, k, max_iter):
     E = formed(R, H)
+    gram_rows = ROW_SOURCES["gram"](R, H)
     for seed in range(4):
         seeds = kmeans_pp_indices(R, H, k, np.random.default_rng(seed))[0]
         expected = ref.kmeans_pp_indices(E, k, np.random.default_rng(seed))
+        assert np.array_equal(seeds, expected)
+        seeds = kmeans_pp_indices(R, H, k, np.random.default_rng(seed), 1, gram_rows)[0]
         assert np.array_equal(seeds, expected)
 
         labels, history = kmeans(
@@ -110,7 +124,9 @@ def test_center_form_matches_reference(name, R, H, k, max_iter, monkeypatch):
 
 def test_gram_form_up_to_the_row_limit(monkeypatch):
     # the (n, n) Gram matrix is built for pools of at most GRAM_MAX_ROWS
-    # rows only; one row more keeps centers in (c, d) form
+    # rows only, and their seeding reads its rows instead of computing each
+    # pick's products; one row more keeps centers in (c, d) form and the
+    # products
     used = []
 
     def recording(form):
@@ -119,13 +135,13 @@ def test_gram_form_up_to_the_row_limit(monkeypatch):
             return form(*args)
         return wrapper
 
-    for form in (strategies._gram_form, strategies._center_form):
+    for form in (strategies._gram_form, strategies._center_form, strategies._sq_dists_to):
         monkeypatch.setattr(strategies, form.__name__, recording(form))
     gen = np.random.default_rng(5)
     for n in (strategies.GRAM_MAX_ROWS, strategies.GRAM_MAX_ROWS + 1):
         R, H = random_factors(gen, 2, n, 3)
         kmeans(R, H, 2, RngStream(0, "km"), max_iter=2, n_init=1)
-    assert used == ["_gram_form", "_center_form"]
+    assert used == ["_gram_form", "_center_form", "_sq_dists_to", "_sq_dists_to"]
 
 
 def recording_fallback(monkeypatch):
@@ -142,6 +158,27 @@ def recording_fallback(monkeypatch):
     return calls
 
 
+def assert_lockstep_equals_successive(name, R, H, k, n_init, source, monkeypatch):
+    sequential = strategies._kmeans_pp_sequential
+    fallbacks = recording_fallback(monkeypatch)
+    sq_dists = ROW_SOURCES[source](R, H)
+    # the products are kmeans_pp_indices' default source
+    given = None if source == "products" else sq_dists
+    for seed in range(4):
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        seeds = kmeans_pp_indices(R, H, k, gen, restarts=n_init, sq_dists=given)
+        expected = [sequential(sq_dists, H.shape[0], k, ref_gen) for _ in range(n_init)]
+        assert seeds.shape == (n_init, k)
+        assert np.array_equal(seeds, np.stack(expected))
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+    if "empty" in name:
+        assert len(fallbacks) == 4 * n_init
+    if "pool" in name:
+        assert not fallbacks
+    if given is not None:  # the fallback reads the rows it was handed
+        assert all(args[0] is given for args in fallbacks)
+
+
 @pytest.mark.parametrize("n_init", (1, 3, 8))
 @pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
 def test_lockstep_seeding_equals_successive_seedings(
@@ -150,20 +187,33 @@ def test_lockstep_seeding_equals_successive_seedings(
     # the restarts seeded together pick what n_init seedings in a row pick,
     # and leave the generator where they leave it; with fewer distinct points
     # than clusters the mass runs out and the sequential loop takes over
-    sequential = strategies._kmeans_pp_sequential
+    assert_lockstep_equals_successive(name, R, H, k, n_init, "products", monkeypatch)
+
+
+@pytest.mark.parametrize("n_init", (1, 3, 8))
+@pytest.mark.parametrize("name,R,H,k,max_iter", CASES, ids=[c[0] for c in CASES])
+def test_lockstep_seeding_on_gram_rows_equals_successive_seedings(
+    name, R, H, k, max_iter, n_init, monkeypatch
+):
+    # the same from the Gram matrix's rows, as kmeans seeds: the generator
+    # rewind and the sequential loop read the rows the lockstep picks read
+    assert_lockstep_equals_successive(name, R, H, k, n_init, "gram", monkeypatch)
+
+
+def assert_inexact_duplicates_match_reference(source, monkeypatch):
     fallbacks = recording_fallback(monkeypatch)
-    norms = factor_sq_norms(R, H)
-    for seed in range(4):
-        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        seeds = kmeans_pp_indices(R, H, k, gen, restarts=n_init)
-        expected = [sequential(R, H, norms, k, ref_gen) for _ in range(n_init)]
-        assert seeds.shape == (n_init, k)
-        assert np.array_equal(seeds, np.stack(expected))
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
-    if "empty" in name:
-        assert len(fallbacks) == 4 * n_init
-    if "pool" in name:
-        assert not fallbacks
+    gen = np.random.default_rng(7)
+    pick = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
+    for c in (1, 2, 4):
+        R, H = random_factors(gen, c, 3, 5)
+        R, H = R[pick], H[pick]
+        sq_dists = ROW_SOURCES[source](R, H)
+        for seed in range(6):
+            seeds = kmeans_pp_indices(R, H, 5, np.random.default_rng(seed), 3, sq_dists)
+            ref_gen = np.random.default_rng(seed)
+            expected = [ref.kmeans_pp_indices(formed(R, H), 5, ref_gen) for _ in range(3)]
+            assert np.array_equal(seeds, np.stack(expected))
+    assert len(fallbacks) == 3 * 6 * 3
 
 
 def test_seeding_on_inexact_duplicates_matches_reference(monkeypatch):
@@ -173,18 +223,13 @@ def test_seeding_on_inexact_duplicates_matches_reference(monkeypatch):
     # so the lockstep seeding falls back to the sequential loop.
     # (Lloyd is not compared here: with every point on a center, which point
     # an empty cluster seizes depends on each side's rounding noise.)
-    fallbacks = recording_fallback(monkeypatch)
-    gen = np.random.default_rng(7)
-    pick = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
-    for c in (1, 2, 4):
-        R, H = random_factors(gen, c, 3, 5)
-        R, H = R[pick], H[pick]
-        for seed in range(6):
-            seeds = kmeans_pp_indices(R, H, 5, np.random.default_rng(seed), 3)
-            ref_gen = np.random.default_rng(seed)
-            expected = [ref.kmeans_pp_indices(formed(R, H), 5, ref_gen) for _ in range(3)]
-            assert np.array_equal(seeds, np.stack(expected))
-    assert len(fallbacks) == 3 * 6 * 3
+    assert_inexact_duplicates_match_reference("products", monkeypatch)
+
+
+def test_seeding_on_inexact_duplicates_from_gram_rows_matches_reference(monkeypatch):
+    # the same zeros from the Gram matrix's rows, whose duplicate entries
+    # round as a matrix product does
+    assert_inexact_duplicates_match_reference("gram", monkeypatch)
 
 
 def test_stacked_distances_are_each_picks_own():
@@ -230,6 +275,18 @@ def test_inverse_cdf_pick_is_generator_choice():
         assert np.array_equal(one_by_one, expected)
         for other in (stacked_gen, row_gen):
             assert other.bit_generator.state == choice_gen.bit_generator.state
+
+
+def test_inverse_cdf_at_a_cdf_entry_is_searchsorted_right():
+    # a uniform draw equal to a normalised cumulative sum picks the next
+    # row, as searchsorted(side="right") does; random draws almost never
+    # land on one, so the ties are set here
+    p = np.array([[0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5]])
+    cdf = np.cumsum(p, axis=1) / np.cumsum(p, axis=1)[:, -1:]
+    for u in (0.0, 0.25, 0.5, 0.75):
+        expected = [np.searchsorted(row, u, side="right") for row in cdf]
+        assert strategies._inverse_cdf(p, np.full(2, u)).tolist() == expected
+        assert [int(strategies._inverse_cdf(row, u)) for row in p] == expected
 
 
 def test_center_scorer_uses_means_of_formed_embeddings():

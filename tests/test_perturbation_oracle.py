@@ -48,6 +48,40 @@ def test_stacked_scores_equal_one_row_scores(n, num_draws):
             assert np.array_equal(got, want), (shared, private, classes, k)
 
 
+@pytest.mark.parametrize("sigma", [0.01, 1e-310, 5e-324])
+@pytest.mark.parametrize("n", ROWS)
+def test_stacked_noise_is_generator_normal_row_by_row(n, sigma):
+    # the scorer draws standard normals into one reused block and scales it
+    # by sigma once; each row's noise must be that row's
+    # Generator.normal(0, sigma) byte for byte, signed zeros included: at
+    # the paper's 0.01, at 1e-310 where the products are subnormal, and at
+    # 5e-324 where most of them underflow to a signed zero. The scores must
+    # still be the one-row scores.
+    X = np.random.default_rng(n).normal(size=(n, 5))
+    rngs = [RngStream(n, f"oracle/{i}") for i in range(n)]
+    for shared, classes in itertools.product(WIDTHS, (2, 4)):
+        model = tiny_model(
+            gen_seed=shared + classes, input_dim=5, shared=shared, private=3,
+            classes=(classes, 2),
+        )
+        drawn = []
+        perturbed_probs = model.perturbed_probs
+
+        def recording(h, k, deltas):
+            drawn.append(deltas.copy())
+            return perturbed_probs(h, k, deltas)
+
+        model.perturbed_probs = recording
+        got = perturbation_score(model, X, 0, sigma, 20, rngs)
+        del model.perturbed_probs
+        noise = np.concatenate(drawn)
+        for i in range(n):
+            want = rngs[i].generator().normal(0.0, sigma, size=(20, shared))
+            assert noise[i].tobytes() == want.tobytes(), (shared, classes, i)
+        want = [perturbation_score_row(model, X[i], 0, sigma, 20, rngs[i]) for i in range(n)]
+        assert got.tobytes() == np.array(want).tobytes(), (shared, classes)
+
+
 def test_perturbation_scores_use_one_stream_per_item():
     ctx = make_real_context(70, budget=1, n_per=12)
     for k in range(ctx.num_domains):
