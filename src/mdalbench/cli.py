@@ -28,7 +28,7 @@ from .reporting import (
     render_curves_svg,
     summaries,
 )
-from .results import read_json_object, replace_file, scan_runs
+from .results import make_out_dir, read_json_object, replace_file, scan_runs
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -48,9 +48,9 @@ def cmd_run(args):
     if args.jobs < 1:
         raise ValidationError(f"--jobs: must be >= 1, got {args.jobs}")
     raw = read_json_object(args.config, "config")
-    if args.seeds:
+    if args.seeds is not None:
         raw["seeds"] = [_seed(s) for s in args.seeds.split(",") if s.strip()]
-    if args.strategies:
+    if args.strategies is not None:
         raw["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
     config = ExperimentConfig.from_dict(raw)
 
@@ -71,7 +71,7 @@ def cmd_synth(args):
         raise ValidationError("; ".join(problems))
     spec = SynthSpec(**keys)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out)
     datasets = generate_synthetic(spec)
     # the old manifest goes first and the new one comes last, so an
     # interrupted rerun leaves no manifest vouching for a domain file

@@ -139,10 +139,7 @@ def save_domain_csv(dataset, path):
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for label, row in zip(dataset.y, dataset.X):
-            fh.write(str(int(label)))
-            for v in row:
-                fh.write("," + repr(float(v)))
-            fh.write("\n")
+            fh.write(",".join([str(int(label)), *map(repr, row.tolist())]) + "\n")
 
 
 def save_manifest(manifest, path):

@@ -27,7 +27,7 @@ from .errors import OverwriteRefusedError, ValidationError, key, key_problems
 from .model import AspMtlModel, ModelConfig, evaluate, train_round
 from .nncore import RngStream
 from .results import FILE_NAME_MAX, NAME_RULE, is_file_name, longest_run_file, replace_file
-from .results import run_paths, write_run_csv, write_run_metadata
+from .results import make_out_dir, run_paths, write_run_csv, write_run_metadata
 from .strategies import STRATEGY_NAMES, SelectionContext, select
 
 # The most runs trained together in lockstep. Per run-step, a larger group
@@ -416,7 +416,7 @@ def run_grid(config, out_dir, jobs=1, force=False):
         )
 
     train_store, test_sets = prepare_pools(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out_dir)
     groups = grid_groups(len(pairs), jobs)
     tasks = [
         (config, [pairs[i] for i in group], out_dir, train_store, test_sets)

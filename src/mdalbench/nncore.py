@@ -6,7 +6,9 @@ choice_positions makes many Generator.choice calls at once, for a training
 epoch's batches: NumPy draws the integers and it computes the picks. It
 relies on choice's layout, Floyd's sampler and then a shuffle, and on
 Generator.integers making one random_bounded_uint64 draw per element of an
-int64 array of upper bounds.
+int64 array of upper bounds. Each mirror covers the one path the program
+takes: seeds below 2**128, and calls without replacement or a tail shuffle.
+Any other input goes to NumPy itself.
 
 Everything is float64. A Linear holds its weight and bias as plain arrays
 and its forward pass keeps no cache: training runs through the fused step in
@@ -51,10 +53,7 @@ class RngStream:
         for a single one, and a grid seeds a few hundred single streams
         (initial splits, model init, batches, k-Means, badge and random).
         """
-        digest = _label_digest(self.label)
-        words = tuple(
-            int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)
-        )
+        words = np.frombuffer(_label_digest(self.label), "<u4").tolist()
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=words)
         return np.random.default_rng(seq)
 
@@ -92,27 +91,15 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _seed_words(seed):
-    """The seed as SeedSequence assembles it before a spawn key: its 32-bit
-    words, least significant first, zero-padded to the pool size of 4.
-    Every seed is >= 0, as config load checks."""
-    words = [seed & 0xFFFFFFFF]
-    seed >>= 32
-    while seed:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-    return words + [0] * (4 - len(words))
-
-
 def _pool(entropy):
-    """SeedSequence.mix_entropy for every row of the (n, L) uint32 entropy,
-    L >= 8, into an (n, 4) pool.
+    """SeedSequence.mix_entropy for every row of the (n, 8) uint32 entropy
+    (4 seed words, then 4 spawn-key words) into an (n, 4) pool.
 
-    Each hashmix call takes the next hash constant, so the constants depend
-    only on L. Within one source word the destinations are independent, so
-    they are mixed together with consecutive constants.
+    Each hashmix call takes the next hash constant. Within one source word
+    the destinations are independent, so they are mixed together with
+    consecutive constants.
     """
-    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (entropy.shape[1] - 4))
+    consts = _hash_consts(_INIT_A, _MULT_A, 32)
     pool = _hashmix(entropy[:, :4], consts[:5])
     c = 4
     for src in range(4):
@@ -120,7 +107,7 @@ def _pool(entropy):
         mixed = _hashmix(pool[:, src, None], consts[c : c + 4])
         pool[:, dst] = _mix(pool[:, dst], mixed)
         c += 3
-    for src in range(4, entropy.shape[1]):
+    for src in range(4, 8):
         pool = _mix(pool, _hashmix(entropy[:, src, None], consts[c : c + 5]))
         c += 4
     return pool
@@ -130,21 +117,16 @@ def pcg64_states(streams):
     """The PCG64 state that each stream's generator() starts from, as the
     dict bit_generator.state takes, computed for all streams at once.
 
-    Streams may have different seeds. Seeds below 2**128 pad to 4 words;
-    larger ones do not, so rows are mixed in groups of one entropy length.
+    Streams may have different seeds. SeedSequence pads a seed below 2**128
+    to 4 words, which the mirror takes; a call holding a larger seed, which
+    no workload has, seeds every stream through NumPy itself.
     """
-    n = len(streams)
-    labels = np.frombuffer(
-        b"".join(_label_digest(s.label) for s in streams), dtype="<u4"
-    ).reshape(n, 4)
-    seed_words = {seed: _seed_words(seed) for seed in {s.seed for s in streams}}
-    groups = {}
-    for i, s in enumerate(streams):
-        groups.setdefault(len(seed_words[s.seed]), []).append(i)
-    pools = np.empty((n, 4), dtype=np.uint32)
-    for rows in groups.values():
-        seeds = np.array([seed_words[streams[i].seed] for i in rows], dtype=np.uint32)
-        pools[rows] = _pool(np.concatenate([seeds, labels[rows]], axis=1))
+    if any(s.seed >> 128 for s in streams):
+        return [s.generator().bit_generator.state for s in streams]
+    entropy = b"".join(
+        s.seed.to_bytes(16, "little") + _label_digest(s.label) for s in streams
+    )
+    pools = _pool(np.frombuffer(entropy, dtype="<u4").reshape(len(streams), 8))
     # generate_state(4, uint64): 8 words cycled from the pool, paired low
     # word first into (seed high, seed low, inc high, inc low).
     words = _hashmix(np.tile(pools, 2), _hash_consts(_INIT_B, _MULT_B, 8))
@@ -168,33 +150,32 @@ def pcg64_states(streams):
 # installed NumPy implements it: B draws in [0, p) when p < B; NumPy's
 # shuffle of the last B of range(p) when p > 10000 and B > p // 50; else
 # Floyd's sampler, B draws in [0, p - B + i], then a shuffle of the B picks,
-# draws in [0, i] for i = B - 1, ..., 1. Each draw is one
-# random_bounded_uint64 call, which Generator.integers also makes for each
-# element of an int64 array of upper bounds, in order; an upper bound of 1
-# reads nothing and yields 0. So NumPy makes every draw here, and only the
-# picks are encoded. NEP 19 freezes neither algorithm; tests/test_nncore.py
-# checks both against the installed NumPy.
+# draws in [0, i] for i = B - 1, ..., 1. Only the last branch is mirrored.
+# Each of its draws is one random_bounded_uint64 call, which
+# Generator.integers also makes for each element of an int64 array of upper
+# bounds, in order; an upper bound of 1 reads nothing and yields 0. So NumPy
+# makes every draw here, and only the picks are encoded. NEP 19 freezes
+# neither algorithm; tests/test_nncore.py checks both against the installed
+# NumPy.
 _TAIL_MIN_POP, _TAIL_DIVISOR = 10000, 50
 
 
 def _choice_bulk(gens, pops, B):
-    """The (members, calls, B) positions of every member's calls, none of
-    which takes the tail-shuffle branch.
+    """The (members, calls, B) positions of every member's calls, all of
+    which take Floyd's branch: B <= p, and no tail shuffle.
 
     Each call has 2B - 1 draws in stream order: Floyd's B, then the
-    shuffle's B - 1; or, when p < B, B draws in [0, p), then B - 1 in
-    [0, 1), which read nothing. Each member draws its (calls, 2B - 1) table
-    of upper bounds in one integers call. Column c of the draw table t lists
-    call c's draws; calls run along the last axis, so every operation below
+    shuffle's B - 1. Each member draws its (calls, 2B - 1) table of upper
+    bounds in one integers call. Column c of the draw table t lists call
+    c's draws; calls run along the last axis, so every operation below
     reads whole rows.
     """
     M, C = pops.shape
     p = pops.ravel()
-    floyd = p >= B
     i = np.arange(B)[:, None]
-    bounds = np.ones((M * C, 2 * B - 1), dtype=np.int64)
-    bounds[:, :B] = np.where(floyd, p - B + 1 + i, p).T
-    bounds[floyd, B:] = np.arange(B, 1, -1)
+    bounds = np.empty((M * C, 2 * B - 1), dtype=np.int64)
+    bounds[:, :B] = (p - B + 1 + i).T
+    bounds[:, B:] = np.arange(B, 1, -1)
     draws = [
         gen.integers(0, b, dtype=np.int64)
         for gen, b in zip(gens, bounds.reshape(M, -1))
@@ -217,12 +198,12 @@ def _choice_bulk(gens, pops, B):
     for _ in range((B - 1).bit_length()):
         dup |= dup[ptr]
         ptr = ptr[ptr]
-    picks = np.where(dup.reshape(B, -1) & floyd, low + i, t[:B])
+    picks = np.where(dup.reshape(B, -1), low + i, t[:B])
 
     # the shuffle swaps position i with r_i for i = B - 1, ..., 1
     flat = picks.ravel()
     for draw, pos in enumerate(range(B - 1, 0, -1), start=B):
-        at = np.where(floyd, t[draw], pos) * (M * C) + cols
+        at = t[draw] * (M * C) + cols
         row = picks[pos].copy()
         picks[pos] = flat[at]
         flat[at] = row
@@ -235,17 +216,19 @@ def choice_positions(gens, pops, B):
     generator ends where those calls leave it.
 
     NumPy draws every member's integers (_choice_bulk), and the picks of all
-    members' calls are computed together. A member with any call in the
-    tail-shuffle branch makes its calls with Generator.choice itself.
-    B >= 1, pops has one row per generator and every population is >= 1,
-    as train_round guarantees.
+    members' calls are computed together. A member with any call off
+    Floyd's branch, a population below B (with replacement) or a tail
+    shuffle, makes its calls with Generator.choice itself; no workload has
+    one. B >= 1, pops has one row per generator and every population is
+    >= 1, as train_round guarantees.
     """
     pops = np.asarray(pops, dtype=np.int64)
     out = np.empty((*pops.shape, B), dtype=np.int64)
-    tail = ((pops >= B) & (pops > _TAIL_MIN_POP) & (B > pops // _TAIL_DIVISOR)).any(1)
-    for m in np.flatnonzero(tail):
+    tail = (pops > _TAIL_MIN_POP) & (B > pops // _TAIL_DIVISOR)
+    off = ((pops < B) | tail).any(1)
+    for m in np.flatnonzero(off):
         out[m] = [gens[m].choice(p, size=B, replace=p < B) for p in pops[m].tolist()]
-    bulk = np.flatnonzero(~tail)
+    bulk = np.flatnonzero(~off)
     if bulk.size:
         out[bulk] = _choice_bulk([gens[m] for m in bulk], pops[bulk], B)
     return out

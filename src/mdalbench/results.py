@@ -1,6 +1,6 @@
-"""Files: the reader behind every file the program reads, the
-.tmp-then-rename writer behind every file the CLI writes, and a finished
-run on disk: its file names, its result CSV and its JSON sidecar."""
+"""Files: the reader behind every file the program reads, the output
+directory, the .tmp-then-rename writer behind every file the CLI writes, and
+a finished run on disk: its file names, its result CSV and its JSON sidecar."""
 
 import hashlib
 import json
@@ -70,6 +70,15 @@ def read_json_object(path, what=""):
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: expected a JSON object")
     return doc
+
+
+def make_out_dir(path):
+    """Make the output directory path and its parents. A path that cannot be
+    one, such as an existing regular file, raises ValidationError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out: {path}: cannot make a directory: {exc.strerror}") from None
 
 
 def replace_file(write, path):

@@ -15,10 +15,10 @@ the one list of names.
 k-Means builds its Lloyd form first and then seeds all its restarts, in
 lockstep, from that form's distance rows: rows of the Gram matrix for pools
 of at most GRAM_MAX_ROWS, else each pick's own matrix-vector products, as
-badge's seeding takes too. A k-means++ pick is Generator.choice's
+badge's seeding takes too. A lockstep k-means++ pick is Generator.choice's
 inverse-CDF search given its uniform draw (_inverse_cdf), so the picks and
 the stream's end state are those of Generator.choice(n, p=d2 / total)
-called pick by pick.
+called pick by pick, as the sequential fallback calls it.
 
 Tie-breaking is lexicographic on (domain id, sample index) everywhere, and
 every strategy is a deterministic function of the context snapshot and seed.
@@ -270,26 +270,27 @@ def _floored_sq_dists(inner, norms, picks):
 
 def _inverse_cdf(p, u):
     """Generator.choice(p.shape[-1], p=p) given its uniform draw u, per row
-    of p: cumulative sum, normalised by its last entry, then the count of
-    entries at or below u (searchsorted, side right). The normalised sums
-    never decrease and end at 1 > u, so that count is the index of the
-    first entry above u."""
+    of p, for the lockstep seeding: cumulative sum, normalised by its last
+    entry, then the count of entries at or below u (searchsorted, side
+    right). The normalised sums never decrease and end at 1 > u, so that
+    count is the index of the first entry above u."""
     cdf = np.add.accumulate(p, axis=-1)
     cdf /= cdf[..., -1:]
     return (cdf > np.asarray(u)[..., None]).argmax(axis=-1)
 
 
 def _kmeans_pp_sequential(sq_dists, n, k, gen):
-    """One seeding of n points, drawing pick by pick: a double while mass
-    remains, else an integer for a uniform pick among the rows not yet
-    chosen."""
+    """One seeding of n points, drawing pick by pick through NumPy itself:
+    Generator.choice(n, p=d2 / total) while mass remains, else an integer
+    for a uniform pick among the rows not yet chosen. The lockstep seeding
+    falls back to it only on duplicate points, which no workload has."""
     chosen = [int(gen.integers(n))]
     d2 = sq_dists(chosen)[0]
     d2[chosen[0]] = 0.0
     for _ in range(k - 1):
         total = d2.sum()
         if total > 0.0:
-            nxt = int(_inverse_cdf(d2 / total, gen.random()))
+            nxt = int(gen.choice(n, p=d2 / total))
         else:
             # remaining mass exhausted (duplicates): uniform over unchosen
             mask = np.ones(n, dtype=bool)

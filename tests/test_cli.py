@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mdalbench
+from mdalbench import engine
 from mdalbench.cli import main
 from mdalbench.data import SyntheticSpec
 from mdalbench.engine import ExperimentConfig
@@ -241,6 +242,11 @@ def test_run_non_integer_seed_exits_2(tmp_path, capsys):
     args = ["run", "--config", str(path), "--out", str(out)]
     assert main(args + ["--seeds", "1,a"]) == 2
     assert "--seeds: expected an integer seed, got 'a'" in capsys.readouterr().err
+    # an empty override empties the list; it does not fall back to the config's
+    for flag in ("seeds", "strategies"):
+        assert main(args + [f"--{flag}="]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
 
     # without a seeds key, only --seeds gives the grid its seeds
     doc = json.loads(path.read_text())
@@ -533,6 +539,18 @@ def test_run_badge_with_different_class_counts(tmp_path, capsys):
     assert len(list(out.glob("*.csv"))) == 3
 
 
+def test_run_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    """An --out that names a regular file is invalid input, found before
+    any training."""
+    monkeypatch.setattr(engine, "train_round", lambda *a, **k: pytest.fail("trained"))
+    path = minimal_config(tmp_path)
+    out = tmp_path / "o"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: --out: {out}: cannot make a directory" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_run_strategy_and_seed_overrides(tmp_path):
     path = minimal_config(tmp_path, strategies=["random", "bvsb"])
     out = tmp_path / "filtered"
@@ -571,6 +589,16 @@ def test_synth_writes_domain_csvs_and_manifest(tmp_path):
     assert main(["synth", "--spec", str(spec_path), "--out", str(out2)]) == 0
     for name in [p.name for p in csvs] + ["manifest.json"]:
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_synth_out_naming_a_file_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_domains": 2}), encoding="utf-8")
+    out = tmp_path / "data"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert f"error: --out: {out}: cannot make a directory" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_synth_invalid_spec_exits_2(tmp_path):

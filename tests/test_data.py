@@ -51,6 +51,9 @@ def test_csv_round_trip_bit_exact(tmp_path):
     y = np.array([0, 1])
     ds = DomainDataset(X=X, y=y, domain_id=0, name="d0")
     save_domain_csv(ds, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == (
+        "0,0.1,0.3333333333333333,-2.5e-07\n1,1e+300,-0.0,7.25\n"
+    )
     manifest = load_manifest(write_manifest(tmp_path))
     loaded = load_domain(manifest, 0)
     assert np.array_equal(loaded.X, X)

@@ -40,7 +40,8 @@ def test_rng_children_are_independent():
 
 
 # Seeds on each side of the 32-bit word boundaries and of the 4-word pool:
-# 2**128 + 5 has five words and is the one seed SeedSequence does not pad.
+# 2**128 + 5 has five words and is the one seed SeedSequence does not pad,
+# so pcg64_states seeds its call through NumPy itself.
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127, 2**128 + 5)
 LABELS = ("", "root", "root" + "".join(f"/c{i}" for i in range(40)), "données/✓")
 
@@ -62,9 +63,23 @@ def test_pcg64_states_equal_numpy_seeding(seed):
     assert_starts_like_generator(streams, pcg64_states(streams))
 
 
-def test_pcg64_states_mix_seeds_in_one_call():
-    streams = [RngStream(seed, label) for label in LABELS for seed in SEEDS]
+@pytest.mark.parametrize(
+    "seeds, mirrored", [(SEEDS[:-1], True), (SEEDS, False)], ids=["mirror", "numpy"]
+)
+def test_pcg64_states_mix_seeds_in_one_call(seeds, mirrored, monkeypatch):
+    # seeds below 2**128 are mixed together by the mirror, across the
+    # 32-bit word boundaries; one larger seed sends the call to NumPy
+    mixed = []
+    pool = nncore._pool
+
+    def recording(entropy):
+        mixed.append(entropy.shape)
+        return pool(entropy)
+
+    monkeypatch.setattr(nncore, "_pool", recording)
+    streams = [RngStream(seed, label) for label in LABELS for seed in seeds]
     assert_starts_like_generator(streams, pcg64_states(streams))
+    assert mixed == ([(len(streams), 8)] if mirrored else [])
 
 
 def test_pcg64_states_of_one_stream_and_of_none():
@@ -110,7 +125,8 @@ def twin_generators(seed, held=False):
 # (populations, batch size): p > B, p == B, p < B with p == 1, NumPy's
 # tail-shuffle branch (p > 10000 and B > p // 50), populations near 2**32
 # where about a third of the draws reject, populations beyond 2**32 that
-# take 64-bit draws, and all of them mixed
+# take 64-bit draws, and all of them mixed. A member with a call of p < B or
+# in the tail branch makes its calls with choice itself.
 CHOICE_CASES = {
     "floyd": ([900, 1500, 17, 9, 270, 4000], 8),
     "p-equals-b": ([8, 8, 9, 8], 8),
@@ -119,7 +135,7 @@ CHOICE_CASES = {
     "tail-20000-500": ([20000, 900, 20000], 500),
     "tail-12000-300": ([12000, 12000, 300, 12001, 5], 300),
     "near-2**32": ([3_000_000_000, 4_294_967_295, 2**32, 3_100_000_017], 6),
-    "beyond-2**32": ([2**32 + 1, 2**40 + 7, 900, 2**33, 3], 6),
+    "beyond-2**32": ([2**32 + 1, 2**40 + 7, 900, 2**33, 6], 6),
     "mixed": ([3_000_000_001, 1, 8, 12000, 5, 900, 3_000_000_000, 2, 700], 5),
 }
 
@@ -179,22 +195,34 @@ def test_choice_positions_replay_a_rejected_word(ahead):
     """Output equal to NumPy's through rejected words. A zero word rejects
     in every range that is not a power of two. Put one zero raw word (two
     zero halves) at each position of the stream, so that rejections fall on
-    Floyd draws, shuffle draws and draws with replacement, in every call."""
+    Floyd draws and shuffle draws, in every call."""
     inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
     probe = generator_reading(0, ahead, inc)
     assert probe.bit_generator.random_raw(ahead + 1)[-1] == 0
     gen, ref = generator_reading(0, ahead, inc), generator_reading(0, ahead, inc)
-    assert_same_draws([gen], [ref], [[900, 5, 3, 901, 6, 7, 900]], 6)
+    assert_same_draws([gen], [ref], [[900, 6, 7, 901, 6, 7, 900]], 6)
 
 
 @pytest.mark.parametrize("held", [False, True])
-def test_choice_positions_split_tail_members_from_bulk_members(held):
-    """A member with a tail-shuffle call makes its calls with choice itself,
-    while the other members of the same call are drawn in bulk."""
-    pops = [[900, 12000, 900, 5], [900, 901, 7, 5], [3, 300, 12001, 1]]
-    pairs = [twin_generators(seed, held) for seed in (8, 9, 10)]
+def test_choice_positions_split_tail_members_from_bulk_members(held, monkeypatch):
+    """A member with a call off Floyd's branch, a tail shuffle or a
+    population below B (with replacement), makes its calls with choice
+    itself, while the other members of the same call are drawn in bulk:
+    _choice_bulk never sees a population below B."""
+    handed = []
+    bulk = nncore._choice_bulk
+
+    def recording(gens, pops, B):
+        handed.append(pops.tolist())
+        return bulk(gens, pops, B)
+
+    monkeypatch.setattr(nncore, "_choice_bulk", recording)
+    pops = [[900, 12000, 900, 300], [900, 901, 300, 1500], [900, 5, 900, 1500],
+            [3, 300, 12001, 1]]
+    pairs = [twin_generators(seed, held) for seed in (8, 9, 10, 11)]
     gens, refs = zip(*pairs)
     assert_same_draws(list(gens), list(refs), pops, 300)
+    assert handed == [[pops[1]]]
 
 
 @pytest.mark.parametrize("held", [False, True])
